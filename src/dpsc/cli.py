@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -116,6 +117,11 @@ def _run_validate(args, dataset):
         errors.append("dataset has no test items to predict")
     if "kmeans" in wanted and any(not dataset.labels[i] for i in test_idx):
         errors.append("kmeans baseline needs gold labels on test items to pick oracle k")
+    out_dir = os.path.dirname(args.out_prefix) or "."
+    if not os.path.isdir(out_dir):
+        errors.append(f"output prefix {args.out_prefix!r}: directory {out_dir!r} does not exist")
+    elif not os.access(out_dir, os.W_OK | os.X_OK):
+        errors.append(f"output prefix {args.out_prefix!r}: directory {out_dir!r} is not writable")
     return wanted, errors
 
 

@@ -45,6 +45,12 @@ class Dataset:
                     break
                 seen.add(i)
             raise DomainError(f"duplicate item id {dup!r}")
+        finite = np.isfinite(self.X).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(
+                f"row {self.ids[i]!r}: features must be finite, got {self.X[i].tolist()}"
+            )
         for i, s in enumerate(self.split):
             if s not in SPLITS:
                 raise DomainError(f"row {self.ids[i]!r}: split must be train or test, got {s!r}")

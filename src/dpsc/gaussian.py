@@ -87,22 +87,37 @@ def data_loglik(r, p, t):
     return float(0.5 * (np.log(t) - LOG_2PI - t * (r - p) ** 2).sum())
 
 
-def data_loglik_rows(r, P, t):
-    """data_loglik of one item against each row of P (K centers at once)."""
-    const = 0.5 * float((np.log(t) - LOG_2PI).sum())
+def loglik_const(t):
+    """The part of data_loglik that depends on the precisions t alone."""
+    return 0.5 * float((np.log(t) - LOG_2PI).sum())
+
+
+def data_loglik_rows(r, P, t, const=None):
+    """data_loglik of one item against each row of P (K centers at once);
+    ``const`` is loglik_const(t), when the caller already has it."""
+    if const is None:
+        const = loglik_const(t)
     return const - 0.5 * ((r - P) ** 2 @ t)
 
 
-def marginal_loglik_new_publication(r, t, base: PublicationBase):
+def new_publication_terms(t, base: PublicationBase):
+    """Per-dimension variance and log-normalizer of the observation density
+    with the center integrated out; they depend on t and the base only."""
+    var = base.variance + 1.0 / t
+    return var, -0.5 * (LOG_2PI + np.log(var))
+
+
+def marginal_loglik_new_publication(r, t, base: PublicationBase, terms=None):
     """log of the observation density with the center integrated out.
 
     Convolving the Normal center prior with the Normal likelihood gives,
-    per dimension, N(r; base mean, base variance + 1/t).
+    per dimension, N(r; base mean, base variance + 1/t).  ``terms`` is
+    new_publication_terms(t, base), when the caller already has it.
     """
     r, t = np.asarray(r, float), np.asarray(t, float)
     _check_dims(r, t, base.mean)
-    var = base.variance + 1.0 / t
-    return float((-0.5 * (LOG_2PI + np.log(var)) - 0.5 * (r - base.mean) ** 2 / var).sum())
+    var, head = new_publication_terms(t, base) if terms is None else terms
+    return float((head - 0.5 * (r - base.mean) ** 2 / var).sum())
 
 
 def marginal_loglik_new_type(r, p, base: TypeBase):

@@ -17,12 +17,34 @@ variants:
 
 All choice probabilities are computed in log space and normalized by max
 subtraction.
+
+Chain state layout.  The active centers and precision vectors live in two
+row stores (``ChainState.pubs`` and ``ChainState.types``): one matrix of
+parameter vectors, the id of each row and its member count as a float.
+The type store also caches, per row, 0.5 * sum(log t), the constant of
+data_loglik_rows and the per-dimension terms of the new-cluster marginal,
+recomputed whenever a type vector is written.  An indicator update then
+reads contiguous slices: the candidate clusters are the trailing rows (all
+rows when test items may join training clusters, which are never emptied
+and so stay in the leading rows), and the refreshes and the joint score
+map items to rows with one searchsorted.
+
+Rows are kept in ascending id order: ids only grow (``next_c``/``next_t``),
+a new row is appended and a deleted one closes its gap.  Training cluster
+ids follow the first appearance of each label, so ascending id order is
+also the order in which clusters were created.  That order is the
+candidate order of every update and the order of every refresh loop, so it
+fixes which candidate a uniform draw selects and hence the whole random
+stream; changing it changes every chain.  The member sets (``c_members``,
+``d_members``) are kept as well: the refreshes iterate them, and their
+iteration order fixes the summation order of the posterior statistics.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +60,9 @@ from .gaussian import (
     adapt_type_base,
     conditional_type_logdensity,
     data_loglik_rows,
+    loglik_const,
     marginal_loglik_new_publication,
+    new_publication_terms,
     pairwise_sq_diff_sum,
     posterior_sample_publication,
     posterior_sample_type,
@@ -98,6 +122,8 @@ class SamplerConfig:
             errors.append(f"candidate_count must be >= 1, got {self.candidate_count}")
         if self.n_chains < 1:
             errors.append(f"n_chains must be >= 1, got {self.n_chains}")
+        if self.seed < 0:
+            errors.append(f"seed must be a non-negative integer, got {self.seed}")
         if self.alpha_p <= 0 or self.alpha_t <= 0:
             errors.append("initial alpha values must be positive")
         if self.conditional_rate <= 0:
@@ -142,6 +168,97 @@ def normalized_probs(logw):
     return w / w.sum()
 
 
+def _member_sets(labels):
+    """{id: set of items}, keys ascending and each set filled in item order."""
+    members = {int(k): set() for k in np.unique(labels)}
+    for i, k in enumerate(labels.tolist()):
+        members[k].add(i)
+    return members
+
+
+class _Rows(Mapping):
+    """Active parameter vectors keyed by id, as the rows of ``vecs`` in
+    ascending id order, with each row's member count (a float) in
+    ``counts``.  Reads as a read-only mapping from id to vector."""
+
+    def __init__(self, ids, vecs, counts):
+        self.ids = np.array(ids, dtype=np.int64)
+        self.vecs = np.array(vecs, dtype=float).reshape(len(self.ids), -1)
+        self.counts = np.array(counts, dtype=float)
+
+    def row(self, key):
+        return int(self.ids.searchsorted(key))
+
+    def rows(self, keys):
+        return self.ids.searchsorted(keys)
+
+    def set(self, row, vec):
+        self.vecs[row] = vec
+
+    def append(self, key, vec):
+        """A new row for a new largest id holding one member."""
+        self.ids = np.append(self.ids, key)
+        self.vecs = np.vstack([self.vecs, vec])
+        self.counts = np.append(self.counts, 1.0)
+
+    def delete(self, row):
+        """Drop a row; returns its vector."""
+        vec = self.vecs[row]
+        self.ids = np.delete(self.ids, row)
+        self.vecs = np.delete(self.vecs, row, axis=0)
+        self.counts = np.delete(self.counts, row)
+        return vec
+
+    def __getitem__(self, key):
+        row = self.row(key)
+        if row == len(self.ids) or self.ids[row] != key:
+            raise KeyError(key)
+        return self.vecs[row]
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self):
+        return len(self.ids)
+
+
+class _TypeRows(_Rows):
+    """Precision vectors plus per-row terms that depend on the vector and
+    the center base only: ``half_logsum`` (0.5 * sum(log t)),
+    ``ll_const`` (loglik_const(t)) and ``new_var``/``new_head``
+    (new_publication_terms(t, pub_base)).  Every write recomputes them for
+    all rows; there are few types and they change at most once a sweep
+    each."""
+
+    def __init__(self, ids, vecs, counts, pub_base):
+        super().__init__(ids, vecs, counts)
+        self.pub_base = pub_base
+        self._cache()
+
+    def terms(self, t):
+        var, head = new_publication_terms(t, self.pub_base)
+        return 0.5 * np.log(t).sum(), loglik_const(t), var, head
+
+    def _cache(self):
+        terms = [self.terms(t) for t in self.vecs]
+        self.half_logsum, self.ll_const, self.new_var, self.new_head = (
+            np.array(column) for column in zip(*terms)
+        )
+
+    def set(self, row, vec):
+        super().set(row, vec)
+        self._cache()
+
+    def append(self, key, vec):
+        super().append(key, vec)
+        self._cache()
+
+    def delete(self, row):
+        vec = super().delete(row)
+        self._cache()
+        return vec
+
+
 class ChainState:
     """Full latent state of one MCMC chain."""
 
@@ -173,32 +290,26 @@ class ChainState:
         )
         self._set_type_base(self.config_type_base)
 
-        # Training items are pinned to their gold classes for good.
-        self.c = np.empty(self.N, dtype=np.int64)
-        self.c_members: dict[int, set] = {}
+        # Training items are pinned to their gold classes for good; the
+        # classes take ids 0, 1, ... in order of first appearance.
         train_idx = np.flatnonzero(~self.is_test)
-        train_labels = sorted({dataset.labels[i] for i in train_idx})
+        train_labels = list(dict.fromkeys(dataset.labels[i] for i in train_idx))
         self.train_label_to_cid = {lab: cid for cid, lab in enumerate(train_labels)}
-        for i in train_idx:
-            cid = self.train_label_to_cid[dataset.labels[i]]
-            self.c[i] = cid
-            self.c_members.setdefault(cid, set()).add(int(i))
         self.train_cluster_ids = frozenset(self.train_label_to_cid.values())
-        next_c = len(train_labels)
-        for i in self.test_indices:
-            self.c[i] = next_c
-            self.c_members[next_c] = {int(i)}
-            next_c += 1
-        self.next_c = next_c
+        k_train = len(train_labels)
+        c = np.empty(self.N, dtype=np.int64)
+        c[train_idx] = [self.train_label_to_cid[dataset.labels[i]] for i in train_idx]
+        self.next_c = k_train + len(self.test_indices)
+        c[self.test_indices] = np.arange(k_train, self.next_c)
+        self._install_clusters(c, np.tile(self.pub_base.mean, (self.next_c, 1)))
 
         self.d = np.zeros(self.N, dtype=np.int64)
-        self.d_members: dict[int, set] = {0: set(range(self.N))}
+        self.d_members = _member_sets(self.d)
         self.next_t = 1
 
         self.alpha_p = config.alpha_p
         self.alpha_t = config.alpha_t
         if len(train_idx) > 0:
-            k_train = len(train_labels)
             self.train_pair = (len(train_idx), k_train)
         else:
             self.train_pair = None
@@ -208,6 +319,14 @@ class ChainState:
 
     # ------------------------------------------------------------------
     # initialization
+
+    def _install_clusters(self, c, centers):
+        """Set every item's cluster id and, in ascending id order, the
+        center of each distinct id."""
+        self.c = np.array(c, dtype=np.int64)
+        self.c_members = _member_sets(self.c)
+        sizes = [len(m) for m in self.c_members.values()]
+        self.pubs = _Rows(list(self.c_members), centers, sizes)
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
@@ -222,11 +341,11 @@ class ChainState:
 
     def _init_params(self):
         if self.frozen_types:
-            self.types = {0: np.ones(self.F)}
+            t0 = np.ones(self.F)
         else:
             base = self.type_base
-            self.types = {0: self.rng.gamma(base.shape, base.scale)}
-        self.pubs = {cid: self.pub_base.mean.copy() for cid in self.c_members}
+            t0 = self.rng.gamma(base.shape, base.scale)
+        self.types = _TypeRows([0], [t0], [self.N], self.pub_base)
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
@@ -241,11 +360,11 @@ class ChainState:
         if self.variant == "m3":
             self._resample_publications_sir()
             return
-        for cid in list(self.pubs):
+        t_rows = self.types.rows(self.d)
+        for row, cid in enumerate(self.pubs.ids.tolist()):
             idx = self._members_array(self.c_members[cid])
-            rs = self.X[idx]
-            ts = np.array([self.types[t] for t in self.d[idx]])
-            self.pubs[cid] = posterior_sample_publication(rs, ts, self.pub_base, self.rng)
+            ts = self.types.vecs[t_rows[idx]]
+            self.pubs.set(row, posterior_sample_publication(self.X[idx], ts, self.pub_base, self.rng))
 
     def _resample_publications_sir(self):
         """Refresh each center from a pool of base draws weighted by its
@@ -262,82 +381,82 @@ class ChainState:
         if self.conditional:
             lam = cfg.conditional_rate
             n_types = len(self.types)
-            t_sum = np.sum(list(self.types.values()), axis=0)
+            t_sum = np.sum(self.types.vecs, axis=0)
             a_base = self.type_base.shape
             r_base = self.type_base.rate
-        for cid in list(self.pubs):
+        t_rows = self.types.rows(self.d)
+        for row, cid in enumerate(self.pubs.ids.tolist()):
             idx = self._members_array(self.c_members[cid])
-            ts = np.array([self.types[t] for t in self.d[idx]])
+            ts = self.types.vecs[t_rows[idx]]
             a_vec = (ts * self.X[idx]).sum(axis=0)
             b_vec = ts.sum(axis=0)
             cands = self.rng.normal(base.mean, np.sqrt(base.variance), (cfg.candidate_count, self.F))
             logw = cands @ a_vec - 0.5 * (cands**2) @ b_vec
-            if self.conditional:
-                others = [p for other, p in self.pubs.items() if other != cid]
-                if others:
-                    d_sq = np.zeros((cfg.candidate_count, self.F))
-                    for p_other in others:
-                        d_sq += (cands - p_other) ** 2
-                    s_rest = pairwise_sq_diff_sum(others)
-                    shifted = r_base + lam * (s_rest + d_sq)
-                    logw += n_types * (a_base * np.log(shifted)).sum(axis=1)
-                    logw -= lam * d_sq @ t_sum
-            self.pubs[cid] = cands[_pick(logw, self.rng)]
+            if self.conditional and len(self.pubs) > 1:
+                others = np.delete(self.pubs.vecs, row, axis=0)
+                d_sq = np.zeros((cfg.candidate_count, self.F))
+                for p_other in others:
+                    d_sq += (cands - p_other) ** 2
+                s_rest = pairwise_sq_diff_sum(others)
+                shifted = r_base + lam * (s_rest + d_sq)
+                logw += n_types * (a_base * np.log(shifted)).sum(axis=1)
+                logw -= lam * d_sq @ t_sum
+            self.pubs.set(row, cands[_pick(logw, self.rng)])
 
     def _resample_types(self):
         if self.variant == "m3":
             self._resample_types_sir()
             return
-        for tid in list(self.types):
+        c_rows = self.pubs.rows(self.c)
+        for row, tid in enumerate(self.types.ids.tolist()):
             idx = self._members_array(self.d_members[tid])
-            rs = self.X[idx]
-            ps = np.array([self.pubs[c] for c in self.c[idx]])
-            self.types[tid] = posterior_sample_type(rs, ps, self.type_base, self.rng)
+            ps = self.pubs.vecs[c_rows[idx]]
+            self.types.set(row, posterior_sample_type(self.X[idx], ps, self.type_base, self.rng))
 
     def _resample_types_sir(self):
         cfg = self.config
         base = self.type_base
         if self.conditional:
-            s_pair = pairwise_sq_diff_sum(list(self.pubs.values()))
-        for tid in list(self.types):
+            s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
+        c_rows = self.pubs.rows(self.c)
+        for row, tid in enumerate(self.types.ids.tolist()):
             idx = self._members_array(self.d_members[tid])
-            ps = np.array([self.pubs[c] for c in self.c[idx]])
+            ps = self.pubs.vecs[c_rows[idx]]
             q = ((self.X[idx] - ps) ** 2).sum(axis=0)
             n_obs = len(idx)
             cands = self.rng.gamma(base.shape, base.scale, (cfg.candidate_count, self.F))
             logw = 0.5 * n_obs * np.log(cands).sum(axis=1) - 0.5 * cands @ q
             if self.conditional:
                 logw = logw - cfg.conditional_rate * cands @ s_pair
-            self.types[tid] = cands[_pick(logw, self.rng)]
+            self.types.set(row, cands[_pick(logw, self.rng)])
 
     # ------------------------------------------------------------------
     # indicator updates
 
     def _detach_c(self, n):
         """Remove item n from its cluster; returns the orphaned center if
-        the cluster emptied (it is garbage-collected immediately)."""
+        the cluster emptied (its row is deleted immediately)."""
         cid = int(self.c[n])
         members = self.c_members[cid]
         members.discard(int(n))
+        row = self.pubs.row(cid)
         if not members:
             del self.c_members[cid]
-            return self.pubs.pop(cid)
+            return self.pubs.delete(row)
+        self.pubs.counts[row] -= 1.0
         return None
 
     def _c_candidates(self, n, orphan):
         """Existing-cluster ids plus log weights for resampling c_n; the
-        trailing entries belong to new-cluster candidates."""
+        trailing entries belong to new-cluster candidates.  The existing
+        candidates are the trailing rows of the center store."""
         r = self.X[n]
-        t = self.types[int(self.d[n])]
-        if self.config.share_train_test or not self.train_cluster_ids:
-            cand = list(self.pubs.keys())
-        else:
-            cand = [cid for cid in self.pubs if cid not in self.train_cluster_ids]
-        parts = []
-        if cand:
-            mat = np.array([self.pubs[cid] for cid in cand])
-            counts = np.array([float(len(self.c_members[cid])) for cid in cand])
-            parts.append(np.log(counts) + data_loglik_rows(r, mat, t))
+        k = self.types.row(self.d[n])
+        t = self.types.vecs[k]
+        const = self.types.ll_const[k]
+        lo = 0 if self.config.share_train_test else len(self.train_cluster_ids)
+        pubs = self.pubs
+        existing = np.log(pubs.counts[lo:]) + data_loglik_rows(r, pubs.vecs[lo:], t, const)
         if self.variant == "m3":
             fresh = self.rng.normal(
                 self.pub_base.mean,
@@ -345,17 +464,15 @@ class ChainState:
                 (self.config.aux_samples, self.F),
             )
             news = np.vstack([fresh, orphan[None, :]]) if orphan is not None else fresh
-            parts.append(
-                np.log(self.alpha_p / len(news)) + data_loglik_rows(r, news, t)
-            )
+            new = np.log(self.alpha_p / len(news)) + data_loglik_rows(r, news, t, const)
         else:
             news = None
-            parts.append(
-                np.array(
-                    [np.log(self.alpha_p) + marginal_loglik_new_publication(r, t, self.pub_base)]
-                )
-            )
-        return cand, np.concatenate(parts), news
+            terms = (self.types.new_var[k], self.types.new_head[k])
+            new = [
+                np.log(self.alpha_p)
+                + marginal_loglik_new_publication(r, t, self.pub_base, terms)
+            ]
+        return pubs.ids[lo:], np.concatenate([existing, new]), news
 
     def sample_c(self, n):
         """Reassign test item n to an existing cluster or a fresh one."""
@@ -365,8 +482,10 @@ class ChainState:
         cand, logw, news = self._c_candidates(n, orphan)
         sel = _pick(logw, self.rng)
         if sel < len(cand):
-            cid = cand[sel]
+            cid = int(cand[sel])
             self.c_members[cid].add(int(n))
+            # The candidates are the trailing rows of the store.
+            self.pubs.counts[len(self.pubs) - len(cand) + sel] += 1.0
         else:
             cid = self.next_c
             self.next_c += 1
@@ -376,7 +495,7 @@ class ChainState:
                 r = self.X[n]
                 t = self.types[int(self.d[n])]
                 pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
-            self.pubs[cid] = pub
+            self.pubs.append(cid, pub)
             self.c_members[cid] = {int(n)}
         self.c[n] = cid
 
@@ -384,22 +503,22 @@ class ChainState:
         tid = int(self.d[n])
         members = self.d_members[tid]
         members.discard(int(n))
+        row = self.types.row(tid)
         if not members:
             del self.d_members[tid]
-            return self.types.pop(tid)
+            return self.types.delete(row)
+        self.types.counts[row] -= 1.0
         return None
 
     def _d_candidates(self, n, orphan):
         r = self.X[n]
-        p = self.pubs[int(self.c[n])]
+        p = self.pubs.vecs[self.pubs.row(self.c[n])]
         d2 = (r - p) ** 2
-        tids = list(self.types.keys())
-        mat = np.array([self.types[t] for t in tids])
-        counts = np.array([float(len(self.d_members[t])) for t in tids])
+        types = self.types
         existing = (
-            np.log(counts)
-            + 0.5 * np.log(mat).sum(axis=1)
-            - 0.5 * mat @ d2
+            np.log(types.counts)
+            + types.half_logsum
+            - 0.5 * types.vecs @ d2
             - 0.5 * self.F * LOG_2PI
         )
         if self.variant == "m3":
@@ -417,20 +536,20 @@ class ChainState:
                 # prior is the distance-tilted gamma; reweight by the
                 # normalized density ratio.
                 lam = self.config.conditional_rate
-                s_pair = pairwise_sq_diff_sum(list(self.pubs.values()))
+                s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
                 shifted = base.rate + lam * s_pair
                 lw_new = (
                     lw_new
                     + float((base.shape * np.log(shifted / base.rate)).sum())
                     - lam * news @ s_pair
                 )
-            return tids, np.concatenate([existing, lw_new]), news
+            return types.ids, np.concatenate([existing, lw_new]), news
         news = None
         marg = self._marg_const - float(
             (self._marg_shape_half * np.log(self._marg_rate + 0.5 * d2)).sum()
         )
         lw_new = np.log(self.alpha_t) + marg
-        return tids, np.concatenate([existing, [lw_new]]), news
+        return types.ids, np.concatenate([existing, [lw_new]]), news
 
     def sample_d(self, n):
         """Reassign item n's reference type (training items included)."""
@@ -438,8 +557,9 @@ class ChainState:
         tids, logw, news = self._d_candidates(n, orphan)
         sel = _pick(logw, self.rng)
         if sel < len(tids):
-            tid = tids[sel]
+            tid = int(tids[sel])
             self.d_members[tid].add(int(n))
+            self.types.counts[sel] += 1.0
         else:
             tid = self.next_t
             self.next_t += 1
@@ -449,7 +569,7 @@ class ChainState:
                 r = self.X[n]
                 p = self.pubs[int(self.c[n])]
                 tvec = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
-            self.types[tid] = tvec
+            self.types.append(tid, tvec)
             self.d_members[tid] = {int(n)}
         self.d[n] = tid
 
@@ -490,21 +610,21 @@ class ChainState:
 
     def joint_log_score(self):
         """Unnormalized log posterior density at the current state."""
-        lp = self._eppf(self.alpha_p, [len(m) for m in self.c_members.values()])
-        lp += self._eppf(self.alpha_t, [len(m) for m in self.d_members.values()])
-        for pub in self.pubs.values():
+        lp = self._eppf(self.alpha_p, self.pubs.counts.tolist())
+        lp += self._eppf(self.alpha_t, self.types.counts.tolist())
+        for pub in self.pubs.vecs:
             lp += publication_base_logpdf(pub, self.pub_base)
         if self.conditional:
-            s_pair = pairwise_sq_diff_sum(list(self.pubs.values()))
-            for tvec in self.types.values():
+            s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
+            for tvec in self.types.vecs:
                 lp += conditional_type_logdensity(
                     tvec, self.type_base, s_pair, rate=self.config.conditional_rate
                 )
         else:
-            for tvec in self.types.values():
+            for tvec in self.types.vecs:
                 lp += type_base_logpdf(tvec, self.type_base)
-        p_items = np.array([self.pubs[c] for c in self.c])
-        t_items = np.array([self.types[t] for t in self.d])
+        p_items = self.pubs.vecs[self.pubs.rows(self.c)]
+        t_items = self.types.vecs[self.types.rows(self.d)]
         lp += float(
             0.5 * (np.log(t_items) - LOG_2PI - t_items * (self.X - p_items) ** 2).sum()
         )
@@ -515,19 +635,31 @@ class ChainState:
 
     def check(self):
         """Structural invariant audit (used by tests; cheap, not exhaustive)."""
-        assert set(self.c_members) == set(self.pubs)
-        assert set(self.d_members) == set(self.types)
-        assert all(members for members in self.c_members.values())
-        assert all(members for members in self.d_members.values())
-        assert sum(len(m) for m in self.c_members.values()) == self.N
-        assert sum(len(m) for m in self.d_members.values()) == self.N
+        for store, members, next_id in (
+            (self.pubs, self.c_members, self.next_c),
+            (self.types, self.d_members, self.next_t),
+        ):
+            # One row per member set, ids strictly ascending, counts exact.
+            assert store.ids.tolist() == list(members)
+            assert (np.diff(store.ids) > 0).all() and store.ids[-1] < next_id
+            assert store.vecs.shape == (len(members), self.F)
+            assert store.counts.tolist() == [float(len(m)) for m in members.values()]
+            assert all(members.values())
+            assert sum(len(m) for m in members.values()) == self.N
+        k_train = len(self.train_cluster_ids)
+        assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
+        # The cached per-type terms, bit for bit against a recomputation.
+        fresh = zip(*(self.types.terms(t) for t in self.types.vecs))
+        cached = (self.types.half_logsum, self.types.ll_const, self.types.new_var,
+                  self.types.new_head)
+        assert all(c.tobytes() == np.array(f).tobytes() for c, f in zip(cached, fresh))
         for cid, members in self.c_members.items():
             assert all(self.c[i] == cid for i in members)
         for tid, members in self.d_members.items():
             assert all(self.d[i] == tid for i in members)
         assert self.alpha_p > 0 and self.alpha_t > 0
-        assert all(np.isfinite(v).all() for v in self.pubs.values())
-        assert all(np.isfinite(v).all() and (v > 0).all() for v in self.types.values())
+        assert np.isfinite(self.pubs.vecs).all()
+        assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()
 
 
 def init_state(dataset: Dataset, config: SamplerConfig, rng) -> ChainState:

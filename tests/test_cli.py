@@ -105,6 +105,35 @@ def test_run_validation_lists_all_errors(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_run_negative_seed_exit_2(tmp_path, capsys):
+    data, _ = make_dataset_file(tmp_path, seed=3)
+    code = main(["run", str(data), "--seed", "-1", "-o", str(tmp_path / "s")])
+    assert code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["data.csv", "data.json"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_non_finite_feature_exit_2(tmp_path, capsys, name, bad):
+    ds = synth_gaussian(SynthConfig(2, 2, dim=2, min_class_size=6, max_class_size=8, seed=0))
+    ds.X[5, 1] = bad
+    save_dataset(ds, tmp_path / name)
+    code = main(["run", str(tmp_path / name), "-o", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ERROR:2:" in err and repr(ds.ids[5]) in err and "finite" in err
+
+
+def test_run_missing_output_dir_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    data, _ = make_dataset_file(tmp_path, seed=3)
+    calls = []
+    monkeypatch.setattr("dpsc.cli.run_chains", lambda *a, **k: calls.append(a))
+    code = main(["run", str(data), "--iters", "5", "-o", str(tmp_path / "no" / "such" / "p")])
+    assert code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_run_missing_dataset_exit_2(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x")])
     assert code == 2

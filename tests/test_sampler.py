@@ -96,6 +96,23 @@ def test_init_zero_test_items():
     assert state.test_partition().n_items == 0
 
 
+def test_check_audits_the_parameter_store():
+    ds = supervised_dataset()
+    cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
+    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    state.check()
+    state.pubs.counts[-1] += 1.0  # count no longer the member-set size
+    with pytest.raises(AssertionError):
+        state.check()
+    state.pubs.counts[-1] -= 1.0
+    state.check()
+    state.types.vecs[0] *= 2.0  # written past the store: cached terms go stale
+    with pytest.raises(AssertionError):
+        state.check()
+
+
 def test_unsupervised_with_alpha_resampling_rejected():
     ds = tiny_dataset([0.0, 1.0])
     cfg = SamplerConfig(variant="m1", iterations=5, resample_alphas=True)
@@ -224,9 +241,7 @@ def test_aux_candidate_counts_follow_singleton_rule():
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=8)
     state = init_state(ds, cfg, np.random.default_rng(3))
     # Item 0 sits alone: its parameter is retained as the extra candidate.
-    state.c[:] = [0, 1, 1, 1]
-    state.c_members = {0: {0}, 1: {1, 2, 3}}
-    state.pubs = {0: np.array([0.0]), 1: np.array([1.0])}
+    state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
     orphan = state._detach_c(0)
     assert orphan is not None
     cand, logw, news = state._c_candidates(0, orphan)
@@ -299,9 +314,8 @@ def test_joint_score_invariant_to_cluster_ids():
     # Relabel one cluster id; grouping unchanged.
     old = max(state.pubs)
     new = old + 57
-    state.pubs[new] = state.pubs.pop(old)
-    state.c_members[new] = state.c_members.pop(old)
-    state.c[np.array(list(state.c_members[new]), dtype=int)] = new
+    centers = list(state.pubs.values())  # ascending ids: old stays last
+    state._install_clusters(np.where(state.c == old, new, state.c), centers)
     assert state.joint_log_score() == pytest.approx(before, abs=1e-9)
 
 
@@ -309,12 +323,9 @@ def test_joint_score_decreases_when_item_moves_to_far_mean():
     ds = tiny_dataset([0.0, 0.05, 5.0, 5.05])
     cfg = frozen_config()
     state = init_state(ds, cfg, np.random.default_rng(7))
-    state.c[:] = [0, 0, 1, 1]
-    state.c_members = {0: {0, 1}, 1: {2, 3}}
-    state.pubs = {0: np.array([0.0]), 1: np.array([5.0])}
+    state._install_clusters([0, 0, 1, 1], [[0.0], [5.0]])
     good = state.joint_log_score()
-    state.c[1] = 1
-    state.c_members = {0: {0}, 1: {1, 2, 3}}
+    state._install_clusters([0, 1, 1, 1], [[0.0], [5.0]])
     assert state.joint_log_score() < good
 
 
@@ -342,11 +353,10 @@ def test_joint_score_ratios_match_independent_formula():
 
     def materialize(groups, pubs):
         state = init_state(ds, cfg, np.random.default_rng(8))
-        state.pubs = {j: np.array([m]) for j, m in enumerate(pubs)}
-        state.c_members = {j: set(g) for j, g in enumerate(groups)}
+        c = np.empty(len(values), dtype=int)
         for j, g in enumerate(groups):
-            for i in g:
-                state.c[i] = j
+            c[g] = j
+        state._install_clusters(c, [[m] for m in pubs])
         return state.joint_log_score()
 
     sa = materialize([[0, 1, 2]], [0.3])
