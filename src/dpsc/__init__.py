@@ -41,7 +41,6 @@ from .gaussian import (
     marginal_loglik_new_type,
     posterior_sample_publication,
     posterior_sample_type,
-    weighted_sq_distance,
 )
 from .metrics import (
     MetricReport,
@@ -60,7 +59,6 @@ from .sampler import (
     SampleRecord,
     SamplerConfig,
     extract_prediction,
-    init_state,
     run_chain,
     run_chains,
 )

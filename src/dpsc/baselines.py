@@ -42,7 +42,7 @@ class KMeansConfig:
 
 
 def _lloyd(X, k, first, max_iters):
-    """One Lloyd run; returns (labels, final wcss, per-iteration wcss)."""
+    """One Lloyd run; returns (labels, final wcss)."""
     n = X.shape[0]
     # Farthest-point seeding from a given first center.
     centers = np.empty((k, X.shape[1]))
@@ -53,11 +53,9 @@ def _lloyd(X, k, first, max_iters):
         mind2 = np.minimum(mind2, ((X - centers[j]) ** 2).sum(axis=1))
 
     labels = np.full(n, -1)
-    history = []
     for _ in range(max_iters):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
         for j in range(k):
             members = new_labels == j
             if members.any():
@@ -73,7 +71,7 @@ def _lloyd(X, k, first, max_iters):
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
     wcss = float(d2[np.arange(n), labels].sum())
-    return labels, wcss, history
+    return labels, wcss
 
 
 def kmeans(X, config: KMeansConfig, ids=None) -> Partition:
@@ -88,22 +86,10 @@ def kmeans(X, config: KMeansConfig, ids=None) -> Partition:
     rng = np.random.default_rng(config.seed)
     best_labels, best_wcss = None, np.inf
     for _ in range(config.restarts):
-        labels, wcss, _ = _lloyd(X, config.k, int(rng.integers(n)), config.max_iters)
+        labels, wcss = _lloyd(X, config.k, int(rng.integers(n)), config.max_iters)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition({ids[i]: int(best_labels[i]) for i in range(n)})
-
-
-def kmeans_wcss(X, config: KMeansConfig):
-    """Best within-cluster sum of squares over the configured restarts."""
-    X = np.asarray(X, float)
-    if config.k > X.shape[0]:
-        raise DomainError(f"k={config.k} exceeds the number of items {X.shape[0]}")
-    rng = np.random.default_rng(config.seed)
-    return min(
-        _lloyd(X, config.k, int(rng.integers(X.shape[0])), config.max_iters)[1]
-        for _ in range(config.restarts)
-    )
 
 
 def cdp_preset():

@@ -107,16 +107,19 @@ BASELINES = ("coarse", "fine", "kmeans", "cdp")
 
 
 def _run_validate(args, dataset):
+    """Every flag and output problem; the dataset checks are skipped when
+    it failed to load (``dataset`` is None)."""
     errors = []
     wanted = [b for b in args.baseline.split(",") if b]
     for b in wanted:
         if b not in BASELINES:
             errors.append(f"unknown baseline {b!r} (choose from {', '.join(BASELINES)})")
-    test_idx = dataset.indices("test")
-    if len(test_idx) == 0:
-        errors.append("dataset has no test items to predict")
-    if "kmeans" in wanted and any(not dataset.labels[i] for i in test_idx):
-        errors.append("kmeans baseline needs gold labels on test items to pick oracle k")
+    if dataset is not None:
+        test_idx = dataset.indices("test")
+        if len(test_idx) == 0:
+            errors.append("dataset has no test items to predict")
+        if "kmeans" in wanted and any(not dataset.labels[i] for i in test_idx):
+            errors.append("kmeans baseline needs gold labels on test items to pick oracle k")
     out_dir = os.path.dirname(args.out_prefix) or "."
     if not os.path.isdir(out_dir):
         errors.append(f"output prefix {args.out_prefix!r}: directory {out_dir!r} does not exist")
@@ -126,7 +129,12 @@ def _run_validate(args, dataset):
 
 
 def cmd_run(args):
-    dataset = load_dataset(args.dataset)
+    errors = []
+    try:
+        dataset = load_dataset(args.dataset)
+    except (DomainError, FileNotFoundError) as exc:
+        dataset = None
+        errors.append(str(exc))
     config = SamplerConfig(
         variant=args.variant,
         iterations=args.iters,
@@ -137,7 +145,8 @@ def cmd_run(args):
         n_chains=args.chains,
         seed=args.seed,
     )
-    wanted, errors = _run_validate(args, dataset)
+    wanted, flag_errors = _run_validate(args, dataset)
+    errors.extend(flag_errors)
     errors.extend(config.validate(dataset))
     if errors:
         _fail(errors)

@@ -120,6 +120,21 @@ def marginal_loglik_new_publication(r, t, base: PublicationBase, terms=None):
     return float((head - 0.5 * (r - base.mean) ** 2 / var).sum())
 
 
+def new_type_terms(base: TypeBase):
+    """Base-only pieces of the new-type marginal: the summed log-normalizer,
+    the per-dimension shape + 1/2 and the rate."""
+    a, rate = base.shape, base.rate
+    const = float((gammaln(a + 0.5) - gammaln(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum())
+    return const, a + 0.5, rate
+
+
+def new_type_loglik(d2, terms):
+    """marginal_loglik_new_type from the squared differences d2 = (r - p)^2,
+    unchecked; ``terms`` is new_type_terms(base)."""
+    const, shape_half, rate = terms
+    return const - float((shape_half * np.log(rate + 0.5 * d2)).sum())
+
+
 def marginal_loglik_new_type(r, p, base: TypeBase):
     """log of the observation density with the precisions integrated out.
 
@@ -129,17 +144,7 @@ def marginal_loglik_new_type(r, p, base: TypeBase):
     """
     r, p = np.asarray(r, float), np.asarray(p, float)
     _check_dims(r, p, base.shape)
-    a = base.shape
-    rate = base.rate
-    half_d2 = 0.5 * (r - p) ** 2
-    lp = (
-        gammaln(a + 0.5)
-        - gammaln(a)
-        - 0.5 * LOG_2PI
-        + a * np.log(rate)
-        - (a + 0.5) * np.log(rate + half_d2)
-    )
-    return float(lp.sum())
+    return new_type_loglik((r - p) ** 2, new_type_terms(base))
 
 
 def publication_posterior_params(rs, ts, base: PublicationBase):
@@ -229,13 +234,6 @@ def adapt_type_base(X, assignments, publications) -> TypeBase:
         mean_v**2 / (4.0 * np.maximum(var_v, VAR_FLOOR)),
     )
     return TypeBase(shape=shape, scale=scale)
-
-
-def weighted_sq_distance(x, y, t):
-    """Squared distance between x and y with per-dimension weights t."""
-    x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
-    _check_dims(x, y, t)
-    return float((t * (x - y) ** 2).sum())
 
 
 def conditional_type_logprior(

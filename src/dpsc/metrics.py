@@ -4,15 +4,22 @@ Everything here scores a hypothesis clustering H against a gold clustering
 G over the same item set: pair-counting metrics (Rand index, precision,
 recall, F), the asymmetric cluster edit distance and its symmetric
 normalized edit score, and the entropy-based variation of information.
-All scores are invariant to cluster relabeling and item order.
+
+Every score is read from one contingency table: the number of items in
+each (gold cluster, hypothesis cluster) cell.  Pair counts and VI use its
+cells and margins; each direction of the edit distance groups the cells by
+the partition being edited.  ``full_report`` builds the table once; the
+single-metric functions build it for themselves.  All scores are invariant
+to cluster relabeling and item order.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .partition import Partition
@@ -36,6 +43,22 @@ class PairCounts:
     def total(self):
         return self.n11 + self.n00 + self.n10 + self.n01
 
+    @property
+    def rand_index(self):
+        return (self.n11 + self.n00) / self.total
+
+    def precision_recall_f(self):
+        """Pairwise precision/recall/F.
+
+        Degenerate conventions: an all-singleton side has no positive
+        decisions, so the corresponding ratio is defined as 1; F is 0 when
+        P + R = 0.
+        """
+        p = self.n11 / (self.n11 + self.n01) if self.n11 + self.n01 > 0 else 1.0
+        r = self.n11 / (self.n11 + self.n10) if self.n11 + self.n10 > 0 else 1.0
+        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+        return p, r, f
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -50,7 +73,9 @@ class MetricReport:
     nvi: float
 
 
-def _check_pair(gold, hyp):
+def _contingency(gold, hyp):
+    """Check that the partitions are comparable and count their joint
+    membership: (gold cid, hyp cid) -> n items, filled in gold-item order."""
     gi, hi = gold.items(), hyp.items()
     if gi != hi:
         missing = sorted(map(str, gi - hi))[:5]
@@ -61,70 +86,99 @@ def _check_pair(gold, hyp):
         )
     if gold.n_items < 2:
         raise DomainError("need at least 2 items to compare partitions")
-
-
-def _contingency(gold, hyp):
-    """Joint cluster-membership counts: (gold cid, hyp cid) -> n items."""
     joint = Counter()
+    hyp_of = hyp.assignment
     for item, gcid in gold.assignment.items():
-        joint[gcid, hyp.assignment[item]] += 1
+        joint[gcid, hyp_of[item]] += 1
     return joint
 
 
-def pair_counts(gold: Partition, hyp: Partition) -> PairCounts:
-    """Classify every unordered item pair by agreement between G and H."""
-    _check_pair(gold, hyp)
-    n = gold.n_items
-    joint = _contingency(gold, hyp)
-    n11 = sum(c * (c - 1) // 2 for c in joint.values())
-    same_g = sum(len(m) * (len(m) - 1) // 2 for m in gold.clusters().values())
-    same_h = sum(len(m) * (len(m) - 1) // 2 for m in hyp.clusters().values())
-    n10 = same_g - n11
-    n01 = same_h - n11
+def _margins(table):
+    """Cluster sizes of G and of H, in order of first appearance in the table."""
+    sizes_g, sizes_h = Counter(), Counter()
+    for (g, h), c in table.items():
+        sizes_g[g] += c
+        sizes_h[h] += c
+    return sizes_g, sizes_h
+
+
+def _same_pairs(sizes):
+    return sum(c * (c - 1) // 2 for c in sizes)
+
+
+def _pair_counts(table, n):
+    sizes_g, sizes_h = _margins(table)
+    n11 = _same_pairs(table.values())
+    n10 = _same_pairs(sizes_g.values()) - n11
+    n01 = _same_pairs(sizes_h.values()) - n11
     n00 = n * (n - 1) // 2 - n11 - n10 - n01
     return PairCounts(n11=n11, n00=n00, n10=n10, n01=n01)
 
 
+def _matching_size(cands):
+    """Maximum bipartite matching size; cands[u] lists u's right nodes."""
+    # Imported here: csgraph adds ~9 MB of RSS, and the CLI imports this module.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    col = {}
+    indices = [col.setdefault(v, len(col)) for vs in cands for v in vs]
+    indptr = np.cumsum([0] + [len(vs) for vs in cands])
+    graph = csr_array(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(len(cands), len(col))
+    )
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
+def _edit_distance(cells, n):
+    """CED from contingency cells ((target cid, source cid), count), where
+    the source partition is the one being edited into the target."""
+    best = {}  # source cid -> [largest overlap, target cids that reach it]
+    for (t, s), c in cells:
+        top = best.get(s)
+        if top is None or c > top[0]:
+            best[s] = [c, [t]]
+        elif c == top[0]:
+            top[1].append(t)
+    moves = n - sum(c for c, _ in best.values())
+    merges = len(best) - _matching_size([ties for _, ties in best.values()])
+    return moves + merges
+
+
+def _edit_distances(table, n):
+    """(CED(G, H), CED(H, G))."""
+    flipped = (((h, g), c) for (g, h), c in table.items())
+    return _edit_distance(table.items(), n), _edit_distance(flipped, n)
+
+
+def _nes(ced_gh, ced_hg, n):
+    return 1.0 - (ced_gh + ced_hg) / (2.0 * n)
+
+
+def _vi(table, n):
+    sizes_g, sizes_h = _margins(table)
+    h_g = -sum(c / n * math.log(c / n) for c in sizes_g.values())
+    h_h = -sum(c / n * math.log(c / n) for c in sizes_h.values())
+    mi = sum(
+        c / n * math.log(c * n / (sizes_g[g] * sizes_h[h]))
+        for (g, h), c in table.items()
+    )
+    vi = max(0.0, h_g + h_h - 2.0 * mi)
+    return vi, 1.0 - vi / math.log(n)
+
+
+def pair_counts(gold: Partition, hyp: Partition) -> PairCounts:
+    """Classify every unordered item pair by agreement between G and H."""
+    return _pair_counts(_contingency(gold, hyp), gold.n_items)
+
+
 def rand_index(gold: Partition, hyp: Partition) -> float:
-    pc = pair_counts(gold, hyp)
-    return 2.0 * (pc.n11 + pc.n00) / (gold.n_items * (gold.n_items - 1))
+    return pair_counts(gold, hyp).rand_index
 
 
 def precision_recall_f(gold: Partition, hyp: Partition):
-    """Pairwise precision/recall/F.
-
-    Degenerate conventions: an all-singleton side has no positive decisions,
-    so the corresponding ratio is defined as 1; F is 0 when P + R = 0.
-    """
-    pc = pair_counts(gold, hyp)
-    p = pc.n11 / (pc.n11 + pc.n01) if pc.n11 + pc.n01 > 0 else 1.0
-    r = pc.n11 / (pc.n11 + pc.n10) if pc.n11 + pc.n10 > 0 else 1.0
-    f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
-
-
-def _max_bipartite_matching(cands, n_right):
-    """Kuhn's augmenting-path matching size; cands[u] lists right nodes."""
-    match_right = [-1] * n_right
-    limit = sys.getrecursionlimit()
-    need = 2 * (len(cands) + n_right) + 100
-    if need > limit:
-        sys.setrecursionlimit(need)
-
-    def try_assign(u, seen):
-        for v in cands[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] < 0 or try_assign(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    size = 0
-    for u in range(len(cands)):
-        if try_assign(u, [False] * n_right):
-            size += 1
-    return size
+    """Pairwise precision/recall/F; see PairCounts.precision_recall_f."""
+    return pair_counts(gold, hyp).precision_recall_f()
 
 
 def cluster_edit_distance(gold: Partition, hyp: Partition) -> int:
@@ -138,70 +192,36 @@ def cluster_edit_distance(gold: Partition, hyp: Partition) -> int:
     moving a cluster off its plurality class can never do better, since a
     move costs at least the one merge it could save.
     """
-    _check_pair(gold, hyp)
-    gold_cids = list(gold.clusters())
-    gidx = {cid: i for i, cid in enumerate(gold_cids)}
-    item_gold = {item: gidx[cid] for item, cid in gold.assignment.items()}
-
-    moves = 0
-    argmax_sets = []
-    for members in hyp.clusters().values():
-        overlap = Counter(item_gold[item] for item in members)
-        best = max(overlap.values())
-        moves += len(members) - best
-        argmax_sets.append([g for g, c in overlap.items() if c == best])
-    merges = len(argmax_sets) - _max_bipartite_matching(argmax_sets, len(gold_cids))
-    return moves + merges
+    return _edit_distance(_contingency(gold, hyp).items(), gold.n_items)
 
 
 def normalized_edit_score(gold: Partition, hyp: Partition) -> float:
     """1 - [CED(G,H) + CED(H,G)] / 2N; symmetric, in [0, 1]."""
-    _check_pair(gold, hyp)
-    ced = cluster_edit_distance(gold, hyp) + cluster_edit_distance(hyp, gold)
-    return 1.0 - ced / (2.0 * gold.n_items)
+    n = gold.n_items
+    return _nes(*_edit_distances(_contingency(gold, hyp), n), n)
 
 
 def variation_of_information(gold: Partition, hyp: Partition):
     """(VI, NVI): H(G) + H(H) - 2 I(G,H) in nats, and 1 - VI/log N."""
-    _check_pair(gold, hyp)
-    n = gold.n_items
-    joint = _contingency(gold, hyp)
-    sizes_g = defaultdict(int)
-    sizes_h = defaultdict(int)
-    for (g, h), c in joint.items():
-        sizes_g[g] += c
-        sizes_h[h] += c
-    h_g = -sum(c / n * math.log(c / n) for c in sizes_g.values())
-    h_h = -sum(c / n * math.log(c / n) for c in sizes_h.values())
-    mi = sum(
-        c / n * math.log(c * n / (sizes_g[g] * sizes_h[h]))
-        for (g, h), c in joint.items()
-    )
-    vi = max(0.0, h_g + h_h - 2.0 * mi)
-    nvi = 1.0 - vi / math.log(n)
-    return vi, nvi
+    return _vi(_contingency(gold, hyp), gold.n_items)
 
 
 def full_report(gold: Partition, hyp: Partition) -> MetricReport:
-    """All metrics for one (gold, hypothesis) pair."""
-    pc = pair_counts(gold, hyp)
+    """All metrics for one (gold, hypothesis) pair, from one table."""
     n = gold.n_items
-    ri = 2.0 * (pc.n11 + pc.n00) / (n * (n - 1))
-    p = pc.n11 / (pc.n11 + pc.n01) if pc.n11 + pc.n01 > 0 else 1.0
-    r = pc.n11 / (pc.n11 + pc.n10) if pc.n11 + pc.n10 > 0 else 1.0
-    f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-    ced_gh = cluster_edit_distance(gold, hyp)
-    ced_hg = cluster_edit_distance(hyp, gold)
-    nes = 1.0 - (ced_gh + ced_hg) / (2.0 * n)
-    vi, nvi = variation_of_information(gold, hyp)
+    table = _contingency(gold, hyp)
+    pc = _pair_counts(table, n)
+    p, r, f = pc.precision_recall_f()
+    ced_gh, ced_hg = _edit_distances(table, n)
+    vi, nvi = _vi(table, n)
     return MetricReport(
-        rand_index=ri,
+        rand_index=pc.rand_index,
         precision=p,
         recall=r,
         f_score=f,
         ced_gh=ced_gh,
         ced_hg=ced_hg,
-        nes=nes,
+        nes=_nes(ced_gh, ced_hg, n),
         vi=vi,
         nvi=nvi,
     )

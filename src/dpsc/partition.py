@@ -39,14 +39,6 @@ class Partition:
                 assignment[item] = cid
         return cls(assignment)
 
-    @classmethod
-    def from_labels(cls, ids, labels):
-        ids = list(ids)
-        labels = list(labels)
-        if len(ids) != len(labels):
-            raise DomainError("ids and labels differ in length")
-        return cls(dict(zip(ids, labels)))
-
     @property
     def n_items(self):
         return len(self.assignment)
@@ -67,9 +59,6 @@ class Partition:
             self._clusters = {cid: frozenset(m) for cid, m in by_cid.items()}
         return self._clusters
 
-    def sizes(self):
-        return sorted(len(m) for m in self.clusters().values())
-
     def canonical(self):
         """Label-free form: clusters as sorted item tuples, ordered by
         their smallest member."""
@@ -78,14 +67,6 @@ class Partition:
 
     def equivalent(self, other):
         return self.canonical() == other.canonical()
-
-    def restrict(self, ids):
-        """Sub-partition over the given item ids (drops emptied clusters)."""
-        keep = set(ids)
-        missing = keep - set(self.assignment)
-        if missing:
-            raise DomainError(f"items not in partition: {sorted(missing)[:5]}")
-        return Partition({i: c for i, c in self.assignment.items() if i in keep})
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.assignment == other.assignment

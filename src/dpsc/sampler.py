@@ -46,6 +46,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -63,6 +64,8 @@ from .gaussian import (
     loglik_const,
     marginal_loglik_new_publication,
     new_publication_terms,
+    new_type_loglik,
+    new_type_terms,
     pairwise_sq_diff_sum,
     posterior_sample_publication,
     posterior_sample_type,
@@ -161,11 +164,6 @@ def _pick(logw, rng):
         if u < acc:
             return i
     return len(w) - 1
-
-
-def normalized_probs(logw):
-    w = np.exp(np.asarray(logw) - np.max(logw))
-    return w / w.sum()
 
 
 def _member_sets(labels):
@@ -330,14 +328,9 @@ class ChainState:
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
-        base-only constants (saves a gammaln pair per item update)."""
+        base-only terms (saves a gammaln pair per item update)."""
         self.type_base = base
-        a, rate = base.shape, base.rate
-        self._marg_const = float(
-            (gammaln(a + 0.5) - gammaln(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum()
-        )
-        self._marg_shape_half = a + 0.5
-        self._marg_rate = rate
+        self._new_type_terms = new_type_terms(base)
 
     def _init_params(self):
         if self.frozen_types:
@@ -545,10 +538,7 @@ class ChainState:
                 )
             return types.ids, np.concatenate([existing, lw_new]), news
         news = None
-        marg = self._marg_const - float(
-            (self._marg_shape_half * np.log(self._marg_rate + 0.5 * d2)).sum()
-        )
-        lw_new = np.log(self.alpha_t) + marg
+        lw_new = np.log(self.alpha_t) + new_type_loglik(d2, self._new_type_terms)
         return types.ids, np.concatenate([existing, [lw_new]]), news
 
     def sample_d(self, n):
@@ -662,10 +652,6 @@ class ChainState:
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()
 
 
-def init_state(dataset: Dataset, config: SamplerConfig, rng) -> ChainState:
-    return ChainState(dataset, config, rng)
-
-
 def chain_rng(config: SamplerConfig, chain_index: int):
     """Per-chain generator: seed XOR chain index, the documented convention."""
     return np.random.default_rng(config.seed ^ chain_index)
@@ -673,7 +659,7 @@ def chain_rng(config: SamplerConfig, chain_index: int):
 
 def run_chain(dataset: Dataset, config: SamplerConfig, chain_index: int):
     """Run one chain; returns a record per post-burn-in iteration."""
-    state = init_state(dataset, config, chain_rng(config, chain_index))
+    state = ChainState(dataset, config, chain_rng(config, chain_index))
     burn = config.resolved_burn_in()
     records = []
     for it in range(1, config.iterations + 1):
@@ -704,18 +690,32 @@ def default_workers():
     return os.cpu_count() or 1
 
 
+def _in_chain_order(results):
+    """Call each chain's result thunk in chain order; a failure is re-raised
+    naming its chain."""
+    out = []
+    for i, result in enumerate(results):
+        try:
+            out.append(result())
+        except Exception as exc:
+            raise RuntimeError(f"chain {i}: {exc}") from exc
+    return out
+
+
 def run_chains(dataset: Dataset, config: SamplerConfig, max_workers=None):
     """All chains, optionally in parallel; results identical either way."""
     if max_workers is None:
         max_workers = default_workers()
     workers = max(1, min(max_workers, config.n_chains))
     if workers == 1:
-        return [run_chain(dataset, config, i) for i in range(config.n_chains)]
+        return _in_chain_order(
+            partial(run_chain, dataset, config, i) for i in range(config.n_chains)
+        )
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(run_chain, dataset, config, i) for i in range(config.n_chains)
         ]
-        return [f.result() for f in futures]
+        return _in_chain_order(f.result for f in futures)
 
 
 def extract_prediction(per_chain_records) -> Partition:

@@ -37,7 +37,7 @@ from dpsc.gaussian import (
 )
 from dpsc.metrics import full_report, precision_recall_f
 from dpsc.partition import Partition
-from dpsc.sampler import SamplerConfig, extract_prediction, init_state, run_chain
+from dpsc.sampler import ChainState, SamplerConfig, extract_prediction, run_chain
 
 from oracles import (
     enumerate_partitions,
@@ -281,7 +281,7 @@ def test_criterion_5_conjugate_algebra_vs_quadrature():
 
 def _chain_partition_tv(values, config, seed, sweeps, oracle):
     ds = tiny_dataset(values)
-    state = init_state(ds, config, np.random.default_rng(seed))
+    state = ChainState(ds, config, np.random.default_rng(seed))
     counts = Counter()
     index = {name: i for i, name in enumerate(ds.ids)}
     for _ in range(sweeps):

@@ -134,6 +134,41 @@ def test_run_missing_output_dir_fails_before_sampling(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+def test_run_lists_dataset_and_flag_errors_together(tmp_path, capsys, monkeypatch):
+    ds = synth_gaussian(SynthConfig(2, 2, dim=2, min_class_size=6, max_class_size=8, seed=0))
+    ds.X[5, 1] = np.nan
+    save_dataset(ds, tmp_path / "nan.csv")
+    calls = []
+    monkeypatch.setattr("dpsc.cli.run_chains", lambda *a, **k: calls.append(a))
+    code = main(["run", str(tmp_path / "nan.csv"), "--chains", "0", "--iters", "0",
+                 "--seed", "-1", "-o", str(tmp_path / "nodir" / "x")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("ERROR:2:") for line in lines)
+    for expected in ("finite", "does not exist", "iterations", "n_chains", "seed"):
+        assert sum(expected in line for line in lines) == 1, expected
+    assert len(lines) == 5
+    assert calls == []
+
+
+def test_run_names_the_failed_chain(tmp_path, capsys, monkeypatch):
+    import dpsc.sampler
+
+    real = dpsc.sampler.run_chain
+
+    def fail_chain_1(dataset, config, i):
+        if i == 1:
+            raise ValueError("boom")
+        return real(dataset, config, i)
+
+    monkeypatch.setenv("DPSC_THREADS", "1")
+    monkeypatch.setattr(dpsc.sampler, "run_chain", fail_chain_1)
+    data, _ = make_dataset_file(tmp_path, seed=3)
+    code = main(["run", str(data), "--chains", "2", "--iters", "2", "-o", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR:1:chain 1: boom"]
+
+
 def test_run_missing_dataset_exit_2(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x")])
     assert code == 2

@@ -18,7 +18,6 @@ from dpsc.gaussian import (
     posterior_sample_type,
     publication_posterior_params,
     type_posterior_params,
-    weighted_sq_distance,
 )
 
 
@@ -253,12 +252,6 @@ def test_adapt_type_base_fallback_and_validity():
 
 
 # ------------------------------------------------- conditional prior
-
-
-def test_weighted_sq_distance():
-    assert weighted_sq_distance([0.0], [0.0], [1.0]) == 0.0
-    assert weighted_sq_distance([0.0], [2.0], [1.0]) == pytest.approx(4.0)
-    assert weighted_sq_distance([0.0, 0.0], [1.0, 2.0], [2.0, 1.0]) == pytest.approx(6.0)
 
 
 def test_conditional_prior_single_publication():

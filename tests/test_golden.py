@@ -8,8 +8,14 @@ the flags in ``CASES`` (one chain worker, ``DPSC_THREADS=1``) on
 byte for byte: the same candidate order, random stream and float rounding.
 A change that alters any of these on purpose regenerates the files with
 the same flags and says so.
+
+``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
+partition is the test rows of ``data.csv`` (id, label), and the hypotheses
+are the five ``*.pred.tsv`` files above, named relative to
+``tests/golden/``.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -36,3 +42,21 @@ def test_run_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     for suffix in (".pred.tsv", ".chains.csv"):
         got = Path(f"{prefix}{suffix}").read_bytes()
         assert got == (GOLDEN / f"{case}{suffix}").read_bytes(), f"{case}{suffix} differs"
+
+
+def write_gold_partition(path):
+    """The test rows of ``data.csv`` as an ``id<TAB>label`` partition file."""
+    with open(GOLDEN / "data.csv", newline="") as fh, open(path, "w", newline="\n") as out:
+        for row in csv.DictReader(fh):
+            if row["split"] == "test":
+                out.write(f"{row['id']}\t{row['label']}\n")
+
+
+def test_score_output_matches_golden_bytes(tmp_path, monkeypatch):
+    gold = tmp_path / "gold.tsv"
+    write_gold_partition(gold)
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "score.csv"
+    hyps = [f"{case}.pred.tsv" for case in sorted(CASES)]
+    assert main(["score", "--gold", str(gold), *hyps, "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "score.csv").read_bytes()

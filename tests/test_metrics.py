@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsc.errors import DomainError
 from dpsc.metrics import (
@@ -230,3 +233,87 @@ def test_full_report_consistent_with_parts():
         assert 0 <= rep.ced_gh <= len(items) and 0 <= rep.ced_hg <= len(items)
         assert 0 <= rep.nes <= 1 and 0 <= rep.nvi <= 1
         assert 0 <= rep.vi <= math.log(len(items)) + 1e-12
+
+
+# ------------------------------------------------------ property checks
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def partition_pairs(draw, max_items=300):
+    """Two random partitions of the same items.  Each side draws its labels
+    from 1..k values; a small k gives big clusters, k near n many small
+    ones, and either way plenty of tied plurality overlaps."""
+    n = draw(st.integers(2, max_items))
+    items = [f"i{j}" for j in range(n)]
+
+    def side():
+        k = draw(st.integers(1, n))
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        return Partition(dict(zip(items, labels)))
+
+    return side(), side()
+
+
+def relabeled_and_reordered(p, order, tag):
+    return Partition({i: (tag, p.assignment[i]) for i in order})
+
+
+@PROPERTY
+@given(partition_pairs())
+def test_full_report_equals_public_functions(pair):
+    g, h = pair
+    rep = full_report(g, h)
+    assert rep.rand_index == rand_index(g, h)
+    assert (rep.precision, rep.recall, rep.f_score) == precision_recall_f(g, h)
+    assert rep.ced_gh == cluster_edit_distance(g, h)
+    assert rep.ced_hg == cluster_edit_distance(h, g)
+    assert rep.nes == normalized_edit_score(g, h)
+    assert (rep.vi, rep.nvi) == variation_of_information(g, h)
+
+
+@PROPERTY
+@given(partition_pairs())
+def test_pair_counts_and_vi_match_oracles(pair):
+    g, h = pair
+    pc = pair_counts(g, h)
+    assert (pc.n11, pc.n00, pc.n10, pc.n01) == pair_counts_enumeration(g, h)
+    vi, _ = variation_of_information(g, h)
+    assert vi == pytest.approx(max(0.0, vi_direct(g, h)), abs=1e-9)
+
+
+@PROPERTY
+@given(partition_pairs())
+def test_ced_bounds_and_identity(pair):
+    g, h = pair
+    n = g.n_items
+    assert 0 <= cluster_edit_distance(g, h) <= n
+    assert 0 <= cluster_edit_distance(h, g) <= n
+    assert cluster_edit_distance(g, g) == 0
+    assert cluster_edit_distance(g, relabeled_and_reordered(g, sorted(g.items()), "x")) == 0
+
+
+@PROPERTY
+@given(partition_pairs(), st.randoms(use_true_random=False))
+def test_report_invariant_under_relabeling_and_reordering(pair, rnd):
+    g, h = pair
+    order = sorted(g.items())
+    rnd.shuffle(order)
+    a = full_report(g, h)
+    b = full_report(relabeled_and_reordered(g, order, "g"),
+                    relabeled_and_reordered(h, order[::-1], "h"))
+    exact = ("rand_index", "precision", "recall", "f_score", "ced_gh", "ced_hg", "nes")
+    assert [getattr(a, f) for f in exact] == [getattr(b, f) for f in exact]
+    assert (a.vi, a.nvi) == (pytest.approx(b.vi, abs=1e-12), pytest.approx(b.nvi, abs=1e-12))
+
+
+def test_ced_leaves_recursion_limit_alone():
+    # 600 gold pairs and 600 hypothesis pairs shifted by one item: every
+    # hypothesis cluster ties between two gold classes, and the tied
+    # classes form one 1200-node cycle that a perfect matching covers.
+    before = sys.getrecursionlimit()
+    g = Partition({i: i // 2 for i in range(1200)})
+    h = Partition({i: (i + 1) // 2 % 600 for i in range(1200)})
+    assert cluster_edit_distance(g, h) == 600
+    assert sys.getrecursionlimit() == before

@@ -23,14 +23,6 @@ def test_duplicate_item_rejected():
         Partition.from_clusters([["a"], ["a", "b"]])
 
 
-def test_restrict():
-    p = Partition({"a": 0, "b": 0, "c": 1})
-    sub = p.restrict(["a", "c"])
-    assert sub.assignment == {"a": 0, "c": 1}
-    with pytest.raises(DomainError):
-        p.restrict(["a", "z"])
-
-
 def test_file_round_trip(tmp_path):
     p = Partition({"a": "x", "b": "x", "c": "y"})
     path = tmp_path / "part.tsv"

@@ -9,12 +9,11 @@ from dpsc.errors import ConfigError, DomainError
 from dpsc.gaussian import marginal_loglik_new_publication
 from dpsc.partition import Partition
 from dpsc.sampler import (
+    ChainState,
     SampleRecord,
     SamplerConfig,
     chain_rng,
     extract_prediction,
-    init_state,
-    normalized_probs,
     run_chain,
     run_chains,
 )
@@ -59,8 +58,8 @@ def frozen_config(**kw):
 def test_init_deterministic():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m1", iterations=10, seed=3)
-    s1 = init_state(ds, cfg, chain_rng(cfg, 0))
-    s2 = init_state(ds, cfg, chain_rng(cfg, 0))
+    s1 = ChainState(ds, cfg, chain_rng(cfg, 0))
+    s2 = ChainState(ds, cfg, chain_rng(cfg, 0))
     assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.d, s2.d)
     assert set(s1.pubs) == set(s2.pubs)
     for cid in s1.pubs:
@@ -70,7 +69,7 @@ def test_init_deterministic():
 def test_init_structure():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m1", iterations=10, seed=0)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     state.check()
     # Test items start as singletons; training clusters carry gold classes.
     n_test = len(ds.indices("test"))
@@ -89,7 +88,7 @@ def test_init_zero_test_items():
         split=["train"] * len(ds.indices("train")),
     )
     cfg = SamplerConfig(variant="m1", iterations=4, seed=0)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(4):
         state.sweep()
     state.check()
@@ -99,7 +98,7 @@ def test_init_zero_test_items():
 def test_check_audits_the_parameter_store():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(3):
         state.sweep()
     state.check()
@@ -117,7 +116,7 @@ def test_unsupervised_with_alpha_resampling_rejected():
     ds = tiny_dataset([0.0, 1.0])
     cfg = SamplerConfig(variant="m1", iterations=5, resample_alphas=True)
     with pytest.raises(ConfigError, match="resample_alphas"):
-        init_state(ds, cfg, np.random.default_rng(0))
+        ChainState(ds, cfg, np.random.default_rng(0))
 
 
 def test_config_validation_collects_everything():
@@ -132,7 +131,7 @@ def test_config_validation_collects_everything():
 def test_sample_c_rejects_training_items():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m1", iterations=5, seed=0)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     train_item = int(ds.indices("train")[0])
     with pytest.raises(DomainError, match="pinned"):
         state.sample_c(train_item)
@@ -141,7 +140,7 @@ def test_sample_c_rejects_training_items():
 def test_training_assignments_never_change():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m2", iterations=5, seed=1, share_train_test=True)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     pinned = state.c[ds.indices("train")].copy()
     for _ in range(5):
         state.sweep()
@@ -152,7 +151,7 @@ def test_training_assignments_never_change():
 def test_tiny_alpha_always_joins_existing_cluster():
     ds = tiny_dataset([0.0, 0.1, -0.1, 0.05])
     cfg = frozen_config(alpha_p=1e-12)
-    state = init_state(ds, cfg, np.random.default_rng(0))
+    state = ChainState(ds, cfg, np.random.default_rng(0))
     for _ in range(30):
         state.sweep()
     assert len(state.pubs) == 1
@@ -161,14 +160,14 @@ def test_tiny_alpha_always_joins_existing_cluster():
 def test_share_train_test_controls_candidates():
     ds = supervised_dataset()
     shared = SamplerConfig(variant="m1", iterations=8, seed=2, share_train_test=True)
-    state = init_state(ds, shared, chain_rng(shared, 0))
+    state = ChainState(ds, shared, chain_rng(shared, 0))
     for _ in range(8):
         state.sweep()
     # With sharing on, at least some test item should sit in a train cluster
     # (train and test blobs overlap after standardization for this layout).
     test_idx = ds.indices("test")
     own = SamplerConfig(variant="m1", iterations=8, seed=2, share_train_test=False)
-    state2 = init_state(ds, own, chain_rng(own, 0))
+    state2 = ChainState(ds, own, chain_rng(own, 0))
     for _ in range(8):
         state2.sweep()
     in_train2 = [int(state2.c[i]) in state2.train_cluster_ids for i in test_idx]
@@ -179,17 +178,10 @@ def test_tiny_alpha_t_keeps_single_type():
     ds = supervised_dataset(seed=4)
     cfg = SamplerConfig(variant="m1", iterations=10, seed=0, resample_alphas=False,
                         alpha_t=1e-12)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(10):
         state.sweep()
     assert len(state.types) == 1
-
-
-def test_probabilities_normalize():
-    logw = np.array([-1000.0, -1001.0, -999.5])
-    probs = normalized_probs(logw)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (probs > 0).all()
 
 
 # ------------------------------------------------------ exact posterior
@@ -199,7 +191,7 @@ def test_m1_matches_enumeration_posterior():
     values = [-1.2, 0.1, 0.9]
     ds = tiny_dataset(values)
     cfg = frozen_config()
-    state = init_state(ds, cfg, np.random.default_rng(1))
+    state = ChainState(ds, cfg, np.random.default_rng(1))
     oracle = three_point_posterior(values, alpha=1.0)
     sweeps = 20_000
     counts = Counter()
@@ -215,7 +207,7 @@ def test_m3_matches_enumeration_posterior_with_plain_densities():
     values = [-1.2, 0.1, 0.9]
     ds = tiny_dataset(values)
     cfg = frozen_config(variant="m3", conditional_type_prior=False, candidate_count=64)
-    state = init_state(ds, cfg, np.random.default_rng(2))
+    state = ChainState(ds, cfg, np.random.default_rng(2))
     oracle = three_point_posterior(values, alpha=1.0)
     sweeps = 20_000
     counts = Counter()
@@ -239,7 +231,7 @@ def _indexed_canonical(state, ds):
 def test_aux_candidate_counts_follow_singleton_rule():
     ds = tiny_dataset([0.0, 0.5, 1.0, 1.5])
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=8)
-    state = init_state(ds, cfg, np.random.default_rng(3))
+    state = ChainState(ds, cfg, np.random.default_rng(3))
     # Item 0 sits alone: its parameter is retained as the extra candidate.
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
     orphan = state._detach_c(0)
@@ -260,7 +252,7 @@ def test_aux_total_new_mass_converges_to_marginal():
     # unbiased estimate of alpha * integral G0(p) F(r | p, t) dp.
     ds = tiny_dataset([0.4, -0.3, 1.1])
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=256)
-    state = init_state(ds, cfg, np.random.default_rng(4))
+    state = ChainState(ds, cfg, np.random.default_rng(4))
     n = 0
     orphan = state._detach_c(n)
     closed = state.alpha_p * math.exp(
@@ -280,7 +272,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
 
     ds = supervised_dataset(seed=9)
     cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(3):
         state.sweep()
     n = int(ds.indices("test")[0])
@@ -295,7 +287,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
 def test_m3_candidate_count_one_still_valid():
     ds = tiny_dataset([0.0, 1.0, 2.0])
     cfg = frozen_config(variant="m3", conditional_type_prior=False, candidate_count=1)
-    state = init_state(ds, cfg, np.random.default_rng(5))
+    state = ChainState(ds, cfg, np.random.default_rng(5))
     for _ in range(20):
         state.sweep()
         state.check()
@@ -307,7 +299,7 @@ def test_m3_candidate_count_one_still_valid():
 def test_joint_score_invariant_to_cluster_ids():
     ds = tiny_dataset([0.0, 0.1, 2.0])
     cfg = frozen_config()
-    state = init_state(ds, cfg, np.random.default_rng(6))
+    state = ChainState(ds, cfg, np.random.default_rng(6))
     for _ in range(5):
         state.sweep()
     before = state.joint_log_score()
@@ -322,7 +314,7 @@ def test_joint_score_invariant_to_cluster_ids():
 def test_joint_score_decreases_when_item_moves_to_far_mean():
     ds = tiny_dataset([0.0, 0.05, 5.0, 5.05])
     cfg = frozen_config()
-    state = init_state(ds, cfg, np.random.default_rng(7))
+    state = ChainState(ds, cfg, np.random.default_rng(7))
     state._install_clusters([0, 0, 1, 1], [[0.0], [5.0]])
     good = state.joint_log_score()
     state._install_clusters([0, 1, 1, 1], [[0.0], [5.0]])
@@ -352,7 +344,7 @@ def test_joint_score_ratios_match_independent_formula():
         return lp
 
     def materialize(groups, pubs):
-        state = init_state(ds, cfg, np.random.default_rng(8))
+        state = ChainState(ds, cfg, np.random.default_rng(8))
         c = np.empty(len(values), dtype=int)
         for j, g in enumerate(groups):
             c[g] = j
@@ -404,7 +396,7 @@ def test_m2_and_m3_run_and_hold_invariants():
     ds = supervised_dataset(seed=5)
     for variant in ("m2", "m3"):
         cfg = SamplerConfig(variant=variant, iterations=6, burn_in=2, seed=7)
-        state = init_state(ds, cfg, chain_rng(cfg, 0))
+        state = ChainState(ds, cfg, chain_rng(cfg, 0))
         for _ in range(6):
             state.sweep()
             state.check()
@@ -472,7 +464,7 @@ def test_cdp_runs_ignore_labels_and_types():
     unlabeled = run_chain(stripped, cfg, 0)
     assert [r.joint_log_score for r in labeled] == [r.joint_log_score for r in unlabeled]
     assert all(r.n_types == 1 for r in labeled)
-    state = init_state(ds, cfg, chain_rng(cfg, 0))
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(10):
         state.sweep()
     assert state.alpha_p == 1.0
