@@ -20,9 +20,7 @@ from .dp import (
     ClusterCountCurve,
     GammaPrior,
     ObservationPair,
-    antoniak_log_prior,
     appropriateness_curve,
-    crp_predictive_weights,
     crp_sample,
     estimate_precision,
     expected_clusters,

@@ -19,7 +19,7 @@ from . import baselines
 from .data import Dataset, SynthConfig, load_dataset, save_dataset, standardize, synth_gaussian
 from .dp import GammaPrior, appropriateness_curve
 from .errors import ConfigError, DomainError
-from .metrics import full_report
+from .metrics import comparison_problem, full_report
 from .partition import read_partition_file, write_partition_file
 from .sampler import SamplerConfig, extract_prediction, run_chains
 
@@ -34,8 +34,23 @@ class _ValidationFailure(Exception):
         self.messages = list(messages)
 
 
-def _fail(messages):
-    raise _ValidationFailure(messages if isinstance(messages, list) else [messages])
+def _output_problems(what, path):
+    """The directory an output path names must exist and be writable."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        return [f"{what} {path!r}: directory {out_dir!r} does not exist"]
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        return [f"{what} {path!r}: directory {out_dir!r} is not writable"]
+    return []
+
+
+def _read(reader, path, errors):
+    """``reader(path)``, or None with its error appended to ``errors``."""
+    try:
+        return reader(path)
+    except (DomainError, FileNotFoundError) as exc:
+        errors.append(str(exc))
+        return None
 
 
 def build_parser():
@@ -92,6 +107,9 @@ def cmd_synth(args):
         separation=args.separation,
         seed=args.seed,
     )
+    errors = cfg.validate() + _output_problems("output", args.output)
+    if errors:
+        raise _ValidationFailure(errors)
     dataset = synth_gaussian(cfg)
     save_dataset(dataset, args.output, fmt="csv")
     counts = {}
@@ -120,21 +138,13 @@ def _run_validate(args, dataset):
             errors.append("dataset has no test items to predict")
         if "kmeans" in wanted and any(not dataset.labels[i] for i in test_idx):
             errors.append("kmeans baseline needs gold labels on test items to pick oracle k")
-    out_dir = os.path.dirname(args.out_prefix) or "."
-    if not os.path.isdir(out_dir):
-        errors.append(f"output prefix {args.out_prefix!r}: directory {out_dir!r} does not exist")
-    elif not os.access(out_dir, os.W_OK | os.X_OK):
-        errors.append(f"output prefix {args.out_prefix!r}: directory {out_dir!r} is not writable")
+    errors += _output_problems("output prefix", args.out_prefix)
     return wanted, errors
 
 
 def cmd_run(args):
     errors = []
-    try:
-        dataset = load_dataset(args.dataset)
-    except (DomainError, FileNotFoundError) as exc:
-        dataset = None
-        errors.append(str(exc))
+    dataset = _read(load_dataset, args.dataset, errors)
     config = SamplerConfig(
         variant=args.variant,
         iterations=args.iters,
@@ -149,7 +159,7 @@ def cmd_run(args):
     errors.extend(flag_errors)
     errors.extend(config.validate(dataset))
     if errors:
-        _fail(errors)
+        raise _ValidationFailure(errors)
 
     has_train = any(s == "train" for s in dataset.split)
     std, _ = standardize(dataset, stats_over="train" if has_train else "all")
@@ -203,8 +213,24 @@ SCORE_COLUMNS = [
 ]
 
 
+def _check_hypothesis(gold, path, errors):
+    """Read one hypothesis file and append its problems to ``errors``; the
+    partition is dropped on return, so only one is held at a time."""
+    hyp = _read(read_partition_file, path, errors)
+    problem = None if gold is None or hyp is None else comparison_problem(gold, hyp)
+    if problem:
+        errors.append(f"{path}: {problem}")
+
+
 def cmd_score(args):
-    gold = read_partition_file(args.gold)
+    errors = []
+    gold = _read(read_partition_file, args.gold, errors)
+    for path in args.hypotheses:
+        _check_hypothesis(gold, path, errors)
+    if args.output:
+        errors += _output_problems("output", args.output)
+    if errors:
+        raise _ValidationFailure(errors)
     n = gold.n_items
     rows = []
     for path in args.hypotheses:
@@ -242,15 +268,22 @@ def cmd_score(args):
 
 
 def cmd_dpfit(args):
+    errors = []
     if args.points < 1:
-        _fail(f"--points must be >= 1, got {args.points}")
+        errors.append(f"--points must be >= 1, got {args.points}")
     if args.resamples < 1:
-        _fail(f"--resamples must be >= 1, got {args.resamples}")
-    pools = [read_partition_file(p) for p in args.pools]
+        errors.append(f"--resamples must be >= 1, got {args.resamples}")
+    try:
+        prior = GammaPrior(shape=args.prior_shape, scale=args.prior_scale)
+    except DomainError as exc:
+        errors.append(str(exc))
+    pools = [_read(read_partition_file, p, errors) for p in args.pools]
+    errors += _output_problems("output", args.output)
+    if errors:
+        raise _ValidationFailure(errors)
     total = sum(p.n_items for p in pools)
     ns = np.unique(np.linspace(1, total, min(args.points, total)).astype(int))
     rng = np.random.default_rng(args.seed)
-    prior = GammaPrior(shape=args.prior_shape, scale=args.prior_scale)
     curve = appropriateness_curve(pools, ns, args.resamples, prior, rng)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -235,15 +235,20 @@ class SynthConfig:
     separation: float = 3.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.n_train_classes < 1 or self.n_test_classes < 1:
-            raise DomainError("need at least one class per split")
+    def validate(self):
+        """Every problem with this configuration, as human-readable strings."""
+        errors = []
+        if self.n_train_classes < 1:
+            errors.append(f"need at least one train class, got {self.n_train_classes}")
+        if self.n_test_classes < 1:
+            errors.append(f"need at least one test class, got {self.n_test_classes}")
         if not (1 <= self.min_class_size <= self.max_class_size):
-            raise DomainError("class sizes must satisfy 1 <= min <= max")
+            errors.append("class sizes must satisfy 1 <= min <= max")
         if self.dim < 1:
-            raise DomainError("dim must be >= 1")
+            errors.append(f"dim must be >= 1, got {self.dim}")
         if self.separation < 0:
-            raise DomainError("separation must be >= 0")
+            errors.append("separation must be >= 0")
+        return errors
 
 
 CENTER_FLOOR_FRAC = 0.7
@@ -296,6 +301,9 @@ def synth_gaussian(config: SynthConfig) -> Dataset:
     within-class standard deviations); a minimum-distance floor keeps any
     two classes from coinciding, so the realized mean runs slightly high.
     """
+    problems = config.validate()
+    if problems:
+        raise DomainError("; ".join(problems))
     rng = np.random.default_rng(config.seed)
     d = config.dim
     # E||c - c'|| = 2 s Gamma((d+1)/2) / Gamma(d/2) for c, c' ~ N(0, s^2 I).

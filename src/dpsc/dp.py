@@ -1,9 +1,9 @@
 """Dirichlet process utilities.
 
-Chinese restaurant process sampling and predictive weights, exact
-moments of the induced cluster-count distribution, the log prior over
-cluster counts, and Gibbs resampling of the DP precision parameter from
-one or several (n items, k clusters) observations under a gamma prior.
+Chinese restaurant process sampling, exact moments of the induced
+cluster-count distribution, and Gibbs resampling of the DP precision
+parameter from one or several (n items, k clusters) observations under a
+gamma prior.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
 from .partition import Partition
@@ -62,20 +61,6 @@ class ClusterCountCurve:
     alpha: float
 
 
-def crp_predictive_weights(cluster_sizes, alpha):
-    """Unnormalized seating weights: one per existing cluster, then alpha.
-
-    The next item joins an existing cluster proportional to its size and
-    opens a new one proportional to alpha.
-    """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    sizes = np.asarray(list(cluster_sizes), dtype=float)
-    if sizes.size and sizes.min() < 1:
-        raise DomainError("cluster sizes must all be >= 1")
-    return np.concatenate([sizes, [float(alpha)]])
-
-
 def crp_sample(alpha, n, rng) -> Partition:
     """Draw one partition of items 0..n-1 from a CRP with precision alpha.
 
@@ -116,19 +101,6 @@ def expected_clusters(alpha, n):
     mean = float(p.sum())
     var = float((p * (i - 1.0) / (alpha + i - 1.0)).sum())
     return mean, math.sqrt(var)
-
-
-def antoniak_log_prior(k, alpha, n):
-    """log p(k clusters | alpha, n items), dropping the alpha-free constant.
-
-    Keeps k*log(alpha) + logGamma(alpha) - logGamma(alpha+n); the Stirling
-    number term cancels in every ratio across alpha values.
-    """
-    if not (1 <= k <= n):
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return k * math.log(alpha) + float(gammaln(alpha) - gammaln(alpha + n))
 
 
 def sample_precision_single(alpha_old, n, k, prior: GammaPrior, rng):

@@ -8,9 +8,9 @@ normalized edit score, and the entropy-based variation of information.
 Every score is read from one contingency table: the number of items in
 each (gold cluster, hypothesis cluster) cell.  Pair counts and VI use its
 cells and margins; each direction of the edit distance groups the cells by
-the partition being edited.  ``full_report`` builds the table once; the
-single-metric functions build it for themselves.  All scores are invariant
-to cluster relabeling and item order.
+the partition being edited.  ``full_report`` builds the table and its
+margins once; the single-metric functions build them for themselves.  All
+scores are invariant to cluster relabeling and item order.
 """
 
 from __future__ import annotations
@@ -73,19 +73,27 @@ class MetricReport:
     nvi: float
 
 
-def _contingency(gold, hyp):
-    """Check that the partitions are comparable and count their joint
-    membership: (gold cid, hyp cid) -> n items, filled in gold-item order."""
+def comparison_problem(gold: Partition, hyp: Partition):
+    """Why the two partitions cannot be compared, or None if they can."""
     gi, hi = gold.items(), hyp.items()
     if gi != hi:
         missing = sorted(map(str, gi - hi))[:5]
         extra = sorted(map(str, hi - gi))[:5]
-        raise DomainError(
+        return (
             f"partitions cover different items (missing from hypothesis: {missing}, "
             f"extra in hypothesis: {extra})"
         )
     if gold.n_items < 2:
-        raise DomainError("need at least 2 items to compare partitions")
+        return "need at least 2 items to compare partitions"
+    return None
+
+
+def _contingency(gold, hyp):
+    """Check that the partitions are comparable and count their joint
+    membership: (gold cid, hyp cid) -> n items, filled in gold-item order."""
+    problem = comparison_problem(gold, hyp)
+    if problem:
+        raise DomainError(problem)
     joint = Counter()
     hyp_of = hyp.assignment
     for item, gcid in gold.assignment.items():
@@ -106,8 +114,8 @@ def _same_pairs(sizes):
     return sum(c * (c - 1) // 2 for c in sizes)
 
 
-def _pair_counts(table, n):
-    sizes_g, sizes_h = _margins(table)
+def _pair_counts(table, margins, n):
+    sizes_g, sizes_h = margins
     n11 = _same_pairs(table.values())
     n10 = _same_pairs(sizes_g.values()) - n11
     n01 = _same_pairs(sizes_h.values()) - n11
@@ -155,8 +163,8 @@ def _nes(ced_gh, ced_hg, n):
     return 1.0 - (ced_gh + ced_hg) / (2.0 * n)
 
 
-def _vi(table, n):
-    sizes_g, sizes_h = _margins(table)
+def _vi(table, margins, n):
+    sizes_g, sizes_h = margins
     h_g = -sum(c / n * math.log(c / n) for c in sizes_g.values())
     h_h = -sum(c / n * math.log(c / n) for c in sizes_h.values())
     mi = sum(
@@ -169,7 +177,8 @@ def _vi(table, n):
 
 def pair_counts(gold: Partition, hyp: Partition) -> PairCounts:
     """Classify every unordered item pair by agreement between G and H."""
-    return _pair_counts(_contingency(gold, hyp), gold.n_items)
+    table = _contingency(gold, hyp)
+    return _pair_counts(table, _margins(table), gold.n_items)
 
 
 def rand_index(gold: Partition, hyp: Partition) -> float:
@@ -203,17 +212,22 @@ def normalized_edit_score(gold: Partition, hyp: Partition) -> float:
 
 def variation_of_information(gold: Partition, hyp: Partition):
     """(VI, NVI): H(G) + H(H) - 2 I(G,H) in nats, and 1 - VI/log N."""
-    return _vi(_contingency(gold, hyp), gold.n_items)
+    table = _contingency(gold, hyp)
+    return _vi(table, _margins(table), gold.n_items)
 
 
 def full_report(gold: Partition, hyp: Partition) -> MetricReport:
-    """All metrics for one (gold, hypothesis) pair, from one table."""
+    """All metrics for one (gold, hypothesis) pair, from one table and its
+    margins."""
     n = gold.n_items
     table = _contingency(gold, hyp)
-    pc = _pair_counts(table, n)
-    p, r, f = pc.precision_recall_f()
+    # The edit distances run before the margins exist, so their temporaries
+    # and the margins are never held at once (both grow with N).
     ced_gh, ced_hg = _edit_distances(table, n)
-    vi, nvi = _vi(table, n)
+    margins = _margins(table)
+    pc = _pair_counts(table, margins, n)
+    p, r, f = pc.precision_recall_f()
+    vi, nvi = _vi(table, margins, n)
     return MetricReport(
         rand_index=pc.rand_index,
         precision=p,

@@ -18,26 +18,30 @@ variants:
 All choice probabilities are computed in log space and normalized by max
 subtraction.
 
-Chain state layout.  The active centers and precision vectors live in two
-row stores (``ChainState.pubs`` and ``ChainState.types``): one matrix of
-parameter vectors, the id of each row and its member count as a float.
-The type store also caches, per row, 0.5 * sum(log t), the constant of
-data_loglik_rows and the per-dimension terms of the new-cluster marginal,
-recomputed whenever a type vector is written.  An indicator update then
-reads contiguous slices: the candidate clusters are the trailing rows (all
-rows when test items may join training clusters, which are never emptied
-and so stay in the leading rows), and the refreshes and the joint score
-map items to rows with one searchsorted.
+Chain state layout.  Each Dirichlet process keeps its bookkeeping in one
+row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
+the types): one matrix of parameter vectors, the id of each row, its
+member count as a float, the member set of each id and the next unused
+id.  The type store also caches, per row, 0.5 * sum(log t), the constant
+of data_loglik_rows and the per-dimension terms of the new-cluster
+marginal, recomputed whenever a type vector is written.  Both indicator
+updates run the same CRP step on their store (Neal 2000, Algorithms 2
+and 8): ``detach`` takes the item out and drops a row that emptied, then
+the item ``join``s an existing row or ``open``s a new one.  An update
+reads contiguous slices: the candidate clusters are the trailing rows
+(all rows when test items may join training clusters, which are never
+emptied and so stay in the leading rows), and the refreshes and the joint
+score map items to rows with one searchsorted.
 
-Rows are kept in ascending id order: ids only grow (``next_c``/``next_t``),
-a new row is appended and a deleted one closes its gap.  Training cluster
-ids follow the first appearance of each label, so ascending id order is
-also the order in which clusters were created.  That order is the
-candidate order of every update and the order of every refresh loop, so it
-fixes which candidate a uniform draw selects and hence the whole random
-stream; changing it changes every chain.  The member sets (``c_members``,
-``d_members``) are kept as well: the refreshes iterate them, and their
-iteration order fixes the summation order of the posterior statistics.
+Rows are kept in ascending id order: ids only grow, a new row is appended
+and a deleted one closes its gap.  Training cluster ids follow the first
+appearance of each label, so ascending id order is also the order in
+which clusters were created.  That order is the candidate order of every
+update and the order of every refresh loop, so it fixes which candidate a
+uniform draw selects and hence the whole random stream; changing it
+changes every chain.  The refreshes read each row's members from its
+member set, whose iteration order fixes the summation order of the
+posterior statistics.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -75,6 +79,7 @@ from .gaussian import (
 from .partition import Partition
 
 VARIANTS = ("m1", "m2", "m3")
+ALPHA_PRIOR = GammaPrior()  # gamma prior on both DP precisions
 
 
 @dataclass
@@ -88,25 +93,14 @@ class SamplerConfig:
     resample_alphas: bool = True
     alpha_p: float = 1.0  # initial DP precision over clusters
     alpha_t: float = 1.0  # initial DP precision over types
-    alpha_prior_p: GammaPrior = field(default_factory=GammaPrior)
-    alpha_prior_t: GammaPrior = field(default_factory=GammaPrior)
     n_chains: int = 2
     seed: int = 0
     freeze_types: bool = False  # keep a single identity type, skip d updates
     ignore_labels: bool = False  # treat every item as test (unsupervised)
-    conditional_type_prior: bool | None = None  # None: on iff variant == m3
-    conditional_rate: float = 1.0
-    pub_prior_variance: float = 1.0
-    type_prior_shape: float = 1.0
-    type_prior_scale: float = 1.0
+    conditional_type_prior: bool = True  # m3 only: tie precisions to center distances
 
     def resolved_burn_in(self):
         return self.iterations // 2 if self.burn_in is None else self.burn_in
-
-    def uses_conditional_prior(self):
-        if self.conditional_type_prior is None:
-            return self.variant == "m3"
-        return self.conditional_type_prior
 
     def validate(self, dataset: Dataset | None = None):
         """Every problem with this configuration, as human-readable strings."""
@@ -129,12 +123,6 @@ class SamplerConfig:
             errors.append(f"seed must be a non-negative integer, got {self.seed}")
         if self.alpha_p <= 0 or self.alpha_t <= 0:
             errors.append("initial alpha values must be positive")
-        if self.conditional_rate <= 0:
-            errors.append(f"conditional_rate must be positive, got {self.conditional_rate}")
-        if self.pub_prior_variance <= 0:
-            errors.append("pub_prior_variance must be positive")
-        if self.type_prior_shape <= 0 or self.type_prior_scale <= 0:
-            errors.append("type prior shape/scale must be positive")
         if dataset is not None and self.resample_alphas:
             has_train = not self.ignore_labels and any(s == "train" for s in dataset.split)
             if not has_train:
@@ -166,23 +154,25 @@ def _pick(logw, rng):
     return len(w) - 1
 
 
-def _member_sets(labels):
-    """{id: set of items}, keys ascending and each set filled in item order."""
-    members = {int(k): set() for k in np.unique(labels)}
-    for i, k in enumerate(labels.tolist()):
-        members[k].add(i)
-    return members
-
-
 class _Rows(Mapping):
-    """Active parameter vectors keyed by id, as the rows of ``vecs`` in
-    ascending id order, with each row's member count (a float) in
-    ``counts``.  Reads as a read-only mapping from id to vector."""
+    """One Dirichlet process's active rows: parameter vectors keyed by id,
+    as the rows of ``vecs`` in ascending id order, with each row's member
+    count (a float) in ``counts``, each id's member set in ``members`` and
+    the next unused id in ``next_id``.  Reads as a read-only mapping from id
+    to vector."""
 
-    def __init__(self, ids, vecs, counts):
-        self.ids = np.array(ids, dtype=np.int64)
+    def __init__(self, labels, vecs):
+        self.members = {int(k): set() for k in np.unique(labels)}
+        for i, k in enumerate(labels.tolist()):
+            self.members[k].add(i)
+        self.ids = np.array(list(self.members), dtype=np.int64)
         self.vecs = np.array(vecs, dtype=float).reshape(len(self.ids), -1)
-        self.counts = np.array(counts, dtype=float)
+        self.counts = np.array([len(m) for m in self.members.values()], dtype=float)
+        self.next_id = int(self.ids[-1]) + 1
+        self._changed()
+
+    def _changed(self):
+        """Called after a vector is written, added or removed."""
 
     def row(self, key):
         return int(self.ids.searchsorted(key))
@@ -192,20 +182,48 @@ class _Rows(Mapping):
 
     def set(self, row, vec):
         self.vecs[row] = vec
+        self._changed()
 
-    def append(self, key, vec):
-        """A new row for a new largest id holding one member."""
-        self.ids = np.append(self.ids, key)
-        self.vecs = np.vstack([self.vecs, vec])
-        self.counts = np.append(self.counts, 1.0)
-
-    def delete(self, row):
-        """Drop a row; returns its vector."""
+    def detach(self, n, key):
+        """Take item n out of row ``key``.  Returns the row's vector if that
+        emptied it (the row is deleted), else None."""
+        members = self.members[key]
+        members.discard(int(n))
+        row = self.row(key)
+        if members:
+            self.counts[row] -= 1.0
+            return None
+        del self.members[key]
         vec = self.vecs[row]
         self.ids = np.delete(self.ids, row)
         self.vecs = np.delete(self.vecs, row, axis=0)
         self.counts = np.delete(self.counts, row)
+        self._changed()
         return vec
+
+    def join(self, n, row):
+        """Put item n in an existing row; returns the row's id."""
+        key = int(self.ids[row])
+        self.members[key].add(int(n))
+        self.counts[row] += 1.0
+        return key
+
+    def open(self, n, vec):
+        """A new last row, under the next unused id, holding item n; returns
+        the id."""
+        key = self.next_id
+        self.next_id += 1
+        self.members[key] = {int(n)}
+        self.ids = np.append(self.ids, key)
+        self.vecs = np.vstack([self.vecs, vec])
+        self.counts = np.append(self.counts, 1.0)
+        self._changed()
+        return key
+
+    def groups(self):
+        """(row, member indices) for every row, in ascending id order."""
+        for row, members in enumerate(self.members.values()):
+            yield row, np.fromiter(members, dtype=np.int64, count=len(members))
 
     def __getitem__(self, key):
         row = self.row(key)
@@ -228,33 +246,19 @@ class _TypeRows(_Rows):
     all rows; there are few types and they change at most once a sweep
     each."""
 
-    def __init__(self, ids, vecs, counts, pub_base):
-        super().__init__(ids, vecs, counts)
+    def __init__(self, labels, vecs, pub_base):
         self.pub_base = pub_base
-        self._cache()
+        super().__init__(labels, vecs)
 
     def terms(self, t):
         var, head = new_publication_terms(t, self.pub_base)
         return 0.5 * np.log(t).sum(), loglik_const(t), var, head
 
-    def _cache(self):
+    def _changed(self):
         terms = [self.terms(t) for t in self.vecs]
         self.half_logsum, self.ll_const, self.new_var, self.new_head = (
             np.array(column) for column in zip(*terms)
         )
-
-    def set(self, row, vec):
-        super().set(row, vec)
-        self._cache()
-
-    def append(self, key, vec):
-        super().append(key, vec)
-        self._cache()
-
-    def delete(self, row):
-        vec = super().delete(row)
-        self._cache()
-        return vec
 
 
 class ChainState:
@@ -271,7 +275,7 @@ class ChainState:
         self.ids = list(dataset.ids)
         self.N, self.F = self.X.shape
         self.frozen_types = config.freeze_types
-        self.conditional = config.uses_conditional_prior()
+        self.conditional = config.variant == "m3" and config.conditional_type_prior
 
         if config.ignore_labels:
             self.is_test = np.ones(self.N, dtype=bool)
@@ -279,14 +283,8 @@ class ChainState:
             self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
 
-        self.pub_base = PublicationBase(
-            mean=np.zeros(self.F), variance=config.pub_prior_variance
-        )
-        self.config_type_base = TypeBase(
-            shape=np.full(self.F, config.type_prior_shape),
-            scale=np.full(self.F, config.type_prior_scale),
-        )
-        self._set_type_base(self.config_type_base)
+        self.pub_base = PublicationBase.standard(self.F)
+        self._set_type_base(TypeBase.standard(self.F))
 
         # Training items are pinned to their gold classes for good; the
         # classes take ids 0, 1, ... in order of first appearance.
@@ -295,15 +293,12 @@ class ChainState:
         self.train_label_to_cid = {lab: cid for cid, lab in enumerate(train_labels)}
         self.train_cluster_ids = frozenset(self.train_label_to_cid.values())
         k_train = len(train_labels)
+        k = k_train + len(self.test_indices)
         c = np.empty(self.N, dtype=np.int64)
         c[train_idx] = [self.train_label_to_cid[dataset.labels[i]] for i in train_idx]
-        self.next_c = k_train + len(self.test_indices)
-        c[self.test_indices] = np.arange(k_train, self.next_c)
-        self._install_clusters(c, np.tile(self.pub_base.mean, (self.next_c, 1)))
-
+        c[self.test_indices] = np.arange(k_train, k)
+        self._install_clusters(c, np.tile(self.pub_base.mean, (k, 1)))
         self.d = np.zeros(self.N, dtype=np.int64)
-        self.d_members = _member_sets(self.d)
-        self.next_t = 1
 
         self.alpha_p = config.alpha_p
         self.alpha_t = config.alpha_t
@@ -315,6 +310,15 @@ class ChainState:
         self.iteration = 0
         self._init_params()
 
+    # The benchmark's traced sampler (bench/workloads.py) reads these two.
+    @property
+    def c_members(self):
+        return self.pubs.members
+
+    @property
+    def next_c(self):
+        return self.pubs.next_id
+
     # ------------------------------------------------------------------
     # initialization
 
@@ -322,9 +326,7 @@ class ChainState:
         """Set every item's cluster id and, in ascending id order, the
         center of each distinct id."""
         self.c = np.array(c, dtype=np.int64)
-        self.c_members = _member_sets(self.c)
-        sizes = [len(m) for m in self.c_members.values()]
-        self.pubs = _Rows(list(self.c_members), centers, sizes)
+        self.pubs = _Rows(self.c, centers)
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
@@ -338,7 +340,7 @@ class ChainState:
         else:
             base = self.type_base
             t0 = self.rng.gamma(base.shape, base.scale)
-        self.types = _TypeRows([0], [t0], [self.N], self.pub_base)
+        self.types = _TypeRows(self.d, [t0], self.pub_base)
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
@@ -346,16 +348,12 @@ class ChainState:
     # ------------------------------------------------------------------
     # parameter refreshes
 
-    def _members_array(self, members):
-        return np.fromiter(members, dtype=np.int64, count=len(members))
-
     def _resample_publications(self):
         if self.variant == "m3":
             self._resample_publications_sir()
             return
         t_rows = self.types.rows(self.d)
-        for row, cid in enumerate(self.pubs.ids.tolist()):
-            idx = self._members_array(self.c_members[cid])
+        for row, idx in self.pubs.groups():
             ts = self.types.vecs[t_rows[idx]]
             self.pubs.set(row, posterior_sample_publication(self.X[idx], ts, self.pub_base, self.rng))
 
@@ -372,14 +370,12 @@ class ChainState:
         cfg = self.config
         base = self.pub_base
         if self.conditional:
-            lam = cfg.conditional_rate
             n_types = len(self.types)
             t_sum = np.sum(self.types.vecs, axis=0)
             a_base = self.type_base.shape
             r_base = self.type_base.rate
         t_rows = self.types.rows(self.d)
-        for row, cid in enumerate(self.pubs.ids.tolist()):
-            idx = self._members_array(self.c_members[cid])
+        for row, idx in self.pubs.groups():
             ts = self.types.vecs[t_rows[idx]]
             a_vec = (ts * self.X[idx]).sum(axis=0)
             b_vec = ts.sum(axis=0)
@@ -391,9 +387,9 @@ class ChainState:
                 for p_other in others:
                     d_sq += (cands - p_other) ** 2
                 s_rest = pairwise_sq_diff_sum(others)
-                shifted = r_base + lam * (s_rest + d_sq)
+                shifted = r_base + (s_rest + d_sq)
                 logw += n_types * (a_base * np.log(shifted)).sum(axis=1)
-                logw -= lam * d_sq @ t_sum
+                logw -= d_sq @ t_sum
             self.pubs.set(row, cands[_pick(logw, self.rng)])
 
     def _resample_types(self):
@@ -401,8 +397,7 @@ class ChainState:
             self._resample_types_sir()
             return
         c_rows = self.pubs.rows(self.c)
-        for row, tid in enumerate(self.types.ids.tolist()):
-            idx = self._members_array(self.d_members[tid])
+        for row, idx in self.types.groups():
             ps = self.pubs.vecs[c_rows[idx]]
             self.types.set(row, posterior_sample_type(self.X[idx], ps, self.type_base, self.rng))
 
@@ -412,32 +407,18 @@ class ChainState:
         if self.conditional:
             s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
         c_rows = self.pubs.rows(self.c)
-        for row, tid in enumerate(self.types.ids.tolist()):
-            idx = self._members_array(self.d_members[tid])
+        for row, idx in self.types.groups():
             ps = self.pubs.vecs[c_rows[idx]]
             q = ((self.X[idx] - ps) ** 2).sum(axis=0)
             n_obs = len(idx)
             cands = self.rng.gamma(base.shape, base.scale, (cfg.candidate_count, self.F))
             logw = 0.5 * n_obs * np.log(cands).sum(axis=1) - 0.5 * cands @ q
             if self.conditional:
-                logw = logw - cfg.conditional_rate * cands @ s_pair
+                logw = logw - cands @ s_pair
             self.types.set(row, cands[_pick(logw, self.rng)])
 
     # ------------------------------------------------------------------
     # indicator updates
-
-    def _detach_c(self, n):
-        """Remove item n from its cluster; returns the orphaned center if
-        the cluster emptied (its row is deleted immediately)."""
-        cid = int(self.c[n])
-        members = self.c_members[cid]
-        members.discard(int(n))
-        row = self.pubs.row(cid)
-        if not members:
-            del self.c_members[cid]
-            return self.pubs.delete(row)
-        self.pubs.counts[row] -= 1.0
-        return None
 
     def _c_candidates(self, n, orphan):
         """Existing-cluster ids plus log weights for resampling c_n; the
@@ -471,37 +452,18 @@ class ChainState:
         """Reassign test item n to an existing cluster or a fresh one."""
         if not self.is_test[n]:
             raise DomainError(f"item {n} is a training item; its cluster is pinned")
-        orphan = self._detach_c(n)
-        cand, logw, news = self._c_candidates(n, orphan)
+        pubs = self.pubs
+        cand, logw, news = self._c_candidates(n, pubs.detach(n, int(self.c[n])))
         sel = _pick(logw, self.rng)
         if sel < len(cand):
-            cid = int(cand[sel])
-            self.c_members[cid].add(int(n))
             # The candidates are the trailing rows of the store.
-            self.pubs.counts[len(self.pubs) - len(cand) + sel] += 1.0
+            self.c[n] = pubs.join(n, len(pubs.ids) - len(cand) + sel)
+        elif news is not None:
+            self.c[n] = pubs.open(n, news[sel - len(cand)])
         else:
-            cid = self.next_c
-            self.next_c += 1
-            if news is not None:
-                pub = news[sel - len(cand)]
-            else:
-                r = self.X[n]
-                t = self.types[int(self.d[n])]
-                pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
-            self.pubs.append(cid, pub)
-            self.c_members[cid] = {int(n)}
-        self.c[n] = cid
-
-    def _detach_d(self, n):
-        tid = int(self.d[n])
-        members = self.d_members[tid]
-        members.discard(int(n))
-        row = self.types.row(tid)
-        if not members:
-            del self.d_members[tid]
-            return self.types.delete(row)
-        self.types.counts[row] -= 1.0
-        return None
+            r, t = self.X[n], self.types[int(self.d[n])]
+            pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
+            self.c[n] = pubs.open(n, pub)
 
     def _d_candidates(self, n, orphan):
         r = self.X[n]
@@ -528,54 +490,43 @@ class ChainState:
                 # Candidates come from the plain base, but a new type's
                 # prior is the distance-tilted gamma; reweight by the
                 # normalized density ratio.
-                lam = self.config.conditional_rate
                 s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
-                shifted = base.rate + lam * s_pair
+                shifted = base.rate + s_pair
                 lw_new = (
                     lw_new
                     + float((base.shape * np.log(shifted / base.rate)).sum())
-                    - lam * news @ s_pair
+                    - news @ s_pair
                 )
             return types.ids, np.concatenate([existing, lw_new]), news
-        news = None
         lw_new = np.log(self.alpha_t) + new_type_loglik(d2, self._new_type_terms)
-        return types.ids, np.concatenate([existing, [lw_new]]), news
+        return types.ids, np.concatenate([existing, [lw_new]]), None
 
     def sample_d(self, n):
         """Reassign item n's reference type (training items included)."""
-        orphan = self._detach_d(n)
-        tids, logw, news = self._d_candidates(n, orphan)
+        types = self.types
+        tids, logw, news = self._d_candidates(n, types.detach(n, int(self.d[n])))
         sel = _pick(logw, self.rng)
         if sel < len(tids):
-            tid = int(tids[sel])
-            self.d_members[tid].add(int(n))
-            self.types.counts[sel] += 1.0
+            self.d[n] = types.join(n, sel)
+        elif news is not None:
+            self.d[n] = types.open(n, news[sel - len(tids)])
         else:
-            tid = self.next_t
-            self.next_t += 1
-            if news is not None:
-                tvec = news[sel - len(tids)]
-            else:
-                r = self.X[n]
-                p = self.pubs[int(self.c[n])]
-                tvec = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
-            self.types.append(tid, tvec)
-            self.d_members[tid] = {int(n)}
-        self.d[n] = tid
+            r, p = self.X[n], self.pubs[int(self.c[n])]
+            tvec = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
+            self.d[n] = types.open(n, tvec)
 
     # ------------------------------------------------------------------
     # sweeps and scoring
 
     def _resample_alphas(self):
-        cfg = self.config
         if self.train_pair is not None:
             n_tr, k_tr = self.train_pair
             self.alpha_p = sample_precision_single(
-                self.alpha_p, n_tr, k_tr, cfg.alpha_prior_p, self.rng
+                self.alpha_p, n_tr, k_tr, ALPHA_PRIOR, self.rng
             )
         if not self.frozen_types:
             self.alpha_t = sample_precision_single(
-                self.alpha_t, self.N, len(self.types), cfg.alpha_prior_t, self.rng
+                self.alpha_t, self.N, len(self.types), ALPHA_PRIOR, self.rng
             )
 
     def sweep(self):
@@ -607,9 +558,7 @@ class ChainState:
         if self.conditional:
             s_pair = pairwise_sq_diff_sum(self.pubs.vecs)
             for tvec in self.types.vecs:
-                lp += conditional_type_logdensity(
-                    tvec, self.type_base, s_pair, rate=self.config.conditional_rate
-                )
+                lp += conditional_type_logdensity(tvec, self.type_base, s_pair)
         else:
             for tvec in self.types.vecs:
                 lp += type_base_logpdf(tvec, self.type_base)
@@ -625,17 +574,17 @@ class ChainState:
 
     def check(self):
         """Structural invariant audit (used by tests; cheap, not exhaustive)."""
-        for store, members, next_id in (
-            (self.pubs, self.c_members, self.next_c),
-            (self.types, self.d_members, self.next_t),
-        ):
+        for store, labels in ((self.pubs, self.c), (self.types, self.d)):
+            members = store.members
             # One row per member set, ids strictly ascending, counts exact.
             assert store.ids.tolist() == list(members)
-            assert (np.diff(store.ids) > 0).all() and store.ids[-1] < next_id
+            assert (np.diff(store.ids) > 0).all() and store.ids[-1] < store.next_id
             assert store.vecs.shape == (len(members), self.F)
             assert store.counts.tolist() == [float(len(m)) for m in members.values()]
             assert all(members.values())
             assert sum(len(m) for m in members.values()) == self.N
+            for key, m in members.items():
+                assert all(labels[i] == key for i in m)
         k_train = len(self.train_cluster_ids)
         assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
         # The cached per-type terms, bit for bit against a recomputation.
@@ -643,10 +592,6 @@ class ChainState:
         cached = (self.types.half_logsum, self.types.ll_const, self.types.new_var,
                   self.types.new_head)
         assert all(c.tobytes() == np.array(f).tobytes() for c, f in zip(cached, fresh))
-        for cid, members in self.c_members.items():
-            assert all(self.c[i] == cid for i in members)
-        for tid, members in self.d_members.items():
-            assert all(self.d[i] == tid for i in members)
         assert self.alpha_p > 0 and self.alpha_t > 0
         assert np.isfinite(self.pubs.vecs).all()
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()

@@ -55,6 +55,20 @@ def test_synth_invalid_flags_exit_2(tmp_path, capsys):
     assert "ERROR:2:" in capsys.readouterr().err
 
 
+def test_synth_lists_every_problem_before_generating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("dpsc.cli.synth_gaussian", lambda *a: calls.append(a))
+    code = main(["synth", "--train-classes", "0", "--test-classes", "0", "--dim", "0",
+                 "-o", str(tmp_path / "nodir" / "x.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("ERROR:2:") for line in lines)
+    for expected in ("train class", "test class", "dim", "does not exist"):
+        assert sum(expected in line for line in lines) == 1, expected
+    assert len(lines) == 4
+    assert calls == []
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -219,6 +233,24 @@ def test_score_item_mismatch_names_ids(tmp_path, capsys):
     assert "ERROR:2:" in err and "c" in err and "z" in err
 
 
+def test_score_lists_every_problem_before_scoring(tmp_path, capsys, monkeypatch):
+    write_parts(tmp_path)
+    write_partition_file(Partition({"a": 0, "b": 0, "z": 1}), tmp_path / "bad.tsv")
+    calls = []
+    monkeypatch.setattr("dpsc.cli.full_report", lambda *a: calls.append(a))
+    code = main(["score", "--gold", str(tmp_path / "gold.tsv"), str(tmp_path / "fine.tsv"),
+                 str(tmp_path / "missing.tsv"), str(tmp_path / "bad.tsv"),
+                 "-o", str(tmp_path / "nodir" / "s.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("ERROR:2:") for line in lines)
+    for expected in ("missing.tsv", "bad.tsv: partitions cover different items",
+                     "does not exist"):
+        assert sum(expected in line for line in lines) == 1, expected
+    assert len(lines) == 3
+    assert calls == []
+
+
 def test_score_repeatable(tmp_path, capsys):
     write_parts(tmp_path)
     args = ["score", "--gold", str(tmp_path / "gold.tsv"), str(tmp_path / "fine.tsv")]
@@ -281,6 +313,31 @@ def test_dpfit_deterministic_bytes(tmp_path):
     assert main(flags + [str(tmp_path / "c1.csv")]) == 0
     assert main(flags + [str(tmp_path / "c2.csv")]) == 0
     assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
+
+
+def test_dpfit_lists_every_problem_before_fitting(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("dpsc.cli.appropriateness_curve", lambda *a: calls.append(a))
+    code = main(["dpfit", str(tmp_path / "x.tsv"), "--points", "0", "--resamples", "0",
+                 "--prior-shape", "-1", "-o", str(tmp_path / "nodir" / "o.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("ERROR:2:") for line in lines)
+    for expected in ("--points", "--resamples", "gamma prior", "x.tsv", "does not exist"):
+        assert sum(expected in line for line in lines) == 1, expected
+    assert len(lines) == 5
+    assert calls == []
+
+
+def test_dpfit_missing_output_dir_fails_before_fitting(tmp_path, capsys, monkeypatch):
+    write_partition_file(Partition({f"i{k}": k % 3 for k in range(12)}), tmp_path / "pool.tsv")
+    calls = []
+    monkeypatch.setattr("dpsc.cli.appropriateness_curve", lambda *a: calls.append(a))
+    code = main(["dpfit", str(tmp_path / "pool.tsv"), "-o", str(tmp_path / "nodir" / "o.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:2:") and "does not exist" in lines[0]
+    assert calls == []
 
 
 def test_dpfit_shape_guard_reported(tmp_path, capsys):

@@ -9,6 +9,11 @@ byte for byte: the same candidate order, random stream and float rounding.
 A change that alters any of these on purpose regenerates the files with
 the same flags and says so.
 
+``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
+identity type, labels ignored) next to an m1 run without alpha resampling:
+``dpsc run tests/golden/data.csv --variant m1 --chains 2 --iters 24
+--seed 5 --baseline cdp -o tests/golden/cdp``.
+
 ``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
 are the five ``*.pred.tsv`` files above, named relative to
@@ -42,6 +47,17 @@ def test_run_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     for suffix in (".pred.tsv", ".chains.csv"):
         got = Path(f"{prefix}{suffix}").read_bytes()
         assert got == (GOLDEN / f"{case}{suffix}").read_bytes(), f"{case}{suffix} differs"
+
+
+def test_cdp_baseline_outputs_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("DPSC_THREADS", "1")
+    prefix = tmp_path / "cdp"
+    args = ["run", str(GOLDEN / "data.csv"), "--variant", "m1", "--chains", "2", "--iters", "24",
+            "--seed", "5", "--baseline", "cdp", "-o", str(prefix)]
+    assert main(args) == 0
+    for suffix in (".pred.tsv", ".chains.csv", ".cdp.tsv"):
+        got = Path(f"{prefix}{suffix}").read_bytes()
+        assert got == (GOLDEN / f"cdp{suffix}").read_bytes(), f"cdp{suffix} differs"
 
 
 def write_gold_partition(path):

@@ -119,6 +119,24 @@ def test_unsupervised_with_alpha_resampling_rejected():
         ChainState(ds, cfg, np.random.default_rng(0))
 
 
+def test_m1_score_ignores_the_conditional_type_prior():
+    # The conditional type prior belongs to m3; an m1 chain neither samples
+    # nor scores under it, whatever the flag says.
+    ds = supervised_dataset(seed=2)
+    states = []
+    for conditional in (True, False):
+        cfg = SamplerConfig(variant="m1", iterations=4, seed=1,
+                            conditional_type_prior=conditional)
+        state = ChainState(ds, cfg, chain_rng(cfg, 0))
+        for _ in range(4):
+            state.sweep()
+        states.append(state)
+    on, off = states
+    assert len(on.pubs) > 1
+    assert np.array_equal(on.c, off.c) and np.array_equal(on.d, off.d)
+    assert on.joint_log_score() == off.joint_log_score()
+
+
 def test_config_validation_collects_everything():
     cfg = SamplerConfig(variant="m9", iterations=0, aux_samples=0, n_chains=0)
     problems = cfg.validate()
@@ -234,14 +252,14 @@ def test_aux_candidate_counts_follow_singleton_rule():
     state = ChainState(ds, cfg, np.random.default_rng(3))
     # Item 0 sits alone: its parameter is retained as the extra candidate.
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
-    orphan = state._detach_c(0)
+    orphan = state.pubs.detach(0, int(state.c[0]))
     assert orphan is not None
     cand, logw, news = state._c_candidates(0, orphan)
     assert len(news) == 9  # M + 1, old value kept
     assert len(logw) == len(cand) + 9
     assert news[-1] == pytest.approx(orphan)
     # Item 1 shares its cluster: all candidates are fresh.
-    orphan = state._detach_c(1)
+    orphan = state.pubs.detach(1, int(state.c[1]))
     assert orphan is None
     cand, logw, news = state._c_candidates(1, None)
     assert len(news) == 8
@@ -254,7 +272,7 @@ def test_aux_total_new_mass_converges_to_marginal():
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=256)
     state = ChainState(ds, cfg, np.random.default_rng(4))
     n = 0
-    orphan = state._detach_c(n)
+    orphan = state.pubs.detach(n, int(state.c[n]))
     closed = state.alpha_p * math.exp(
         marginal_loglik_new_publication(state.X[n], state.types[0], state.pub_base)
     )
@@ -276,7 +294,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
     for _ in range(3):
         state.sweep()
     n = int(ds.indices("test")[0])
-    orphan = state._detach_d(n)
+    orphan = state.types.detach(n, int(state.d[n]))
     tids, logw, _ = state._d_candidates(n, orphan)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
         state.X[n], state.pubs[int(state.c[n])], state.type_base
@@ -381,6 +399,14 @@ def test_run_chains_parallel_matches_serial():
     assert [[r.joint_log_score for r in ch] for ch in serial] == [
         [r.joint_log_score for r in ch] for ch in parallel
     ]
+
+
+def test_run_chains_pool_names_the_failed_chain():
+    # The config travels to every worker, where ChainState rejects it.
+    ds = supervised_dataset()
+    cfg = SamplerConfig(variant="m9", iterations=2, n_chains=2)
+    with pytest.raises(RuntimeError, match="^chain 0: variant must be one of"):
+        run_chains(ds, cfg, max_workers=2)
 
 
 def test_score_trend_on_separated_data():
