@@ -33,7 +33,6 @@ from .gaussian import (
     TypeBase,
     adapt_type_base,
     conditional_type_logdensity,
-    conditional_type_logprior,
     data_loglik,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,

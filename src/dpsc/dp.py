@@ -1,9 +1,9 @@
 """Dirichlet process utilities.
 
 Chinese restaurant process sampling, exact moments of the induced
-cluster-count distribution, and Gibbs resampling of the DP precision
-parameter from one or several (n items, k clusters) observations under a
-gamma prior.
+cluster-count distribution, and auxiliary-variable resampling of the DP
+precision parameter from one or several (n items, k clusters)
+observations under a gamma prior.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .partition import Partition
 
 
@@ -124,57 +124,56 @@ def sample_precision_single(alpha_old, n, k, prior: GammaPrior, rng):
     return float(rng.gamma(shape, 1.0 / rate))
 
 
-def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng, gibbs_iters=200):
-    """One Gibbs refresh of the DP precision from several (n, k) observations.
+def precision_mixture(pairs, prior: GammaPrior, rate):
+    """The gamma mixture of alpha given the beta auxiliaries of M pairs.
 
-    Per pair m an auxiliary x_m ~ Beta(alpha_old + 1, n_m) is drawn; the
-    remaining posterior is a 2^M mixture of gammas indexed by a binary
-    vector i.  The mixture index is sampled by an inner Gibbs chain with
+    Returns (shapes, weights): alpha | x is weights[s] * Gamma(shapes[s],
+    rate) summed over s = 0..M, with shapes[s] = s0 + s, s0 = a - M +
+    sum(k_m), and weights[s] proportional to
+    Gamma(s0 + s) * rate^(-s) * e_{M-s}(n_1..n_M), e_j the elementary
+    symmetric sums of the pool sizes (see sample_precision_multi).
+    """
+    m = len(pairs)
+    s0 = prior.shape - m + sum(p.k for p in pairs)
+    log_e = np.full(m + 1, -np.inf)
+    log_e[0] = 0.0
+    for p in pairs:
+        log_e[1:] = np.logaddexp(log_e[1:], log_e[:-1] + math.log(p.n))
+    # log Gamma(s0 + s) - log Gamma(s0) - s log(rate), for s = 0..M
+    log_w = np.concatenate(([0.0], np.cumsum(np.log((s0 + np.arange(m)) / rate))))
+    log_w += log_e[::-1]
+    w = np.exp(log_w - log_w.max())
+    return s0 + np.arange(m + 1.0), w / w.sum()
 
-        p(i_m = 1 | rest) = (ahat + S) / (ahat + S + n_m * bhat),
 
-    S the sum of the other indicators, ahat = a - M - 1 + sum(k_m) and
-    bhat = prior_rate - sum(log x_m).  One post-burn-in indicator state is
-    kept (uniform choice over the second half of the trajectory, which is
-    sampling by empirical frequency) and alpha is drawn from
-    Gamma(ahat + 1 + sum(i), rate bhat).
+def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
+    """One exact refresh of the DP precision from several (n, k) observations.
+
+    Each pair's likelihood alpha^k Gamma(alpha)/Gamma(alpha + n) equals
+    alpha^(k-1) (alpha + n) B(alpha + 1, n) / Gamma(n), so an auxiliary
+    x_m ~ Beta(alpha_old + 1, n_m) per pair leaves
+
+        alpha | x  ~  alpha^(s0 - 1) exp(-bhat alpha) prod_m (alpha + n_m),
+
+    s0 = a - M + sum(k_m), bhat = prior_rate - sum(log x_m).  Expanding the
+    product, the terms with S factors of alpha sum to alpha^S e_{M-S}(n),
+    so alpha | x is a mixture of Gamma(s0 + S, rate bhat) over S = 0..M
+    with P(S = s) proportional to Gamma(s0 + s) bhat^(-s) e_{M-s}(n)
+    (precision_mixture).  S is drawn from those M + 1 weights with one
+    uniform, then alpha.  Every k_m >= 1, so s0 >= a > 0 for any prior
+    shape; for M = 1 this is sample_precision_single's two-gamma mixture.
     """
     pairs = list(pairs)
     if not pairs:
         raise DomainError("need at least one (n, k) observation pair")
     if alpha_old <= 0:
         raise DomainError(f"alpha_old must be positive, got {alpha_old}")
-    if gibbs_iters < 2:
-        raise DomainError("gibbs_iters must be >= 2")
-    m = len(pairs)
-    a = prior.shape
-    ahat = a - m - 1.0 + sum(p.k for p in pairs)
-    if ahat <= 0:
-        raise ConfigError(
-            f"gamma shape a - M - 1 + sum(k) = {ahat:.3f} is not positive for "
-            f"prior shape {a} and {m} observation pairs; raise the prior shape"
-        )
-    ns = np.array([p.n for p in pairs], dtype=float)
-    xs = rng.beta(alpha_old + 1.0, ns)
+    xs = rng.beta(alpha_old + 1.0, [p.n for p in pairs])
     bhat = prior.rate - float(np.log(xs).sum())
-
-    nb = ns * bhat
-    ind = np.ones(m, dtype=np.int64)
-    total = m
-    kept_sums = np.empty(gibbs_iters - gibbs_iters // 2, dtype=np.int64)
-    burn = gibbs_iters // 2
-    us = rng.random((gibbs_iters, m))
-    for it in range(gibbs_iters):
-        for j in range(m):
-            s = total - ind[j]
-            p1 = (ahat + s) / (ahat + s + nb[j])
-            new = 1 if us[it, j] < p1 else 0
-            total += new - ind[j]
-            ind[j] = new
-        if it >= burn:
-            kept_sums[it - burn] = total
-    picked = int(kept_sums[rng.integers(len(kept_sums))])
-    return float(rng.gamma(ahat + 1.0 + picked, 1.0 / bhat))
+    shapes, weights = precision_mixture(pairs, prior, bhat)
+    cdf = np.cumsum(weights)
+    s = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+    return float(rng.gamma(shapes[s], 1.0 / bhat))
 
 
 def estimate_precision(pairs, prior: GammaPrior, rng, draws=2000):

@@ -236,44 +236,6 @@ def adapt_type_base(X, assignments, publications) -> TypeBase:
     return TypeBase(shape=shape, scale=scale)
 
 
-def conditional_type_logprior(
-    t, publications, sizes, type_base: TypeBase, pub_base: PublicationBase, rate=1.0
-):
-    """Log prior of one precision vector conditioned on the cluster centers.
-
-    With centers p_1..p_J ordered by descending class size, the raw
-    expression is
-
-      G0t(t) * prod_j [ G0p(p_j)^(2(j-1)-J) * prod_{k<j} rate*exp(-rate*||p_j-p_k||^2_t) ]
-
-    treating each weighted center distance as exponentially distributed.
-    The caller must supply the centers already ordered; sizes are only
-    used to verify that.  This is the unnormalized form; see
-    conditional_type_logdensity for the proper density over t.
-    """
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    P = np.atleast_2d(np.asarray(publications, float))
-    t = np.asarray(t, float)
-    _check_dims(P, t, pub_base.mean)
-    sizes = list(sizes)
-    if len(sizes) != P.shape[0]:
-        raise DomainError("one size per publication required")
-    if any(sizes[j] < sizes[j + 1] for j in range(len(sizes) - 1)):
-        raise DomainError("publications must be ordered by descending class size")
-
-    j_count = P.shape[0]
-    lp = type_base_logpdf(t, type_base)
-    for j in range(j_count):
-        lp += (2 * j - j_count) * publication_base_logpdf(P[j], pub_base)
-    if j_count > 1:
-        diffs = P[:, None, :] - P[None, :, :]
-        d2 = (diffs**2 @ t)
-        iu = np.triu_indices(j_count, k=1)
-        lp += (math.log(rate) * len(iu[0])) - rate * float(d2[iu].sum())
-    return float(lp)
-
-
 def pairwise_sq_diff_sum(publications):
     """Per-dimension sum of squared differences over all center pairs.
 

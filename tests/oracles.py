@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -164,3 +164,23 @@ def three_point_posterior(values, alpha, prior_mean=0.0, prior_var=1.0, precisio
     probs = np.exp(logs - logs.max())
     probs /= probs.sum()
     return {parts[i].canonical(): probs[i] for i in range(len(parts))}
+
+
+def precision_mixture_enumeration(pairs, shape, rate):
+    """P(S = s), s = 0..M, for the multi-pair DP precision refresh, by
+    literal enumeration of the 2^M binary indices i: index i integrates
+    alpha^(s0 + S - 1) exp(-rate alpha) prod_{m: i_m = 0} n_m over alpha,
+    with S = sum(i) and s0 = shape - M + sum(k)."""
+    m = len(pairs)
+    s0 = shape - m + sum(k for _, k in pairs)
+    log_terms = {s: [] for s in range(m + 1)}
+    for index in product((0, 1), repeat=m):
+        s = sum(index)
+        log_terms[s].append(
+            math.lgamma(s0 + s)
+            - (s0 + s) * math.log(rate)
+            + sum(math.log(n) for (n, _), i in zip(pairs, index) if not i)
+        )
+    top = max(max(v) for v in log_terms.values())
+    weights = np.array([sum(math.exp(x - top) for x in log_terms[s]) for s in range(m + 1)])
+    return weights / weights.sum()

@@ -289,7 +289,7 @@ def test_dpfit_outputs_curve(tmp_path, capsys):
 def test_dpfit_single_class_pool_small_alpha(tmp_path, capsys):
     write_partition_file(Partition({f"i{k}": 0 for k in range(80)}), tmp_path / "one.tsv")
     out = tmp_path / "c.csv"
-    # one cluster in one pool: shape guard needs a bigger prior shape
+    # one cluster in one pool: the posterior keeps alpha below 1
     assert main(["dpfit", str(tmp_path / "one.tsv"), "--prior-shape", "4.0",
                  "--points", "6", "--resamples", "20", "--seed", "0",
                  "-o", str(out)]) == 0
@@ -340,8 +340,15 @@ def test_dpfit_missing_output_dir_fails_before_fitting(tmp_path, capsys, monkeyp
     assert calls == []
 
 
-def test_dpfit_shape_guard_reported(tmp_path, capsys):
+def test_dpfit_one_class_pool_at_default_prior(tmp_path, capsys):
+    # One pair with k = 1 at prior shape 1: every gamma shape of the
+    # precision refresh is still positive, so the fit runs.
     write_partition_file(Partition({f"i{k}": 0 for k in range(10)}), tmp_path / "one.tsv")
-    code = main(["dpfit", str(tmp_path / "one.tsv"), "-o", str(tmp_path / "c.csv")])
-    assert code == 2
-    assert "raise the prior shape" in capsys.readouterr().err
+    out = tmp_path / "c.csv"
+    assert main(["dpfit", str(tmp_path / "one.tsv"), "-o", str(out)]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == ""
+    assert float(cap.out.split("alpha=")[1].splitlines()[0]) > 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(r["n"]) for r in rows] == list(range(1, 11))
+    assert all(float(r["emp_mean"]) == 1.0 for r in rows)

@@ -12,10 +12,13 @@ from dpsc.dp import (
     crp_sample,
     estimate_precision,
     expected_clusters,
+    precision_mixture,
     sample_precision_multi,
     sample_precision_single,
 )
-from dpsc.errors import ConfigError, DomainError
+from dpsc.errors import DomainError
+
+from oracles import precision_mixture_enumeration
 
 
 def precision_posterior_grid(prior, pairs, hi=50.0, points=20000):
@@ -118,24 +121,64 @@ def test_multi_reduces_to_single_for_one_pair():
 
 
 def test_multi_pair_chain_matches_grid_posterior():
-    prior = GammaPrior(shape=5.0, scale=1.0)
-    pairs = [ObservationPair(10, 3), ObservationPair(20, 5), ObservationPair(15, 4)]
-    target, _, _ = precision_posterior_grid(prior, [(p.n, p.k) for p in pairs])
+    # The [(5, 1)] x 3 cases have a - M - 1 + sum(k) = 0 and 0.5: every
+    # gamma shape s0 + S >= a is still positive, and the chain is unbiased.
+    cases = [
+        (5.0, [(10, 3), (20, 5), (15, 4)]),
+        (1.0, [(5, 1)] * 3),
+        (1.5, [(5, 1)] * 3),
+    ]
     rng = np.random.default_rng(7)
-    alpha, total = 1.0, 0.0
-    draws = 8000
-    for _ in range(draws):
-        alpha = sample_precision_multi(alpha, pairs, prior, rng)
-        total += alpha
-    assert total / draws == pytest.approx(target, rel=0.05)
+    draws = 20_000
+    for shape, nk in cases:
+        prior = GammaPrior(shape=shape, scale=1.0)
+        pairs = [ObservationPair(n, k) for n, k in nk]
+        target, _, _ = precision_posterior_grid(prior, nk, hi=20.0, points=200_000)
+        alpha, total = 1.0, 0.0
+        for _ in range(draws):
+            alpha = sample_precision_multi(alpha, pairs, prior, rng)
+            total += alpha
+        assert total / draws == pytest.approx(target, rel=0.03), (shape, nk)
 
 
 def test_multi_shape_guard():
-    # a - M - 1 + sum(k) must stay positive; here it is 1 - 3 - 1 + 3 = 0.
+    # a - M - 1 + sum(k) = 1 - 3 - 1 + 3 = 0 used to be rejected, but every
+    # gamma shape of the mixture is s0 + S >= a > 0: the draw is defined.
     prior = GammaPrior(shape=1.0, scale=1.0)
     pairs = [ObservationPair(5, 1)] * 3
-    with pytest.raises(ConfigError, match="raise the prior shape"):
-        sample_precision_multi(1.0, pairs, prior, np.random.default_rng(0))
+    shapes, weights = precision_mixture(pairs, prior, prior.rate)
+    assert shapes.min() == pytest.approx(prior.shape)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (weights >= 0).all()
+    rng = np.random.default_rng(0)
+    alpha = 1.0
+    for _ in range(200):
+        alpha = sample_precision_multi(alpha, pairs, prior, rng)
+        assert np.isfinite(alpha) and alpha > 0
+
+
+def test_mixture_weights_match_enumeration():
+    rng = np.random.default_rng(21)
+    for m in range(1, 9):
+        for _ in range(5):
+            ns = rng.integers(1, 200, size=m)
+            pairs = [ObservationPair(int(n), int(rng.integers(1, n + 1))) for n in ns]
+            prior = GammaPrior(shape=float(rng.uniform(0.2, 4.0)), scale=1.0)
+            rate = prior.rate + float(rng.exponential(10.0))
+            shapes, weights = precision_mixture(pairs, prior, rate)
+            want = precision_mixture_enumeration([(p.n, p.k) for p in pairs], prior.shape, rate)
+            np.testing.assert_allclose(weights, want, rtol=1e-9, atol=1e-14)
+            s0 = prior.shape - m + sum(p.k for p in pairs)
+            np.testing.assert_array_equal(shapes, s0 + np.arange(m + 1))
+            assert shapes[0] >= prior.shape
+
+
+def test_mixture_weights_reduce_to_single_pair_odds():
+    # sample_precision_single's odds pi_x / (1 - pi_x) = (a + k - 1) / (n * rate)
+    for a, n, k, rate in [(1.0, 10, 2, 1.3), (3.0, 50, 5, 7.9), (0.4, 1, 1, 2.0)]:
+        _, weights = precision_mixture([ObservationPair(n, k)], GammaPrior(shape=a), rate)
+        odds = (a + k - 1.0) / (n * rate)
+        assert weights[1] == pytest.approx(odds / (1.0 + odds), abs=1e-12)
 
 
 def test_all_singleton_counts_pull_alpha_up():
@@ -151,22 +194,24 @@ def test_all_singleton_counts_pull_alpha_up():
 def test_one_sweep_preserves_grid_posterior():
     # Chi-squared check: start draws at exact posterior samples, apply one
     # refresh, and compare the output histogram against the posterior.
-    prior = GammaPrior(shape=5.0, scale=1.0)
-    pairs = [ObservationPair(10, 3), ObservationPair(20, 5), ObservationPair(15, 4)]
-    _, grid, w = precision_posterior_grid(prior, [(p.n, p.k) for p in pairs], hi=20.0)
-    cdf = np.cumsum(w)
-    cdf /= cdf[-1]
+    cases = [
+        (GammaPrior(shape=5.0, scale=1.0), [(10, 3), (20, 5), (15, 4)]),
+        (GammaPrior(shape=1.0, scale=1.0), [(5, 1)] * 3),
+    ]
     rng = np.random.default_rng(13)
     trials = 6000
-    starts = np.interp(rng.random(trials), cdf, grid)
-    outs = np.array(
-        [sample_precision_multi(a0, pairs, prior, rng) for a0 in starts]
-    )
-    edges = np.interp(np.linspace(0.1, 0.9, 9), cdf, grid)
-    expected = np.diff(np.concatenate([[0.0], np.interp(edges, grid, cdf), [1.0]]))
-    observed = np.histogram(outs, np.concatenate([[0.0], edges, [np.inf]]))[0]
-    stat = chisquare(observed, expected * trials)
-    assert stat.pvalue > 0.01
+    for prior, nk in cases:
+        pairs = [ObservationPair(n, k) for n, k in nk]
+        _, grid, w = precision_posterior_grid(prior, nk, hi=20.0, points=200_000)
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        starts = np.interp(rng.random(trials), cdf, grid)
+        outs = np.array([sample_precision_multi(a0, pairs, prior, rng) for a0 in starts])
+        edges = np.interp(np.linspace(0.1, 0.9, 9), cdf, grid)
+        expected = np.diff(np.concatenate([[0.0], np.interp(edges, grid, cdf), [1.0]]))
+        observed = np.histogram(outs, np.concatenate([[0.0], edges, [np.inf]]))[0]
+        stat = chisquare(observed, expected * trials)
+        assert stat.pvalue > 0.01
 
 
 # --------------------------------------------------- appropriateness

@@ -9,7 +9,7 @@ from dpsc.gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
-    conditional_type_logprior,
+    conditional_type_logdensity,
     data_loglik,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
@@ -17,6 +17,7 @@ from dpsc.gaussian import (
     posterior_sample_publication,
     posterior_sample_type,
     publication_posterior_params,
+    type_base_logpdf,
     type_posterior_params,
 )
 
@@ -255,49 +256,53 @@ def test_adapt_type_base_fallback_and_validity():
 
 
 def test_conditional_prior_single_publication():
-    from dpsc.gaussian import publication_base_logpdf, type_base_logpdf
-
-    tb, pb = TypeBase.standard(2), PublicationBase.standard(2)
+    # One center leaves nothing to tilt: the base.
+    tb = TypeBase(shape=[2.0, 0.7], scale=[0.5, 1.5])
     t = np.array([1.3, 0.6])
-    p = np.array([[0.4, -0.2]])
-    got = conditional_type_logprior(t, p, [5], tb, pb)
-    expected = type_base_logpdf(t, tb) - publication_base_logpdf(p[0], pb)
-    assert got == pytest.approx(expected, abs=1e-12)
+    got = conditional_type_logdensity(t, tb, pairwise_sq_diff_sum(np.array([[0.4, -0.2]])))
+    assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
 
 
 def test_conditional_prior_zero_distance_term():
-    tb, pb = TypeBase.standard(1), PublicationBase.standard(1)
+    # With coincident centers each pairwise factor is exp(0): the base, at any rate.
+    tb = TypeBase.standard(1)
     t = np.array([2.0])
     pubs = np.array([[0.5], [0.5]])
-    got = conditional_type_logprior(t, pubs, [3, 3], tb, pb, rate=1.0)
-    # With coincident centers the pairwise factor is rate*exp(0), log = 0.
-    from dpsc.gaussian import publication_base_logpdf, type_base_logpdf
+    for rate in (1.0, 3.5):
+        got = conditional_type_logdensity(t, tb, pairwise_sq_diff_sum(pubs), rate)
+        assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
 
-    expected = (
-        type_base_logpdf(t, tb)
-        + (0 - 2) * publication_base_logpdf(pubs[0], pb)
-        + (2 - 2) * publication_base_logpdf(pubs[1], pb)
+
+@pytest.mark.parametrize("shape,scale,pair_sq,rate", [(1.0, 1.0, 4.0, 1.0), (2.5, 0.4, 0.3, 2.0)])
+def test_conditional_density_integrates_to_one(shape, scale, pair_sq, rate):
+    base = TypeBase(shape=[shape], scale=[scale])
+    total, _ = quad(
+        lambda t: math.exp(conditional_type_logdensity([t], base, [pair_sq], rate)), 0, np.inf
     )
-    assert got == pytest.approx(expected, abs=1e-12)
+    assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_conditional_prior_penalizes_high_precision_separation():
-    tb, pb = TypeBase.standard(1), PublicationBase.standard(1)
-    pubs = np.array([[0.0], [2.0]])
-    lo = conditional_type_logprior(np.array([1.0]), pubs, [4, 2], tb, pb)
-    hi = conditional_type_logprior(np.array([2.0]), pubs, [4, 2], tb, pb)
-    base_diff = (
-        conditional_type_logprior(np.array([2.0]), pubs[:1], [4], tb, pb)
-        - conditional_type_logprior(np.array([1.0]), pubs[:1], [4], tb, pb)
+    tb = TypeBase(shape=[2.0, 1.5], scale=[1.0, 0.5])
+    pubs = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
+    lo, hi = np.array([1.0, 0.5]), np.array([2.0, 1.5])
+    rate = 0.7
+
+    def raw(t):  # G0t(t) * prod_{j<k} exp(-rate * ||p_j - p_k||^2_t), unnormalized
+        lp = sum(
+            (a - 1.0) * math.log(x) - x / b for x, a, b in zip(t, tb.shape, tb.scale)
+        )
+        for j in range(len(pubs)):
+            for k in range(j + 1, len(pubs)):
+                lp -= rate * float(((pubs[j] - pubs[k]) ** 2 * t).sum())
+        return lp
+
+    s = pairwise_sq_diff_sum(pubs)
+    got = conditional_type_logdensity(hi, tb, s, rate) - conditional_type_logdensity(
+        lo, tb, s, rate
     )
-    # Doubling the precision shrinks the pairwise term by lam * d^2.
-    assert hi - lo == pytest.approx(base_diff - 4.0)
-
-
-def test_conditional_prior_requires_size_order():
-    tb, pb = TypeBase.standard(1), PublicationBase.standard(1)
-    with pytest.raises(DomainError, match="descending"):
-        conditional_type_logprior(np.array([1.0]), np.array([[0.0], [1.0]]), [2, 3], tb, pb)
+    assert got == pytest.approx(raw(hi) - raw(lo), abs=1e-12)
+    assert got < type_base_logpdf(hi, tb) - type_base_logpdf(lo, tb)
 
 
 def test_pairwise_sq_diff_sum():
