@@ -14,6 +14,14 @@ identity type, labels ignored) next to an m1 run without alpha resampling:
 ``dpsc run tests/golden/data.csv --variant m1 --chains 2 --iters 24
 --seed 5 --baseline cdp -o tests/golden/cdp``.
 
+``tests/golden/large-*`` pin runs at large cluster counts: every test item
+starts as its own cluster, so the first sweeps offer well over a hundred
+candidates per indicator update and open clusters mid-sweep.  The data,
+``tests/golden/large.csv``, was written by ``dpsc synth --train-classes 4
+--test-classes 40 --dim 4 --min-size 2 --max-size 5 --separation 6
+--seed 13``, and each case by ``dpsc run tests/golden/large.csv`` with the
+flags in ``LARGE_CASES`` plus ``COMMON``.
+
 ``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
 are the five ``*.pred.tsv`` files above, named relative to
@@ -36,13 +44,18 @@ CASES = {
     "m1-shared": ["--variant", "m1", "--share-train-test"],
     "m3-shared": ["--variant", "m3", "--share-train-test"],
 }
+LARGE_CASES = {
+    "large-m1": ["--variant", "m1"],
+    "large-m2": ["--variant", "m2"],
+}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(LARGE_CASES))
 def test_run_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     monkeypatch.setenv("DPSC_THREADS", "1")
     prefix = tmp_path / case
-    args = ["run", str(GOLDEN / "data.csv"), *CASES[case], *COMMON, "-o", str(prefix)]
+    data, flags = ("large.csv", LARGE_CASES[case]) if case in LARGE_CASES else ("data.csv", CASES[case])
+    args = ["run", str(GOLDEN / data), *flags, *COMMON, "-o", str(prefix)]
     assert main(args) == 0
     for suffix in (".pred.tsv", ".chains.csv"):
         got = Path(f"{prefix}{suffix}").read_bytes()
