@@ -117,22 +117,34 @@ def marginal_loglik_new_publication(r, t, base: PublicationBase, terms=None):
     r, t = np.asarray(r, float), np.asarray(t, float)
     _check_dims(r, t, base.mean)
     var, head = new_publication_terms(t, base) if terms is None else terms
-    return float((head - 0.5 * (r - base.mean) ** 2 / var).sum())
+    return float(new_publication_loglik_rows(r[None], var, head, base)[0])
+
+
+def new_publication_loglik_rows(R, var, head, base: PublicationBase):
+    """marginal_loglik_new_publication of each row of R, unchecked; ``var``
+    and ``head`` are new_publication_terms of the precisions of each row
+    (or of all rows at once)."""
+    return (head - 0.5 * (R - base.mean) ** 2 / var).sum(axis=1)
 
 
 def new_type_terms(base: TypeBase):
-    """Base-only pieces of the new-type marginal: the summed log-normalizer,
-    the per-dimension shape + 1/2 and the rate."""
+    """Base-only pieces of the new-type marginal: the summed log-normalizer
+    and, as lists, the per-dimension shape + 1/2 and the rate."""
     a, rate = base.shape, base.rate
     const = float((gammaln(a + 0.5) - gammaln(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum())
-    return const, a + 0.5, rate
+    return const, (a + 0.5).tolist(), rate.tolist()
 
 
 def new_type_loglik(d2, terms):
     """marginal_loglik_new_type from the squared differences d2 = (r - p)^2,
-    unchecked; ``terms`` is new_type_terms(base)."""
+    a sequence of floats, unchecked; ``terms`` is new_type_terms(base).
+    Scalar arithmetic, as the d update calls it once per item on a few
+    dimensions."""
     const, shape_half, rate = terms
-    return const - float((shape_half * np.log(rate + 0.5 * d2)).sum())
+    acc = 0.0
+    for a, b, x in zip(shape_half, rate, d2):
+        acc += a * math.log(b + 0.5 * x)
+    return const - acc
 
 
 def marginal_loglik_new_type(r, p, base: TypeBase):
@@ -144,7 +156,7 @@ def marginal_loglik_new_type(r, p, base: TypeBase):
     """
     r, p = np.asarray(r, float), np.asarray(p, float)
     _check_dims(r, p, base.shape)
-    return new_type_loglik((r - p) ** 2, new_type_terms(base))
+    return new_type_loglik(((r - p) ** 2).tolist(), new_type_terms(base))
 
 
 def publication_posterior_params(rs, ts, base: PublicationBase):

@@ -6,7 +6,8 @@ import pytest
 
 from dpsc.data import Dataset, SynthConfig, standardize, synth_gaussian
 from dpsc.errors import ConfigError, DomainError
-from dpsc.gaussian import marginal_loglik_new_publication
+from dpsc import sampler
+from dpsc.gaussian import data_loglik, marginal_loglik_new_publication, marginal_loglik_new_type
 from dpsc.partition import Partition
 from dpsc.sampler import (
     ChainState,
@@ -200,6 +201,125 @@ def test_tiny_alpha_t_keeps_single_type():
     for _ in range(10):
         state.sweep()
     assert len(state.types) == 1
+
+
+def test_pick_search_matches_scan():
+    # The searchsorted rule draws the same index as the loop for the same
+    # uniform, across the crossover, with underflowed (zero) weights and
+    # with u at the very top of the total (the last-index fallback).
+    rng = np.random.default_rng(12)
+    for length in list(range(1, 80)) + list(range(80, 201, 20)):
+        for underflow in (False, True):
+            logw = rng.normal(0.0, 3.0, length)
+            if underflow:  # every other weight, the last included, is exp(-2000) = 0
+                logw[-1::-2] = -2000.0
+            w = np.exp(logw - logw.max())
+            assert (w == 0.0).any() == (underflow and length > 1)
+            acc = w.cumsum()
+            us = [rng.random() * w.sum() for _ in range(20)]
+            us += [0.0, w.sum(), acc[-1], np.nextafter(acc[-1], 0.0), *acc[:3]]
+            for u in us:
+                assert sampler._search(w, u) == sampler._scan(w.tolist(), u)
+    # u at or past every running sum falls back to the last index.
+    assert sampler._scan([1.0, 0.0], 1.0) == sampler._search(np.array([1.0, 0.0]), 1.0) == 1
+
+
+class _CheckedTable(ChainState):
+    """Compares every c update's weights with the per-item formula."""
+
+    compared = 0
+
+    def _c_candidates(self, n, orphan):
+        got = super()._c_candidates(n, orphan)
+        if self._table is not None:
+            table, self._table = self._table, None
+            try:
+                want = super()._c_candidates(n, orphan)
+            finally:
+                self._table = table
+            assert np.array_equal(got[0], want[0])
+            # Batched products may round the last bit differently.
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0.0)
+            type(self).compared += 1
+        return got
+
+
+@pytest.mark.parametrize("variant,share", [("m1", False), ("m1", True), ("m2", False)])
+def test_indicator_pass_table_matches_per_item_weights(variant, share):
+    ds = synth_gaussian(
+        SynthConfig(3, 30, dim=3, min_class_size=2, max_class_size=5, separation=5.0, seed=3)
+    )
+    ds, _ = standardize(ds)
+    cfg = SamplerConfig(variant=variant, iterations=6, seed=2, share_train_test=share)
+    _CheckedTable.compared = 0
+    state = _CheckedTable(ds, cfg, chain_rng(cfg, 0))
+    first_unused = state.pubs.next_id
+    for _ in range(6):
+        state.sweep()
+        state.check()
+    # Every c update checked, over more than one block, with centers
+    # deleted (all test items start alone) and opened mid-pass.
+    n_test = len(ds.indices("test"))
+    assert _CheckedTable.compared == 6 * n_test and n_test > sampler.TABLE_BLOCK
+    assert state.pubs.next_id > first_unused
+
+
+def test_indicator_pass_table_is_scoped_to_the_pass():
+    ds = supervised_dataset(seed=5)
+    cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    state.sweep()
+    assert state._table is None
+
+    class Boom(RuntimeError):
+        pass
+
+    def fail(n):
+        raise Boom(n)
+
+    state.sample_d = fail
+    with pytest.raises(Boom):
+        state.sweep()
+    assert state._table is None
+    del state.sample_d
+    state.check()
+
+    # Direct calls read current values: alpha_p changed after the pass.
+    state.alpha_p *= 7.0
+    n = int(ds.indices("test")[0])
+    state.pubs.detach(n, int(state.c[n]))
+    cand, logw, news = state._c_candidates(n, None)
+    r, t = state.X[n], state.types[int(state.d[n])]
+    want = [
+        math.log(state.pubs.counts[state.pubs.row(int(cid))]) + data_loglik(r, state.pubs[int(cid)], t)
+        for cid in cand
+    ]
+    want.append(math.log(state.alpha_p) + marginal_loglik_new_publication(r, t, state.pub_base))
+    assert news is None
+    assert np.asarray(logw) == pytest.approx(want, rel=1e-12)
+
+
+def test_scalar_d_update_matches_per_item_formula():
+    ds = supervised_dataset(seed=6)
+    cfg = SamplerConfig(variant="m1", iterations=4, seed=1, alpha_t=5.0)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(4):
+        state.sweep()
+    state.alpha_t *= 3.0
+    for n in (0, int(ds.indices("test")[-1])):
+        state.types.detach(n, int(state.d[n]))
+        tids, logw, news = state._d_candidates(n, None)
+        r, p = state.X[n], state.pubs[int(state.c[n])]
+        want = [
+            math.log(len(state.types.members[int(k)])) + data_loglik(r, p, state.types[int(k)])
+            for k in tids
+        ]
+        want.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, state.type_base))
+        assert news is None and len(tids) >= 1
+        assert logw == pytest.approx(want, rel=1e-12)
+        state.types.join(n, state.types.row(int(tids[0])))
+        state.d[n] = int(tids[0])
+    state.check()
 
 
 # ------------------------------------------------------ exact posterior
