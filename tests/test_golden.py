@@ -15,16 +15,16 @@ identity type, labels ignored) next to an m1 run without alpha resampling:
 --seed 5 --baseline cdp -o tests/golden/cdp``.
 
 ``tests/golden/large-*`` pin runs at large cluster counts: every test item
-starts as its own cluster, so the first sweeps offer well over a hundred
-candidates per indicator update and open clusters mid-sweep.  The data,
-``tests/golden/large.csv``, was written by ``dpsc synth --train-classes 4
---test-classes 40 --dim 4 --min-size 2 --max-size 5 --separation 6
---seed 13``, and each case by ``dpsc run tests/golden/large.csv`` with the
-flags in ``LARGE_CASES`` plus ``COMMON``.
+starts as its own cluster, so the first sweep's early updates choose among
+well over a hundred candidates, and clusters open and close mid-sweep.  The
+data, ``tests/golden/large.csv``, was written by ``dpsc synth
+--train-classes 4 --test-classes 40 --dim 4 --min-size 2 --max-size 5
+--separation 6 --seed 13``, and each case by ``dpsc run
+tests/golden/large.csv`` with the flags in ``LARGE_CASES`` plus ``COMMON``.
 
 ``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
-are the five ``*.pred.tsv`` files above, named relative to
+are the ``*.pred.tsv`` files of the five ``CASES``, named relative to
 ``tests/golden/``.
 """
 
