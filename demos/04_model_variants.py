@@ -1,11 +1,12 @@
 """The three model variants on one dataset.
 
 m1 keeps the fixed gamma base over precisions, m2 refits that base to the
-within-cluster spread every sweep, and m3 drops conjugacy entirely and
-conditions the precisions on the distances between cluster centers.  A
-non-conjugate chain explores by proposing parameters from the base, so
-m3 mixes far more slowly than the conjugate variants and wants much
-longer runs than this quick comparison gives it.
+within-cluster spread every sweep, and m3 conditions the precisions on the
+distances between cluster centers.  m3 opens clusters at auxiliary
+candidates drawn from the base rather than through a closed-form
+marginal, and moves each center by one retained-candidate step, so it
+mixes more slowly than the conjugate variants and wants longer runs than
+this quick comparison gives it.
 
 Takes a few minutes (m3 is the slow one).
 Run:  python3 demos/04_model_variants.py

@@ -173,10 +173,11 @@ def publication_posterior_params(rs, ts, base: PublicationBase):
     return mean, prec
 
 
-def posterior_sample_publication(rs, ts, base: PublicationBase, rng):
-    """Exact conjugate draw of a cluster center; prior draw if no data."""
+def posterior_sample_publication(rs, ts, base: PublicationBase, rng, size=None):
+    """Exact conjugate draw of a cluster center; prior draw if no data.
+    ``size`` (for example (m, dim)) gives m independent draws as rows."""
     mean, prec = publication_posterior_params(rs, ts, base)
-    return rng.normal(mean, np.sqrt(1.0 / prec))
+    return rng.normal(mean, np.sqrt(1.0 / prec), size)
 
 
 def type_posterior_params(rs, ps, base: TypeBase):
@@ -262,18 +263,20 @@ def pairwise_sq_diff_sum(publications):
     return (diffs[iu] ** 2).sum(axis=0)
 
 
-def conditional_type_logdensity(t, base: TypeBase, pair_sq_sum, rate=1.0):
-    """Normalized density of the distance-conditioned type prior.
+def conditional_type_base(base: TypeBase, pair_sq_sum) -> TypeBase:
+    """The distance-conditioned type prior, itself a gamma base.
 
-    Tilting the gamma base by prod_{j<k} exp(-rate * ||p_j - p_k||^2_t)
-    leaves a product of gammas whose per-dimension rate is shifted by
-    rate * S_f, with S the pairwise squared-difference sums of the
-    centers; everything else in the raw conditional expression is
-    independent of t and belongs to the normalizer.
+    Tilting the gamma base by prod_{j<k} exp(-||p_j - p_k||^2_t) leaves a
+    product of gammas Gamma(shape_f, rate_f + S_f), with S the pairwise
+    squared-difference sums of the centers (pairwise_sq_diff_sum);
+    everything else in the raw conditional expression is independent of t
+    and belongs to the normalizer.
     """
-    t = np.asarray(t, float)
+    return TypeBase(shape=base.shape, scale=1.0 / (base.rate + np.asarray(pair_sq_sum, float)))
+
+
+def conditional_type_logdensity(t, base: TypeBase, pair_sq_sum, rate=1.0):
+    """Normalized density of the distance-conditioned type prior with the
+    pairwise tilt scaled by ``rate``: the base's rate shifted by rate * S."""
     _check_dims(t, base.shape, np.asarray(pair_sq_sum, float))
-    a = base.shape
-    shifted = base.rate + rate * np.asarray(pair_sq_sum, float)
-    lp = (a - 1.0) * np.log(t) - shifted * t + a * np.log(shifted) - gammaln(a)
-    return float(lp.sum())
+    return type_base_logpdf(t, conditional_type_base(base, rate * np.asarray(pair_sq_sum, float)))

@@ -9,11 +9,15 @@ variants:
 - m1: fully conjugate updates (closed-form new-cluster marginals, exact
   posterior draws for active parameters).
 - m2: as m1, but the gamma base over precisions is refitted to the
-  current within-cluster variances at the start of every sweep.
-- m3: non-conjugate machinery: new-parameter candidates drawn fresh from
-  the base (auxiliary-candidate updates), active parameters refreshed by
-  a short independence sampler, and, by default, the conditional type
-  prior that ties precisions to the relative distances between centers.
+  current within-cluster variances at the start of every sweep.  The
+  refit reads the state, so m2 is an empirical-Bayes scheme and not
+  posterior-exact by design.
+- m3: auxiliary-candidate indicator updates (Neal 2000, Algorithm 8) and,
+  by default, the conditional type prior that ties precisions to the
+  distances between centers: a gamma whose rate is shifted by the centers'
+  pairwise squared-difference sums.  Types are exact conjugate draws under
+  it; a center takes one retained-candidate step among conjugate draws
+  under it, and is an exact draw when it is off.
 
 All choice probabilities are computed in log space and normalized by max
 subtraction.
@@ -85,7 +89,7 @@ from .gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
-    conditional_type_logdensity,
+    conditional_type_base,
     data_loglik_rows,
     loglik_const,
     marginal_loglik_new_publication,
@@ -110,8 +114,8 @@ class SamplerConfig:
     variant: str = "m1"
     iterations: int = 2000
     burn_in: int | None = None  # default: iterations // 2
-    aux_samples: int = 8  # fresh new-parameter candidates per update (m3)
-    candidate_count: int = 32  # independence-sampler pool for active params (m3)
+    aux_samples: int = 8  # m3 new-parameter candidates, a singleton's own among them
+    candidate_count: int = 32  # m3 conditional centers: retained center + conjugate draws
     share_train_test: bool = False
     resample_alphas: bool = True
     alpha_p: float = 1.0  # initial DP precision over clusters
@@ -208,6 +212,12 @@ def _pick_few(logw, rng):
     return _scan(w, rng.random() * total)
 
 
+def _pair_terms(cands, others):
+    """Per-dimension squared differences of each candidate row to all the
+    rows of ``others``, summed: a center's share of pairwise_sq_diff_sum."""
+    return ((cands[:, None, :] - others[None, :, :]) ** 2).sum(axis=1)
+
+
 class _Rows(Mapping):
     """One Dirichlet process's active rows: parameter vectors keyed by id,
     as the rows of ``vecs`` in ascending id order, with each row's member
@@ -297,16 +307,22 @@ class _Rows(Mapping):
 
 
 class _CenterRows(_Rows):
-    """Cluster centers, plus their pairwise_sq_diff_sum (the statistic of
-    the conditional type prior), computed on first use after each write."""
+    """Cluster centers, plus their pairwise_sq_diff_sum and the conditional
+    type prior it gives, each computed on first use after each write."""
 
     def _changed(self):
-        self._pair_sq = None
+        self._pair_sq = self._type_prior = None
 
     def pair_sq(self):
         if self._pair_sq is None:
             self._pair_sq = pairwise_sq_diff_sum(self.vecs)
         return self._pair_sq
+
+    def type_prior(self, base):
+        """conditional_type_base of ``base`` (fixed: m3 never refits it)."""
+        if self._type_prior is None:
+            self._type_prior = conditional_type_base(base, self.pair_sq())
+        return self._type_prior
 
 
 class _TypeRows(_Rows):
@@ -505,77 +521,64 @@ class ChainState:
     # ------------------------------------------------------------------
     # parameter refreshes
 
+    def _type_prior(self):
+        """The prior of every type: the type base, or under m3's conditional
+        prior the base with its rate shifted by the centers' pair sum."""
+        if not self.conditional:
+            return self.type_base
+        return self.pubs.type_prior(self.type_base)
+
+    def _center_tilt(self, d_sq, s_base):
+        """Log factor by which adding a center multiplies the product of the
+        types' conditional priors, for each row of ``d_sq``: that center's
+        squared differences to the centers whose pair sum is ``s_base``."""
+        base = self.type_base
+        lift = np.log1p(d_sq / (base.rate + s_base)) @ base.shape
+        return len(self.types) * lift - d_sq @ self.types.vecs.sum(axis=0)
+
     def _resample_publications(self):
-        if self.variant == "m3":
-            self._resample_publications_sir()
-            return
+        """Exact conjugate draw of every center.  Under the conditional type
+        prior, with other centers present, a center instead takes one
+        retained-candidate step: its current value and candidate_count - 1
+        conjugate draws, one picked by the tilt (the conditional's ratio to
+        the conjugate posterior), which leaves the conditional invariant
+        (Tjelmeland 2004; Andrieu, Doucet & Holenstein 2010)."""
+        pubs = self.pubs
+        tilted = self.conditional and len(pubs) > 1
+        if tilted:
+            s_pair = pubs.pair_sq()
+            size = (self.config.candidate_count - 1, self.F)
         t_rows = self.types.rows(self.d)
-        for row, idx in self.pubs.groups():
-            ts = self.types.vecs[t_rows[idx]]
-            self.pubs.set(row, posterior_sample_publication(self.X[idx], ts, self.pub_base, self.rng))
-
-    def _resample_publications_sir(self):
-        """Refresh each center from a pool of base draws weighted by its
-        full conditional over the proposal density (the base cancels).
-
-        Under the conditional type prior a center also enters every
-        type's normalized prior: the pairwise tilt pulls it toward the
-        other centers under the pooled precisions, while the normalizer
-        term rewards configurations whose separation supports the
-        observed types.
-        """
-        cfg = self.config
-        base = self.pub_base
-        if self.conditional:
-            n_types = len(self.types)
-            t_sum = np.sum(self.types.vecs, axis=0)
-            a_base = self.type_base.shape
-            r_base = self.type_base.rate
-        t_rows = self.types.rows(self.d)
-        for row, idx in self.pubs.groups():
-            ts = self.types.vecs[t_rows[idx]]
-            a_vec = (ts * self.X[idx]).sum(axis=0)
-            b_vec = ts.sum(axis=0)
-            cands = self.rng.normal(base.mean, np.sqrt(base.variance), (cfg.candidate_count, self.F))
-            logw = cands @ a_vec - 0.5 * (cands**2) @ b_vec
-            if self.conditional and len(self.pubs) > 1:
-                others = np.delete(self.pubs.vecs, row, axis=0)
-                d_sq = np.zeros((cfg.candidate_count, self.F))
-                for p_other in others:
-                    d_sq += (cands - p_other) ** 2
-                s_rest = pairwise_sq_diff_sum(others)
-                shifted = r_base + (s_rest + d_sq)
-                logw += n_types * (a_base * np.log(shifted)).sum(axis=1)
-                logw -= d_sq @ t_sum
-            self.pubs.set(row, cands[_pick(logw, self.rng)])
+        for row, idx in pubs.groups():
+            rs, ts = self.X[idx], self.types.vecs[t_rows[idx]]
+            if not tilted:
+                pubs.set(row, posterior_sample_publication(rs, ts, self.pub_base, self.rng))
+                continue
+            draws = posterior_sample_publication(rs, ts, self.pub_base, self.rng, size)
+            cands = np.vstack([pubs.vecs[row], draws])
+            d_sq = _pair_terms(cands, np.delete(pubs.vecs, row, axis=0))
+            s_rest = s_pair - d_sq[0]  # the running pair sum without this center
+            sel = _pick(self._center_tilt(d_sq, s_rest), self.rng)
+            s_pair = s_rest + d_sq[sel]
+            pubs.set(row, cands[sel])
 
     def _resample_types(self):
-        if self.variant == "m3":
-            self._resample_types_sir()
-            return
+        """Exact conjugate draw of every type under its prior."""
+        base = self._type_prior()
         c_rows = self.pubs.rows(self.c)
         for row, idx in self.types.groups():
             ps = self.pubs.vecs[c_rows[idx]]
-            self.types.set(row, posterior_sample_type(self.X[idx], ps, self.type_base, self.rng))
-
-    def _resample_types_sir(self):
-        cfg = self.config
-        base = self.type_base
-        if self.conditional:
-            s_pair = self.pubs.pair_sq()
-        c_rows = self.pubs.rows(self.c)
-        for row, idx in self.types.groups():
-            ps = self.pubs.vecs[c_rows[idx]]
-            q = ((self.X[idx] - ps) ** 2).sum(axis=0)
-            n_obs = len(idx)
-            cands = self.rng.gamma(base.shape, base.scale, (cfg.candidate_count, self.F))
-            logw = 0.5 * n_obs * np.log(cands).sum(axis=1) - 0.5 * cands @ q
-            if self.conditional:
-                logw = logw - cands @ s_pair
-            self.types.set(row, cands[_pick(logw, self.rng)])
+            self.types.set(row, posterior_sample_type(self.X[idx], ps, base, self.rng))
 
     # ------------------------------------------------------------------
     # indicator updates
+
+    def _aux_candidates(self, orphan, draw):
+        """m3's aux_samples new-parameter candidates (Neal 2000, Algorithm 8):
+        ``draw(m)`` fresh base draws, then a singleton's orphaned parameter."""
+        if orphan is None:
+            return draw(self.config.aux_samples)
+        return np.vstack([draw(self.config.aux_samples - 1), orphan[None, :]])
 
     def _c_candidates(self, n, orphan):
         """Existing-cluster ids plus log weights for resampling c_n; the
@@ -593,13 +596,14 @@ class ChainState:
         const = self.types.ll_const[k]
         existing = np.log(pubs.counts[lo:]) + data_loglik_rows(r, pubs.vecs[lo:], t, const)
         if self.variant == "m3":
-            fresh = self.rng.normal(
-                self.pub_base.mean,
-                np.sqrt(self.pub_base.variance),
-                (self.config.aux_samples, self.F),
+            base = self.pub_base
+            news = self._aux_candidates(
+                orphan, lambda m: self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
             )
-            news = np.vstack([fresh, orphan[None, :]]) if orphan is not None else fresh
             new = np.log(self.alpha_p / len(news)) + data_loglik_rows(r, news, t, const)
+            if self.conditional:
+                # A new cluster adds a center, which shifts every type's prior.
+                new += self._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
         else:
             news = None
             terms = (self.types.new_var[k], self.types.new_head[k])
@@ -653,26 +657,16 @@ class ChainState:
             - 0.5 * types.vecs @ d2
             - 0.5 * self.F * LOG_2PI
         )
-        base = self.type_base
-        fresh = self.rng.gamma(base.shape, base.scale, (self.config.aux_samples, self.F))
-        news = np.vstack([fresh, orphan[None, :]]) if orphan is not None else fresh
+        base = self._type_prior()
+        news = self._aux_candidates(
+            orphan, lambda m: self.rng.gamma(base.shape, base.scale, (m, self.F))
+        )
         lw_new = (
             np.log(self.alpha_t / len(news))
             + 0.5 * np.log(news).sum(axis=1)
             - 0.5 * news @ d2
             - 0.5 * self.F * LOG_2PI
         )
-        if self.conditional:
-            # Candidates come from the plain base, but a new type's prior is
-            # the distance-tilted gamma; reweight by the normalized density
-            # ratio.
-            s_pair = self.pubs.pair_sq()
-            shifted = base.rate + s_pair
-            lw_new = (
-                lw_new
-                + float((base.shape * np.log(shifted / base.rate)).sum())
-                - news @ s_pair
-            )
         return types.ids, np.concatenate([existing, lw_new]), news
 
     def sample_d(self, n):
@@ -733,13 +727,9 @@ class ChainState:
         lp += self._eppf(self.alpha_t, self.types.counts.tolist())
         for pub in self.pubs.vecs:
             lp += publication_base_logpdf(pub, self.pub_base)
-        if self.conditional:
-            s_pair = self.pubs.pair_sq()
-            for tvec in self.types.vecs:
-                lp += conditional_type_logdensity(tvec, self.type_base, s_pair)
-        else:
-            for tvec in self.types.vecs:
-                lp += type_base_logpdf(tvec, self.type_base)
+        type_prior = self._type_prior()
+        for tvec in self.types.vecs:
+            lp += type_base_logpdf(tvec, type_prior)
         p_items = self.pubs.vecs[self.pubs.rows(self.c)]
         t_items = self.types.vecs[self.types.rows(self.d)]
         lp += float(

@@ -3,13 +3,15 @@
 Nothing in here may call the production code paths it checks: pair
 classification is literal enumeration, edit distance is BFS over
 operation sequences, entropies come straight from the definitions, and
-marginals are numeric quadrature.
+marginals are numeric quadrature.  The one harness, chain_partition_tv,
+only sweeps a chain it is given and compares what it visits with an
+oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, product
 
 import numpy as np
@@ -164,6 +166,78 @@ def three_point_posterior(values, alpha, prior_mean=0.0, prior_var=1.0, precisio
     probs = np.exp(logs - logs.max())
     probs /= probs.sum()
     return {parts[i].canonical(): probs[i] for i in range(len(parts))}
+
+
+def conditional_three_point_posterior(
+    values, alpha, shape=1.0, rate=1.0, precision=1.0, tilt=True, grid=361, span=8.0
+):
+    """Exact posterior over the set partitions of a few 1-D points under the
+    conditional type prior with one type frozen at ``precision``: a CRP(alpha)
+    prior, N(0, 1) cluster centers, observations N(center, 1/precision), and
+    the type's density Gamma(precision; shape, rate + S), with S the sum of
+    squared differences over all center pairs.  The centers are integrated
+    out on a product grid (rectangle rule; the integrand vanishes at the
+    edges).  ``tilt=False`` drops the S-dependence, leaving the plain model
+    of three_point_posterior."""
+    values = list(values)
+    p = np.linspace(min(values + [0.0]) - span, max(values + [0.0]) + span, grid)
+    log_step = math.log(p[1] - p[0])
+
+    def log_type_density(s):
+        if not tilt:
+            s = np.zeros_like(s)
+        return shape * np.log(rate + s) - (rate + s) * precision
+
+    def log_center(members):  # log prior x likelihood on the grid
+        lp = -0.5 * (math.log(2 * math.pi) + p**2)
+        for i in members:
+            lp = lp + 0.5 * (math.log(precision / (2 * math.pi)) - precision * (values[i] - p) ** 2)
+        return lp
+
+    def logsumexp(x):
+        top = np.max(x)
+        return top + math.log(np.exp(x - top).sum())
+
+    parts = enumerate_partitions(range(len(values)))
+    logs = []
+    for part in parts:
+        blocks = [sorted(m) for m in part.clusters().values()]
+        k = len(blocks)
+        lg = [log_center(b) for b in blocks]
+        lp = k * (math.log(alpha) + log_step) + sum(math.lgamma(len(b)) for b in blocks)
+        if k == 1:
+            lp += logsumexp(lg[0]) + float(log_type_density(np.zeros(1))[0])
+        else:
+            # Loop over the grid points of all but the last two centers.
+            x, y = p[:, None], p[None, :]
+            tail = lg[-2][:, None] + lg[-1][None, :]
+            slices = []
+            for lead in product(range(grid), repeat=k - 2):
+                q = [p[i] for i in lead]
+                s = (x - y) ** 2 + sum((a - b) ** 2 for a, b in combinations(q, 2))
+                s = s + sum((a - x) ** 2 + (a - y) ** 2 for a in q)
+                head = sum(g[i] for g, i in zip(lg, lead))
+                slices.append(logsumexp(head + tail + log_type_density(s)))
+            lp += logsumexp(np.array(slices))
+        logs.append(lp)
+    logs = np.array(logs)
+    probs = np.exp(logs - logs.max())
+    probs /= probs.sum()
+    return {parts[i].canonical(): probs[i] for i in range(len(parts))}
+
+
+def chain_partition_tv(state, sweeps, oracle):
+    """Total-variation distance between the frequencies of the test
+    partitions a chain state visits over ``sweeps`` sweeps (items keyed by
+    position) and the ``oracle`` probabilities; audits the state at the end."""
+    index = {name: i for i, name in enumerate(state.ids)}
+    counts = Counter()
+    for _ in range(sweeps):
+        state.sweep()
+        part = state.test_partition()
+        counts[Partition({index[i]: c for i, c in part.assignment.items()}).canonical()] += 1
+    state.check()
+    return 0.5 * sum(abs(counts.get(k, 0) / sweeps - p) for k, p in oracle.items())
 
 
 def precision_mixture_enumeration(pairs, shape, rate):

@@ -7,7 +7,7 @@ as FAIL in the pytest report, with the printed context attached.
 
 import math
 import time
-from collections import Counter, deque
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -40,6 +40,7 @@ from dpsc.partition import Partition
 from dpsc.sampler import ChainState, SamplerConfig, extract_prediction, run_chain
 
 from oracles import (
+    chain_partition_tv,
     enumerate_partitions,
     pair_counts_enumeration,
     three_point_posterior,
@@ -279,20 +280,6 @@ def test_criterion_5_conjugate_algebra_vs_quadrature():
 # --------------------------------------------------------------- criterion 6
 
 
-def _chain_partition_tv(values, config, seed, sweeps, oracle):
-    ds = tiny_dataset(values)
-    state = ChainState(ds, config, np.random.default_rng(seed))
-    counts = Counter()
-    index = {name: i for i, name in enumerate(ds.ids)}
-    for _ in range(sweeps):
-        state.sweep()
-        part = state.test_partition()
-        key = Partition({index[i]: c for i, c in part.assignment.items()}).canonical()
-        counts[key] += 1
-    state.check()
-    return 0.5 * sum(abs(counts.get(k, 0) / sweeps - p) for k, p in oracle.items())
-
-
 def test_criterion_6_exact_posterior_chain_check():
     t0 = time.time()
     values = [-1.2, 0.1, 0.9]
@@ -302,13 +289,13 @@ def test_criterion_6_exact_posterior_chain_check():
         variant="m1", iterations=1, freeze_types=True, resample_alphas=False,
         alpha_p=1.0, seed=0,
     )
-    tv1 = _chain_partition_tv(values, m1, seed=10, sweeps=sweeps, oracle=oracle)
+    tv1 = chain_partition_tv(ChainState(tiny_dataset(values), m1, np.random.default_rng(10)), sweeps, oracle)
     assert tv1 < 0.05
     m3 = SamplerConfig(
         variant="m3", iterations=1, freeze_types=True, resample_alphas=False,
         alpha_p=1.0, seed=0, conditional_type_prior=False, candidate_count=64,
     )
-    tv3 = _chain_partition_tv(values, m3, seed=11, sweeps=sweeps, oracle=oracle)
+    tv3 = chain_partition_tv(ChainState(tiny_dataset(values), m3, np.random.default_rng(11)), sweeps, oracle)
     assert tv3 < 0.07
     elapsed = time.time() - t0
     assert elapsed < 300

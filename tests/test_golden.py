@@ -7,7 +7,11 @@ the flags in ``CASES`` (one chain worker, ``DPSC_THREADS=1``) on
 --seed 11``.  A refactor of the sampler must reproduce them
 byte for byte: the same candidate order, random stream and float rounding.
 A change that alters any of these on purpose regenerates the files with
-the same flags and says so.
+the same flags and says so.  ``m3*`` (and with them ``score.csv``) were
+last regenerated when m3 moved to exact conjugate refreshes, one
+retained-candidate step for a center under the conditional type prior,
+the one-of-M auxiliary-candidate rule and the tilted new-cluster weight;
+no other file changed then.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling:

@@ -1,5 +1,5 @@
+import copy
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from dpsc.sampler import (
     run_chains,
 )
 
-from oracles import three_point_posterior
+from oracles import chain_partition_tv, conditional_three_point_posterior, three_point_posterior
 
 
 def tiny_dataset(values, split="test"):
@@ -327,40 +327,52 @@ def test_scalar_d_update_matches_per_item_formula():
 
 def test_m1_matches_enumeration_posterior():
     values = [-1.2, 0.1, 0.9]
-    ds = tiny_dataset(values)
-    cfg = frozen_config()
-    state = ChainState(ds, cfg, np.random.default_rng(1))
+    state = ChainState(tiny_dataset(values), frozen_config(), np.random.default_rng(1))
     oracle = three_point_posterior(values, alpha=1.0)
-    sweeps = 20_000
-    counts = Counter()
-    for _ in range(sweeps):
-        state.sweep()
-        counts[_indexed_canonical(state, ds)] += 1
-    tv = 0.5 * sum(abs(counts.get(k, 0) / sweeps - p) for k, p in oracle.items())
+    tv = chain_partition_tv(state, 20_000, oracle)
     assert tv < 0.05
-    state.check()
 
 
 def test_m3_matches_enumeration_posterior_with_plain_densities():
     values = [-1.2, 0.1, 0.9]
-    ds = tiny_dataset(values)
     cfg = frozen_config(variant="m3", conditional_type_prior=False, candidate_count=64)
-    state = ChainState(ds, cfg, np.random.default_rng(2))
+    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(2))
     oracle = three_point_posterior(values, alpha=1.0)
-    sweeps = 20_000
-    counts = Counter()
-    for _ in range(sweeps):
-        state.sweep()
-        counts[_indexed_canonical(state, ds)] += 1
-    tv = 0.5 * sum(abs(counts.get(k, 0) / sweeps - p) for k, p in oracle.items())
+    tv = chain_partition_tv(state, 20_000, oracle)
     assert tv < 0.07
 
 
-def _indexed_canonical(state, ds):
-    part = state.test_partition()
-    return Partition(
-        {ds.ids.index(i): c for i, c in part.assignment.items()}
-    ).canonical()
+# Stress settings: few candidates, off-centre data.  30k sweeps, seed 5;
+# each bound is one the m1 reference meets.
+
+
+@pytest.mark.parametrize(
+    "values,settings",
+    [([2.5, 2.9, -2.6], dict(candidate_count=2)), ([-1.2, 0.1, 0.9], dict(aux_samples=1))],
+)
+def test_m3_stress_settings_match_enumeration_posterior(values, settings):
+    cfg = frozen_config(variant="m3", conditional_type_prior=False, **settings)
+    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
+    tv = chain_partition_tv(state, 30_000, three_point_posterior(values, alpha=1.0))
+    assert tv < 0.01
+
+
+def test_conditional_oracle_without_tilt_is_the_plain_posterior():
+    values = [-1.2, 0.1, 0.9]
+    plain = three_point_posterior(values, alpha=1.0)
+    untilted = conditional_three_point_posterior(values, alpha=1.0, tilt=False)
+    assert max(abs(untilted[k] - p) for k, p in plain.items()) < 1e-9
+
+
+@pytest.mark.parametrize("settings", [{}, dict(candidate_count=2, aux_samples=1)])
+def test_conditional_m3_matches_tilted_joint(settings):
+    # The frozen type is the identity, so its conditional prior density,
+    # Gamma(1; 1, 1 + S), is all that ties the partition to the tilt.
+    values = [-1.2, 0.1, 0.9]
+    cfg = frozen_config(variant="m3", conditional_type_prior=True, **settings)
+    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
+    tv = chain_partition_tv(state, 30_000, conditional_three_point_posterior(values, alpha=1.0))
+    assert tv < 0.02
 
 
 # -------------------------------------------------- auxiliary candidates
@@ -370,19 +382,77 @@ def test_aux_candidate_counts_follow_singleton_rule():
     ds = tiny_dataset([0.0, 0.5, 1.0, 1.5])
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=8)
     state = ChainState(ds, cfg, np.random.default_rng(3))
-    # Item 0 sits alone: its parameter is retained as the extra candidate.
+    # Item 0 sits alone: its parameter is one of the M candidates, the last
+    # (Neal 2000, Algorithm 8).
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
     orphan = state.pubs.detach(0, int(state.c[0]))
     assert orphan is not None
     cand, logw, news = state._c_candidates(0, orphan)
-    assert len(news) == 9  # M + 1, old value kept
-    assert len(logw) == len(cand) + 9
+    assert len(news) == 8
+    assert len(logw) == len(cand) + 8
     assert news[-1] == pytest.approx(orphan)
     # Item 1 shares its cluster: all candidates are fresh.
     orphan = state.pubs.detach(1, int(state.c[1]))
     assert orphan is None
     cand, logw, news = state._c_candidates(1, None)
     assert len(news) == 8
+
+
+def test_conditional_c_weights_follow_the_joint_score():
+    # Under the conditional type prior, joining an existing cluster and
+    # opening one at a new candidate differ in log weight as the joint score
+    # does, less the candidate's base log density and log M (it was drawn
+    # from the base and holds alpha / M of the new-cluster mass).
+    ds = supervised_dataset(seed=5)
+    cfg = SamplerConfig(variant="m3", iterations=3, seed=2)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    assert len(state.pubs) > 2
+    n = int(ds.indices("test")[0])
+    cand, logw, news = state._c_candidates(n, state.pubs.detach(n, int(state.c[n])))
+    assert len(news) == cfg.aux_samples
+
+    def score(move):
+        s = copy.deepcopy(state)
+        s.c[n] = move(s.pubs)
+        return s.joint_log_score()
+
+    first = len(state.pubs) - len(cand)
+    for j in range(len(cand)):
+        joined = score(lambda pubs: pubs.join(n, first + j))
+        for i, phi in enumerate(news):
+            opened = score(lambda pubs: pubs.open(n, phi))
+            log_base = -0.5 * (state.F * math.log(2 * math.pi) + phi @ phi)
+            want = opened - joined - log_base - math.log(cfg.aux_samples)
+            assert logw[len(cand) + i] - logw[j] == pytest.approx(want, abs=1e-9)
+
+
+def test_conditional_type_refresh_is_the_shifted_gamma_posterior():
+    # Each type's refresh is an exact draw from Gamma(a + n/2, rate + S + q/2):
+    # n and q its members' count and squared residuals, S the centers' pair
+    # sum, a = rate = 1 for m3's standard base.
+    ds = supervised_dataset(seed=5)
+    cfg = SamplerConfig(variant="m3", iterations=4, seed=3)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(4):
+        state.sweep()
+    P = state.pubs.vecs
+    s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
+    params = []
+    for members in state.types.members.values():
+        q = sum((state.X[m] - state.pubs[int(state.c[m])]) ** 2 for m in members)
+        params.append((1.0 + len(members) / 2, 1.0 + s + q / 2))
+    draws = []
+    for _ in range(20_000):
+        state._resample_types()
+        draws.append(state.types.vecs.copy())
+    draws = np.array(draws)
+    for k, (a, b) in enumerate(params):
+        mean, var = a / b, a / b**2
+        assert (np.abs(draws[:, k].mean(axis=0) - mean) < 5 * np.sqrt(var / len(draws))).all()
+        np.testing.assert_allclose(draws[:, k].var(axis=0), var, rtol=0.1)
+    state.check()
 
 
 def test_aux_total_new_mass_converges_to_marginal():
