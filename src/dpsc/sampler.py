@@ -12,12 +12,13 @@ variants:
   current within-cluster variances at the start of every sweep.  The
   refit reads the state, so m2 is an empirical-Bayes scheme and not
   posterior-exact by design.
-- m3: auxiliary-candidate indicator updates (Neal 2000, Algorithm 8) and,
-  by default, the conditional type prior that ties precisions to the
+- m3: auxiliary-candidate c updates (Neal 2000, Algorithm 8) and, by
+  default, the conditional type prior that ties precisions to the
   distances between centers: a gamma whose rate is shifted by the centers'
   pairwise squared-difference sums.  Types are exact conjugate draws under
-  it; a center takes one retained-candidate step among conjugate draws
-  under it, and is an exact draw when it is off.
+  it, and the d update is m1's with it as the new-type prior; a center
+  takes one retained-candidate step among conjugate draws under it, and is
+  an exact draw when it is off.
 
 All choice probabilities are computed in log space and normalized by max
 subtraction.
@@ -29,8 +30,9 @@ member count as a float, the member set of each id and the next unused
 id.  The type store also caches, per row, 0.5 * sum(log t), the constant
 of data_loglik_rows and the per-dimension terms of the new-cluster
 marginal, recomputed whenever a type vector is written; the center store
-caches the centers' pairwise_sq_diff_sum (m3's conditional type prior)
-until a center is next written, added or removed.  Both indicator
+caches the centers' pairwise_sq_diff_sum and the conditional type prior it
+gives (m3), the sum kept up to date when a center is added or removed and
+recomputed after one is written.  Both indicator
 updates run the same CRP step on their store (Neal 2000, Algorithms 2
 and 8): ``detach`` takes the item out and drops a row that emptied, then
 the item ``join``s an existing row or ``open``s a new one.  An update
@@ -60,12 +62,12 @@ type at the start of the pass, and alpha_p and both bases stay fixed.  The
 table is filled in blocks of test items, lives for one pass only and is
 dropped when the pass ends, also when it ends in an exception; a c update
 called outside a sweep computes its weights from the current state.  The
-m1/m2 d update works in Python floats, as one to three types make numpy
-calls cost more than their arithmetic.  Both give the weights of the
+d update works in Python floats, as one to three types make numpy calls
+cost more than their arithmetic.  Both give the weights of the
 per-item formulas, which may differ from them in the last bit (a batched
 product or libm instead of numpy's exp and log can round differently), so
 a uniform picks the same candidate unless it falls within those few ulps
-of a boundary.  m3 computes every update from the state.
+of a boundary.  m3's c update computes its weights from the state.
 """
 
 from __future__ import annotations
@@ -142,8 +144,11 @@ class SamplerConfig:
             )
         if self.aux_samples < 1:
             errors.append(f"aux_samples must be >= 1, got {self.aux_samples}")
-        if self.candidate_count < 1:
-            errors.append(f"candidate_count must be >= 1, got {self.candidate_count}")
+        # A conditional m3 center's candidates are itself and candidate_count - 1
+        # draws, so it needs at least one draw to move.
+        least = 2 if self.variant == "m3" and self.conditional_type_prior else 1
+        if self.candidate_count < least:
+            errors.append(f"candidate_count must be >= {least}, got {self.candidate_count}")
         if self.n_chains < 1:
             errors.append(f"n_chains must be >= 1, got {self.n_chains}")
         if self.seed < 0:
@@ -237,8 +242,9 @@ class _Rows(Mapping):
         self.next_id = int(self.ids[-1]) + 1
         self._changed()
 
-    def _changed(self):
-        """Called after a vector is written, added or removed."""
+    def _changed(self, vec=None, sign=0.0):
+        """Called after a vector is written, or after the (1, F) ``vec`` is
+        added (``sign`` 1) or removed (-1)."""
 
     def row(self, key):
         return bisect_left(self.id_list, key)
@@ -265,7 +271,7 @@ class _Rows(Mapping):
         self.ids = np.delete(self.ids, row)
         self.vecs = np.delete(self.vecs, row, axis=0)
         self.counts = np.delete(self.counts, row)
-        self._changed()
+        self._changed(vec[None, :], -1.0)
         return vec
 
     def join(self, n, row):
@@ -285,7 +291,7 @@ class _Rows(Mapping):
         self.ids = np.append(self.ids, key)
         self.vecs = np.vstack([self.vecs, vec])
         self.counts = np.append(self.counts, 1.0)
-        self._changed()
+        self._changed(self.vecs[-1:], 1.0)
         return key
 
     def groups(self):
@@ -307,22 +313,35 @@ class _Rows(Mapping):
 
 
 class _CenterRows(_Rows):
-    """Cluster centers, plus their pairwise_sq_diff_sum and the conditional
-    type prior it gives, each computed on first use after each write."""
+    """Cluster centers, plus their pairwise_sq_diff_sum and m3's conditional
+    type prior.  The sum is computed on first use after a center is
+    written; adding or removing a center adds or subtracts that center's
+    pair terms (O(K F) instead of O(K^2 F); an added center's pair with
+    itself is 0).  The prior, conditional_type_base of ``type_base``
+    (fixed: m3 never refits it) with its new_type_terms, is rebuilt on
+    first use after the centers change."""
 
-    def _changed(self):
-        self._pair_sq = self._type_prior = None
+    def __init__(self, labels, vecs, type_base):
+        self.type_base = type_base
+        super().__init__(labels, vecs)
+
+    def _changed(self, vec=None, sign=0.0):
+        self._prior = None
+        if vec is None:
+            self._pair_sq = None
+        elif self._pair_sq is not None:
+            self._pair_sq = self._pair_sq + sign * _pair_terms(vec, self.vecs)[0]
 
     def pair_sq(self):
         if self._pair_sq is None:
             self._pair_sq = pairwise_sq_diff_sum(self.vecs)
         return self._pair_sq
 
-    def type_prior(self, base):
-        """conditional_type_base of ``base`` (fixed: m3 never refits it)."""
-        if self._type_prior is None:
-            self._type_prior = conditional_type_base(base, self.pair_sq())
-        return self._type_prior
+    def type_prior(self):
+        if self._prior is None:
+            prior = conditional_type_base(self.type_base, self.pair_sq())
+            self._prior = prior, new_type_terms(prior)
+        return self._prior
 
 
 class _TypeRows(_Rows):
@@ -342,7 +361,7 @@ class _TypeRows(_Rows):
         var, head = new_publication_terms(t, self.pub_base)
         return 0.5 * np.log(t).sum(), loglik_const(t), var, head
 
-    def _changed(self):
+    def _changed(self, vec=None, sign=0.0):
         terms = [self.terms(t) for t in self.vecs]
         self.half_logsum, self.ll_const, self.new_var, self.new_head = (
             np.array(column) for column in zip(*terms)
@@ -499,7 +518,7 @@ class ChainState:
         """Set every item's cluster id and, in ascending id order, the
         center of each distinct id."""
         self.c = np.array(c, dtype=np.int64)
-        self.pubs = _CenterRows(self.c, centers)
+        self.pubs = _CenterRows(self.c, centers, self.type_base)
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
@@ -522,11 +541,12 @@ class ChainState:
     # parameter refreshes
 
     def _type_prior(self):
-        """The prior of every type: the type base, or under m3's conditional
-        prior the base with its rate shifted by the centers' pair sum."""
-        if not self.conditional:
-            return self.type_base
-        return self.pubs.type_prior(self.type_base)
+        """The prior of every type and its new_type_terms: the type base, or
+        under m3's conditional prior the base with its rate shifted by the
+        centers' pair sum."""
+        if self.conditional:
+            return self.pubs.type_prior()
+        return self.type_base, self._new_type_terms
 
     def _center_tilt(self, d_sq, s_base):
         """Log factor by which adding a center multiplies the product of the
@@ -564,7 +584,7 @@ class ChainState:
 
     def _resample_types(self):
         """Exact conjugate draw of every type under its prior."""
-        base = self._type_prior()
+        base, _ = self._type_prior()
         c_rows = self.pubs.rows(self.c)
         for row, idx in self.types.groups():
             ps = self.pubs.vecs[c_rows[idx]]
@@ -572,13 +592,6 @@ class ChainState:
 
     # ------------------------------------------------------------------
     # indicator updates
-
-    def _aux_candidates(self, orphan, draw):
-        """m3's aux_samples new-parameter candidates (Neal 2000, Algorithm 8):
-        ``draw(m)`` fresh base draws, then a singleton's orphaned parameter."""
-        if orphan is None:
-            return draw(self.config.aux_samples)
-        return np.vstack([draw(self.config.aux_samples - 1), orphan[None, :]])
 
     def _c_candidates(self, n, orphan):
         """Existing-cluster ids plus log weights for resampling c_n; the
@@ -596,10 +609,13 @@ class ChainState:
         const = self.types.ll_const[k]
         existing = np.log(pubs.counts[lo:]) + data_loglik_rows(r, pubs.vecs[lo:], t, const)
         if self.variant == "m3":
+            # aux_samples candidates (Neal 2000, Algorithm 8): fresh base
+            # draws, then a singleton's orphaned center.
             base = self.pub_base
-            news = self._aux_candidates(
-                orphan, lambda m: self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
-            )
+            m = self.config.aux_samples - (orphan is not None)
+            news = self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
+            if orphan is not None:
+                news = np.vstack([news, orphan[None, :]])
             new = np.log(self.alpha_p / len(news)) + data_loglik_rows(r, news, t, const)
             if self.conditional:
                 # A new cluster adds a center, which shifts every type's prior.
@@ -630,58 +646,39 @@ class ChainState:
             pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
             self.c[n] = pubs.open(n, pub)
 
-    def _d_candidates(self, n, orphan):
-        """Existing-type ids plus log weights for resampling d_n; the
-        trailing entries belong to new-type candidates.  m1/m2 give the
-        weights as a list, computed in Python floats: with one to three
-        types, a numpy call per term costs more than its arithmetic."""
+    def _d_candidates(self, n):
+        """Existing-type ids plus log weights, as a list, for resampling
+        d_n; the last weight is a new type's, with its precisions integrated
+        out under the types' prior.  Computed in Python floats: with one to
+        three types, a numpy call per term costs more than its arithmetic."""
         p = self.pubs.vecs[self.pubs.row(int(self.c[n]))]
         types = self.types
-        if self.variant != "m3":
-            d2 = [(a - b) ** 2 for a, b in zip(self.X[n].tolist(), p.tolist())]
-            head = 0.5 * self.F * LOG_2PI
-            logw = []
-            for t, half_logsum, count in zip(
-                types.vec_list, types.half_logsum_list, types.counts.tolist()
-            ):
-                dot = 0.0
-                for a, b in zip(t, d2):
-                    dot += a * b
-                logw.append(math.log(count) + half_logsum - 0.5 * dot - head)
-            logw.append(math.log(self.alpha_t) + new_type_loglik(d2, self._new_type_terms))
-            return types.ids, logw, None
-        d2 = (self.X[n] - p) ** 2
-        existing = (
-            np.log(types.counts)
-            + types.half_logsum
-            - 0.5 * types.vecs @ d2
-            - 0.5 * self.F * LOG_2PI
-        )
-        base = self._type_prior()
-        news = self._aux_candidates(
-            orphan, lambda m: self.rng.gamma(base.shape, base.scale, (m, self.F))
-        )
-        lw_new = (
-            np.log(self.alpha_t / len(news))
-            + 0.5 * np.log(news).sum(axis=1)
-            - 0.5 * news @ d2
-            - 0.5 * self.F * LOG_2PI
-        )
-        return types.ids, np.concatenate([existing, lw_new]), news
+        d2 = [(a - b) ** 2 for a, b in zip(self.X[n].tolist(), p.tolist())]
+        head = 0.5 * self.F * LOG_2PI
+        logw = []
+        for t, half_logsum, count in zip(
+            types.vec_list, types.half_logsum_list, types.counts.tolist()
+        ):
+            dot = 0.0
+            for a, b in zip(t, d2):
+                dot += a * b
+            logw.append(math.log(count) + half_logsum - 0.5 * dot - head)
+        _, terms = self._type_prior()
+        logw.append(math.log(self.alpha_t) + new_type_loglik(d2, terms))
+        return types.ids, logw
 
     def sample_d(self, n):
         """Reassign item n's reference type (training items included)."""
         types = self.types
-        tids, logw, news = self._d_candidates(n, types.detach(n, int(self.d[n])))
-        sel = _pick(logw, self.rng) if news is not None else _pick_few(logw, self.rng)
+        types.detach(n, int(self.d[n]))
+        tids, logw = self._d_candidates(n)
+        sel = _pick_few(logw, self.rng)
         if sel < len(tids):
             self.d[n] = types.join(n, sel)
-        elif news is not None:
-            self.d[n] = types.open(n, news[sel - len(tids)])
         else:
             r, p = self.X[n], self.pubs[int(self.c[n])]
-            tvec = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
-            self.d[n] = types.open(n, tvec)
+            base, _ = self._type_prior()
+            self.d[n] = types.open(n, posterior_sample_type(r[None, :], p[None, :], base, self.rng))
 
     # ------------------------------------------------------------------
     # sweeps and scoring
@@ -727,7 +724,7 @@ class ChainState:
         lp += self._eppf(self.alpha_t, self.types.counts.tolist())
         for pub in self.pubs.vecs:
             lp += publication_base_logpdf(pub, self.pub_base)
-        type_prior = self._type_prior()
+        type_prior, _ = self._type_prior()
         for tvec in self.types.vecs:
             lp += type_base_logpdf(tvec, type_prior)
         p_items = self.pubs.vecs[self.pubs.rows(self.c)]
@@ -761,8 +758,15 @@ class ChainState:
                   self.types.new_head)
         assert all(c.tobytes() == np.array(f).tobytes() for c, f in zip(cached, fresh))
         assert self.types.vec_list == self.types.vecs.tolist()
-        if self.pubs._pair_sq is not None:
-            assert self.pubs._pair_sq.tobytes() == pairwise_sq_diff_sum(self.pubs.vecs).tobytes()
+        # The running pair sum, to rounding, and the prior built from it.
+        pubs = self.pubs
+        if pubs._pair_sq is not None:
+            fresh = pairwise_sq_diff_sum(pubs.vecs)
+            assert np.allclose(pubs._pair_sq, fresh, rtol=1e-9, atol=1e-9 * (1.0 + fresh.max()))
+        if pubs._prior is not None:
+            want = conditional_type_base(self.type_base, pubs._pair_sq)
+            assert pubs._prior[0].scale.tobytes() == want.scale.tobytes()
+            assert pubs._prior[1] == new_type_terms(want)
         assert self.alpha_p > 0 and self.alpha_t > 0
         assert np.isfinite(self.pubs.vecs).all()
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()

@@ -226,16 +226,54 @@ def conditional_three_point_posterior(
     return {parts[i].canonical(): probs[i] for i in range(len(parts))}
 
 
-def chain_partition_tv(state, sweeps, oracle):
+def type_partition_posterior(residuals, alpha, shape, rate, grid=20001):
+    """Exact posterior over the set partitions of a few items into types
+    under a CRP(alpha) prior, each type's precision t ~ Gamma(shape, rate)
+    and item i's residual N(0, 1/t) (1-D), the precision integrated out by
+    a trapezoid rule in log t."""
+    u = np.linspace(-30.0, 8.0, grid)
+    t = np.exp(u)
+    log_prior = shape * math.log(rate) - math.lgamma(shape) + shape * u - rate * t
+
+    def log_marginal(xs):
+        logf = log_prior + sum(0.5 * (u - math.log(2 * math.pi)) - 0.5 * t * x**2 for x in xs)
+        top = logf.max()
+        return top + math.log(np.trapezoid(np.exp(logf - top), u))
+
+    parts = enumerate_partitions(range(len(residuals)))
+    logs = []
+    for part in parts:
+        blocks = list(part.clusters().values())
+        lp = len(blocks) * math.log(alpha)
+        for members in blocks:
+            lp += math.lgamma(len(members)) + log_marginal([residuals[i] for i in members])
+        logs.append(lp)
+    logs = np.array(logs)
+    probs = np.exp(logs - logs.max())
+    probs /= probs.sum()
+    return {parts[i].canonical(): probs[i] for i in range(len(parts))}
+
+
+def chain_partition_tv(state, sweeps, oracle, step=None, labels=None):
     """Total-variation distance between the frequencies of the test
     partitions a chain state visits over ``sweeps`` sweeps (items keyed by
-    position) and the ``oracle`` probabilities; audits the state at the end."""
+    position) and the ``oracle`` probabilities; audits the state at the end.
+    When given, ``step(state)`` stands in for the sweep and
+    ``labels(state)``, each item's block label by position, for the test
+    partition."""
     index = {name: i for i, name in enumerate(state.ids)}
     counts = Counter()
     for _ in range(sweeps):
-        state.sweep()
-        part = state.test_partition()
-        counts[Partition({index[i]: c for i, c in part.assignment.items()}).canonical()] += 1
+        if step is None:
+            state.sweep()
+        else:
+            step(state)
+        if labels is None:
+            part = state.test_partition()
+            key = Partition({index[i]: c for i, c in part.assignment.items()}).canonical()
+        else:
+            key = Partition(dict(enumerate(labels(state)))).canonical()
+        counts[key] += 1
     state.check()
     return 0.5 * sum(abs(counts.get(k, 0) / sweeps - p) for k, p in oracle.items())
 

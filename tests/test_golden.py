@@ -10,8 +10,9 @@ A change that alters any of these on purpose regenerates the files with
 the same flags and says so.  ``m3*`` (and with them ``score.csv``) were
 last regenerated when m3 moved to exact conjugate refreshes, one
 retained-candidate step for a center under the conditional type prior,
-the one-of-M auxiliary-candidate rule and the tilted new-cluster weight;
-no other file changed then.
+the one-of-M auxiliary-candidate rule, the tilted new-cluster weight and
+m1's closed-form d update under the types' prior; no other file changed
+then.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling:

@@ -7,7 +7,12 @@ import pytest
 from dpsc.data import Dataset, SynthConfig, standardize, synth_gaussian
 from dpsc.errors import ConfigError, DomainError
 from dpsc import sampler
-from dpsc.gaussian import data_loglik, marginal_loglik_new_publication, marginal_loglik_new_type
+from dpsc.gaussian import (
+    TypeBase,
+    data_loglik,
+    marginal_loglik_new_publication,
+    marginal_loglik_new_type,
+)
 from dpsc.partition import Partition
 from dpsc.sampler import (
     ChainState,
@@ -19,7 +24,12 @@ from dpsc.sampler import (
     run_chains,
 )
 
-from oracles import chain_partition_tv, conditional_three_point_posterior, three_point_posterior
+from oracles import (
+    chain_partition_tv,
+    conditional_three_point_posterior,
+    three_point_posterior,
+    type_partition_posterior,
+)
 
 
 def tiny_dataset(values, split="test"):
@@ -308,14 +318,14 @@ def test_scalar_d_update_matches_per_item_formula():
     state.alpha_t *= 3.0
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(n, int(state.d[n]))
-        tids, logw, news = state._d_candidates(n, None)
+        tids, logw = state._d_candidates(n)
         r, p = state.X[n], state.pubs[int(state.c[n])]
         want = [
             math.log(len(state.types.members[int(k)])) + data_loglik(r, p, state.types[int(k)])
             for k in tids
         ]
         want.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, state.type_base))
-        assert news is None and len(tids) >= 1
+        assert len(tids) >= 1
         assert logw == pytest.approx(want, rel=1e-12)
         state.types.join(n, state.types.row(int(tids[0])))
         state.d[n] = int(tids[0])
@@ -372,6 +382,26 @@ def test_conditional_m3_matches_tilted_joint(settings):
     cfg = frozen_config(variant="m3", conditional_type_prior=True, **settings)
     state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
     tv = chain_partition_tv(state, 30_000, conditional_three_point_posterior(values, alpha=1.0))
+    assert tv < 0.02
+
+
+def test_conditional_m3_type_partition_matches_enumeration():
+    # With the clusters and centers held fixed, the type refreshes and the
+    # d updates sample the type partition of a DP mixture whose base is the
+    # shifted gamma Gamma(1, 1 + S), here S = 0.9^2.
+    values = [-1.2, 0.1, 0.9]
+    cfg = SamplerConfig(variant="m3", iterations=1, resample_alphas=False, seed=0)
+    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
+    state._install_clusters([0, 1, 1], [[-0.5], [0.4]])
+    residuals = [-0.7, -0.3, 0.5]
+    oracle = type_partition_posterior(residuals, alpha=1.0, shape=1.0, rate=1.0 + 0.9**2)
+
+    def step(s):
+        s._resample_types()
+        for n in range(s.N):
+            s.sample_d(n)
+
+    tv = chain_partition_tv(state, 30_000, oracle, step=step, labels=lambda s: s.d.tolist())
     assert tv < 0.02
 
 
@@ -484,12 +514,56 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
     for _ in range(3):
         state.sweep()
     n = int(ds.indices("test")[0])
-    orphan = state.types.detach(n, int(state.d[n]))
-    tids, logw, _ = state._d_candidates(n, orphan)
+    state.types.detach(n, int(state.d[n]))
+    tids, logw = state._d_candidates(n)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
         state.X[n], state.pubs[int(state.c[n])], state.type_base
     )
     assert logw[-1] == pytest.approx(expected, abs=1e-9)
+
+
+def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
+    # Under the conditional prior a new type's precisions are integrated out
+    # under Gamma(a, rate + S), S the centers' pair sum; a = rate = 1 here.
+    ds = supervised_dataset(seed=9)
+    cfg = SamplerConfig(variant="m3", iterations=3, seed=0)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    P = state.pubs.vecs
+    s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
+    shifted = TypeBase(shape=np.ones(state.F), scale=1.0 / (1.0 + s))
+    for n in (0, int(ds.indices("test")[-1])):
+        state.types.detach(n, int(state.d[n]))
+        tids, logw = state._d_candidates(n)
+        expected = math.log(state.alpha_t) + marginal_loglik_new_type(
+            state.X[n], state.pubs[int(state.c[n])], shifted
+        )
+        assert logw[-1] == pytest.approx(expected, abs=1e-9)
+        state.types.join(n, 0)
+        state.d[n] = int(tids[0])
+    state.check()
+
+
+def test_conditional_m3_centers_need_a_drawn_candidate():
+    # A conditional center's candidates are itself and candidate_count - 1
+    # conjugate draws, so with one candidate no center could move.
+    ds = supervised_dataset()
+    with pytest.raises(ConfigError, match="candidate_count must be >= 2"):
+        ChainState(ds, SamplerConfig(variant="m3", candidate_count=1), np.random.default_rng(0))
+    # Two training clusters a short way apart, so the tilt is mild.
+    ds = Dataset(
+        ids=["a0", "a1", "b0", "b1"],
+        X=np.array([[0.0], [0.2], [0.5], [0.7]]),
+        labels=["a", "a", "b", "b"],
+        split=["train"] * 4,
+    )
+    state = ChainState(ds, frozen_config(variant="m3", candidate_count=2), np.random.default_rng(0))
+    before = state.pubs.vecs.copy()
+    for _ in range(20):
+        state.sweep()
+    assert (state.pubs.vecs != before).all()
+    state.check()
 
 
 def test_m3_candidate_count_one_still_valid():
