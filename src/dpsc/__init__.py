@@ -32,7 +32,6 @@ from .gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
-    conditional_type_logdensity,
     data_loglik,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,

@@ -21,7 +21,7 @@ from .dp import GammaPrior, appropriateness_curve
 from .errors import ConfigError, DomainError
 from .metrics import comparison_problem, full_report
 from .partition import read_partition_file, write_partition_file
-from .sampler import SamplerConfig, extract_prediction, run_chains
+from .sampler import SamplerConfig, default_workers, extract_prediction, run_chains
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -158,13 +158,20 @@ def cmd_run(args):
     wanted, flag_errors = _run_validate(args, dataset)
     errors.extend(flag_errors)
     errors.extend(config.validate(dataset))
+    if dataset is not None:
+        has_train = any(s == "train" for s in dataset.split)
+        try:
+            std, _ = standardize(dataset, stats_over="train" if has_train else "all")
+        except DomainError as exc:
+            errors.append(str(exc))
+    try:
+        workers = default_workers()
+    except ConfigError as exc:
+        errors.append(str(exc))
     if errors:
         raise _ValidationFailure(errors)
 
-    has_train = any(s == "train" for s in dataset.split)
-    std, _ = standardize(dataset, stats_over="train" if has_train else "all")
-
-    per_chain = run_chains(std, config)
+    per_chain = run_chains(std, config, workers)
     prediction = extract_prediction(per_chain)
     write_partition_file(prediction, f"{args.out_prefix}.pred.tsv")
     with open(f"{args.out_prefix}.chains.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -202,7 +209,7 @@ def cmd_run(args):
                     labels=[None] * len(test_ids),
                     split=["test"] * len(test_ids),
                 )
-                part = extract_prediction(run_chains(test_ds, cdp_cfg))
+                part = extract_prediction(run_chains(test_ds, cdp_cfg, workers))
             write_partition_file(part, f"{args.out_prefix}.{name}.tsv")
             print(f"wrote {args.out_prefix}.{name}.tsv")
     return EXIT_OK

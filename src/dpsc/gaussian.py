@@ -107,16 +107,15 @@ def new_publication_terms(t, base: PublicationBase):
     return var, -0.5 * (LOG_2PI + np.log(var))
 
 
-def marginal_loglik_new_publication(r, t, base: PublicationBase, terms=None):
+def marginal_loglik_new_publication(r, t, base: PublicationBase):
     """log of the observation density with the center integrated out.
 
     Convolving the Normal center prior with the Normal likelihood gives,
-    per dimension, N(r; base mean, base variance + 1/t).  ``terms`` is
-    new_publication_terms(t, base), when the caller already has it.
+    per dimension, N(r; base mean, base variance + 1/t).
     """
     r, t = np.asarray(r, float), np.asarray(t, float)
     _check_dims(r, t, base.mean)
-    var, head = new_publication_terms(t, base) if terms is None else terms
+    var, head = new_publication_terms(t, base)
     return float(new_publication_loglik_rows(r[None], var, head, base)[0])
 
 
@@ -273,10 +272,3 @@ def conditional_type_base(base: TypeBase, pair_sq_sum) -> TypeBase:
     and belongs to the normalizer.
     """
     return TypeBase(shape=base.shape, scale=1.0 / (base.rate + np.asarray(pair_sq_sum, float)))
-
-
-def conditional_type_logdensity(t, base: TypeBase, pair_sq_sum, rate=1.0):
-    """Normalized density of the distance-conditioned type prior with the
-    pairwise tilt scaled by ``rate``: the base's rate shifted by rate * S."""
-    _check_dims(t, base.shape, np.asarray(pair_sq_sum, float))
-    return type_base_logpdf(t, conditional_type_base(base, rate * np.asarray(pair_sq_sum, float)))

@@ -52,22 +52,23 @@ member set, whose iteration order fixes the summation order of the
 posterior statistics.
 
 The indicator pass.  Between the refreshes and the precision draws, a
-sweep updates c and then d of each item in turn.  For m1/m2 the c updates
-read their weights from a table filled ahead (``_ClusterTable``): each
-test item's log-likelihood against each candidate center and its
-new-cluster log weight.  This is exact because nothing those numbers
-read changes during the pass: no center or type vector is written (rows
-are only opened and deleted), an item's type at its c update is still its
-type at the start of the pass, and alpha_p and both bases stay fixed.  The
-table is filled in blocks of test items, lives for one pass only and is
-dropped when the pass ends, also when it ends in an exception; a c update
-called outside a sweep computes its weights from the current state.  The
-d update works in Python floats, as one to three types make numpy calls
-cost more than their arithmetic.  Both give the weights of the
-per-item formulas, which may differ from them in the last bit (a batched
-product or libm instead of numpy's exp and log can round differently), so
-a uniform picks the same candidate unless it falls within those few ulps
-of a boundary.  m3's c update computes its weights from the state.
+sweep updates c and then d of each item in turn.  Every variant's c
+updates read a table filled ahead (``_ClusterTable``): each test item's
+log-likelihood against each candidate center and its closed-form
+new-cluster log weight, which m1/m2 use and m3 replaces by its auxiliary
+candidates.  This is exact because nothing those numbers read changes
+during the pass: no center or type vector is written (rows are only
+opened and deleted), an item's type at its c update is still its type at
+the start of the pass, and alpha_p and both bases stay fixed.  The table
+is filled in blocks of test items, lives for one pass only and is dropped
+when the pass ends, also when it ends in an exception; a c update called
+outside a sweep fills a table of its own from the current state.  The d
+update works in Python floats, as one to three types make numpy calls
+cost more than their arithmetic.  Both give the weights of the per-item
+formulas, which may differ from them in the last bit (a batched product
+or libm instead of numpy's exp and log can round differently), so a
+uniform picks the same candidate unless it falls within those few ulps of
+a boundary.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from .gaussian import (
     conditional_type_base,
     data_loglik_rows,
     loglik_const,
-    marginal_loglik_new_publication,
+    marginal_loglik_new_publication,  # unused; bench/workloads.py rebinds it here by name
     new_publication_loglik_rows,
     new_publication_terms,
     new_type_loglik,
@@ -371,7 +372,7 @@ class _TypeRows(_Rows):
 
 
 class _ClusterTable:
-    """The m1/m2 c-update log weights of one indicator pass, without the log
+    """The c-update log weights of one indicator pass, without the log
     counts, computed ahead in blocks of test items.
 
     Nothing they read changes during the pass: no center or type vector is
@@ -380,9 +381,10 @@ class _ClusterTable:
     So when the first item of a block of ``TABLE_BLOCK`` test items is
     updated, one batched product gives every item of the block its
     data_loglik_rows against each candidate center, a column per center id,
-    and column 0 gets its log alpha_p + new-cluster marginal.  A center
-    opened later gets its column, for the rest of the block, when an item
-    first reads it; a deleted one drops out of the lookup by id."""
+    and column 0 gets its log alpha_p + new-cluster marginal (m1/m2's
+    new-cluster weight; m3 ignores it).  A center opened later gets its
+    column, for the rest of the block, when an item first reads it; a
+    deleted one drops out of the lookup by id."""
 
     def __init__(self, state):
         self.state = state
@@ -436,6 +438,8 @@ class _ClusterTable:
         """data_loglik_rows of the block's items from ``row`` on against the
         rows of P: one matrix-vector product per type, over the rows of all
         its items at once."""
+        if not len(P):  # every candidate center was deleted
+            return np.empty((len(self.R) - row, 0))
         # (r - P)**2 of item after item; subtracting P from repeated rows is
         # much faster than broadcasting r across P.
         D = np.repeat(self.R[row:], len(P), axis=0).reshape(-1, *P.shape)
@@ -471,7 +475,7 @@ class ChainState:
         else:
             self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
-        self._table = None  # a _ClusterTable during an m1/m2 indicator pass
+        self._table = None  # a _ClusterTable during an indicator pass
 
         self.pub_base = PublicationBase.standard(self.F)
         self._set_type_base(TypeBase.standard(self.F))
@@ -494,12 +498,7 @@ class ChainState:
 
         self.alpha_p = config.alpha_p
         self.alpha_t = config.alpha_t
-        if len(train_idx) > 0:
-            self.train_pair = (len(train_idx), k_train)
-        else:
-            self.train_pair = None
-
-        self.iteration = 0
+        self.train_pair = (len(train_idx), k_train)
         self._init_params()
 
     # The benchmark's traced sampler (bench/workloads.py) reads these two.
@@ -596,38 +595,31 @@ class ChainState:
     def _c_candidates(self, n, orphan):
         """Existing-cluster ids plus log weights for resampling c_n; the
         trailing entries belong to new-cluster candidates.  The existing
-        candidates are the trailing rows of the center store."""
+        candidates are the trailing rows of the center store, weighted by
+        their log counts plus the pass table's log-likelihoods (a table of
+        its own outside a sweep).  m1/m2 take the table's new-cluster
+        weight; m3 replaces it by its auxiliary candidates."""
         lo = self.first_candidate
         pubs = self.pubs
-        if self._table is not None:
-            logw = self._table.weights(n)
-            logw[:-1] += np.log(pubs.counts[lo:])
+        logw = (self._table or _ClusterTable(self)).weights(n)
+        logw[:-1] += np.log(pubs.counts[lo:])
+        if self.variant != "m3":
             return pubs.ids[lo:], logw, None
-        r = self.X[n]
+        # aux_samples candidates (Neal 2000, Algorithm 8): fresh base draws,
+        # then a singleton's orphaned center.
+        base = self.pub_base
+        m = self.config.aux_samples - (orphan is not None)
+        news = self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
+        if orphan is not None:
+            news = np.vstack([news, orphan[None, :]])
         k = self.types.row(int(self.d[n]))
-        t = self.types.vecs[k]
-        const = self.types.ll_const[k]
-        existing = np.log(pubs.counts[lo:]) + data_loglik_rows(r, pubs.vecs[lo:], t, const)
-        if self.variant == "m3":
-            # aux_samples candidates (Neal 2000, Algorithm 8): fresh base
-            # draws, then a singleton's orphaned center.
-            base = self.pub_base
-            m = self.config.aux_samples - (orphan is not None)
-            news = self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
-            if orphan is not None:
-                news = np.vstack([news, orphan[None, :]])
-            new = np.log(self.alpha_p / len(news)) + data_loglik_rows(r, news, t, const)
-            if self.conditional:
-                # A new cluster adds a center, which shifts every type's prior.
-                new += self._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
-        else:
-            news = None
-            terms = (self.types.new_var[k], self.types.new_head[k])
-            new = [
-                np.log(self.alpha_p)
-                + marginal_loglik_new_publication(r, t, self.pub_base, terms)
-            ]
-        return pubs.ids[lo:], np.concatenate([existing, new]), news
+        new = np.log(self.alpha_p / len(news)) + data_loglik_rows(
+            self.X[n], news, self.types.vecs[k], self.types.ll_const[k]
+        )
+        if self.conditional:
+            # A new cluster adds a center, which shifts every type's prior.
+            new += self._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
+        return pubs.ids[lo:], np.concatenate([logw[:-1], new]), news
 
     def sample_c(self, n):
         """Reassign test item n to an existing cluster or a fresh one."""
@@ -684,11 +676,8 @@ class ChainState:
     # sweeps and scoring
 
     def _resample_alphas(self):
-        if self.train_pair is not None:
-            n_tr, k_tr = self.train_pair
-            self.alpha_p = sample_precision_single(
-                self.alpha_p, n_tr, k_tr, ALPHA_PRIOR, self.rng
-            )
+        n_tr, k_tr = self.train_pair
+        self.alpha_p = sample_precision_single(self.alpha_p, n_tr, k_tr, ALPHA_PRIOR, self.rng)
         if not self.frozen_types:
             self.alpha_t = sample_precision_single(
                 self.alpha_t, self.N, len(self.types), ALPHA_PRIOR, self.rng
@@ -701,7 +690,7 @@ class ChainState:
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
-        self._table = None if self.variant == "m3" else _ClusterTable(self)
+        self._table = _ClusterTable(self)
         try:
             for n in range(self.N):
                 if self.is_test[n]:
@@ -712,7 +701,6 @@ class ChainState:
             self._table = None
         if self.config.resample_alphas:
             self._resample_alphas()
-        self.iteration += 1
 
     def _eppf(self, alpha, sizes):
         lp = len(sizes) * np.log(alpha) + gammaln(alpha) - gammaln(alpha + self.N)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpsc.cli import main
-from dpsc.data import SynthConfig, save_dataset, synth_gaussian
+from dpsc.data import Dataset, SynthConfig, save_dataset, synth_gaussian
 from dpsc.metrics import full_report
 from dpsc.partition import Partition, read_partition_file, write_partition_file
 
@@ -17,6 +17,11 @@ def make_dataset_file(tmp_path, seed=0, name="data.csv"):
     path = tmp_path / name
     save_dataset(ds, path)
     return path, ds
+
+
+def _subset(ds, keep):
+    return Dataset(ids=[ds.ids[i] for i in keep], X=ds.X[keep],
+                   labels=[ds.labels[i] for i in keep], split=[ds.split[i] for i in keep])
 
 
 # ------------------------------------------------------------------ synth
@@ -163,6 +168,41 @@ def test_run_lists_dataset_and_flag_errors_together(tmp_path, capsys, monkeypatc
         assert sum(expected in line for line in lines) == 1, expected
     assert len(lines) == 5
     assert calls == []
+
+
+def test_run_lists_standardize_and_thread_errors_with_flag_errors(tmp_path, capsys, monkeypatch):
+    ds = synth_gaussian(SynthConfig(1, 2, dim=2, min_class_size=6, max_class_size=8, seed=0))
+    keep = [int(ds.indices("train")[0]), *ds.indices("test").tolist()]
+    save_dataset(_subset(ds, keep), tmp_path / "one_train.csv")
+    calls = []
+    monkeypatch.setattr("dpsc.cli.run_chains", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv("DPSC_THREADS", "abc")
+    code = main(["run", str(tmp_path / "one_train.csv"), "--chains", "0",
+                 "-o", str(tmp_path / "x")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("ERROR:2:") for line in lines)
+    for expected in ("n_chains", "need at least 2 items", "DPSC_THREADS"):
+        assert sum(expected in line for line in lines) == 1, expected
+    assert len(lines) == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--variant", "m1"], ["--variant", "m2"], ["--variant", "m3"], ["--baseline", "cdp"]],
+    ids=["m1", "m2", "m3", "cdp"],
+)
+def test_run_with_one_test_item(tmp_path, flags):
+    # The test item's own cluster is its only candidate, and taking the item
+    # out deletes it: each c update starts from no candidate at all.
+    ds = synth_gaussian(SynthConfig(2, 1, dim=2, min_class_size=6, max_class_size=8, seed=0))
+    keep = [*ds.indices("train").tolist(), int(ds.indices("test")[0])]
+    save_dataset(_subset(ds, keep), tmp_path / "one_test.csv")
+    assert main(["run", str(tmp_path / "one_test.csv"), "--chains", "1", "--iters", "6",
+                 *flags, "-o", str(tmp_path / "o")]) == 0
+    name = "cdp" if "--baseline" in flags else "pred"
+    assert read_partition_file(tmp_path / f"o.{name}.tsv").n_clusters == 1
 
 
 def test_run_names_the_failed_chain(tmp_path, capsys, monkeypatch):

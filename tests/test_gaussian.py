@@ -9,7 +9,7 @@ from dpsc.gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
-    conditional_type_logdensity,
+    conditional_type_base,
     data_loglik,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
@@ -259,7 +259,8 @@ def test_conditional_prior_single_publication():
     # One center leaves nothing to tilt: the base.
     tb = TypeBase(shape=[2.0, 0.7], scale=[0.5, 1.5])
     t = np.array([1.3, 0.6])
-    got = conditional_type_logdensity(t, tb, pairwise_sq_diff_sum(np.array([[0.4, -0.2]])))
+    s = pairwise_sq_diff_sum(np.array([[0.4, -0.2]]))
+    got = type_base_logpdf(t, conditional_type_base(tb, s))
     assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
 
 
@@ -269,16 +270,15 @@ def test_conditional_prior_zero_distance_term():
     t = np.array([2.0])
     pubs = np.array([[0.5], [0.5]])
     for rate in (1.0, 3.5):
-        got = conditional_type_logdensity(t, tb, pairwise_sq_diff_sum(pubs), rate)
+        got = type_base_logpdf(t, conditional_type_base(tb, rate * pairwise_sq_diff_sum(pubs)))
         assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
 
 
 @pytest.mark.parametrize("shape,scale,pair_sq,rate", [(1.0, 1.0, 4.0, 1.0), (2.5, 0.4, 0.3, 2.0)])
 def test_conditional_density_integrates_to_one(shape, scale, pair_sq, rate):
     base = TypeBase(shape=[shape], scale=[scale])
-    total, _ = quad(
-        lambda t: math.exp(conditional_type_logdensity([t], base, [pair_sq], rate)), 0, np.inf
-    )
+    prior = conditional_type_base(base, rate * np.array([pair_sq]))
+    total, _ = quad(lambda t: math.exp(type_base_logpdf([t], prior)), 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -297,10 +297,8 @@ def test_conditional_prior_penalizes_high_precision_separation():
                 lp -= rate * float(((pubs[j] - pubs[k]) ** 2 * t).sum())
         return lp
 
-    s = pairwise_sq_diff_sum(pubs)
-    got = conditional_type_logdensity(hi, tb, s, rate) - conditional_type_logdensity(
-        lo, tb, s, rate
-    )
+    prior = conditional_type_base(tb, rate * pairwise_sq_diff_sum(pubs))
+    got = type_base_logpdf(hi, prior) - type_base_logpdf(lo, prior)
     assert got == pytest.approx(raw(hi) - raw(lo), abs=1e-12)
     assert got < type_base_logpdf(hi, tb) - type_base_logpdf(lo, tb)
 
