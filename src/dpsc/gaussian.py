@@ -127,23 +127,19 @@ def new_publication_loglik_rows(R, var, head, base: PublicationBase):
 
 
 def new_type_terms(base: TypeBase):
-    """Base-only pieces of the new-type marginal: the summed log-normalizer
-    and, as lists, the per-dimension shape + 1/2 and the rate."""
+    """Base-only pieces of the new-type marginal: the summed log-normalizer,
+    the per-dimension shape + 1/2 and the rate."""
     a, rate = base.shape, base.rate
     const = float((gammaln(a + 0.5) - gammaln(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum())
-    return const, (a + 0.5).tolist(), rate.tolist()
+    return const, a + 0.5, rate
 
 
-def new_type_loglik(d2, terms):
-    """marginal_loglik_new_type from the squared differences d2 = (r - p)^2,
-    a sequence of floats, unchecked; ``terms`` is new_type_terms(base).
-    Scalar arithmetic, as the d update calls it once per item on a few
-    dimensions."""
+def new_type_loglik(D2, terms):
+    """marginal_loglik_new_type of each row of the squared differences
+    D2 = (r - p)^2 (or of one such vector), unchecked; ``terms`` is
+    new_type_terms(base)."""
     const, shape_half, rate = terms
-    acc = 0.0
-    for a, b, x in zip(shape_half, rate, d2):
-        acc += a * math.log(b + 0.5 * x)
-    return const - acc
+    return const - np.log(rate + 0.5 * D2) @ shape_half
 
 
 def marginal_loglik_new_type(r, p, base: TypeBase):
@@ -155,7 +151,15 @@ def marginal_loglik_new_type(r, p, base: TypeBase):
     """
     r, p = np.asarray(r, float), np.asarray(p, float)
     _check_dims(r, p, base.shape)
-    return new_type_loglik(((r - p) ** 2).tolist(), new_type_terms(base))
+    return float(new_type_loglik((r - p) ** 2, new_type_terms(base)))
+
+
+def publication_posterior_from_sums(t_sum, tr_sum, base: PublicationBase):
+    """publication_posterior_params from the sums, over a center's
+    observations, of their precision vectors (``t_sum``) and of precision
+    times observation (``tr_sum``); one center per row of 2-D sums."""
+    prec = 1.0 / base.variance + t_sum
+    return (base.mean / base.variance + tr_sum) / prec, prec
 
 
 def publication_posterior_params(rs, ts, base: PublicationBase):
@@ -167,9 +171,7 @@ def publication_posterior_params(rs, ts, base: PublicationBase):
         prec = np.full(base.dim, 1.0 / base.variance)
         return base.mean.copy(), prec
     _check_dims(rs, ts, base.mean)
-    prec = 1.0 / base.variance + ts.sum(axis=0)
-    mean = (base.mean / base.variance + (ts * rs).sum(axis=0)) / prec
-    return mean, prec
+    return publication_posterior_from_sums(ts.sum(axis=0), (ts * rs).sum(axis=0), base)
 
 
 def posterior_sample_publication(rs, ts, base: PublicationBase, rng, size=None):
@@ -177,6 +179,13 @@ def posterior_sample_publication(rs, ts, base: PublicationBase, rng, size=None):
     ``size`` (for example (m, dim)) gives m independent draws as rows."""
     mean, prec = publication_posterior_params(rs, ts, base)
     return rng.normal(mean, np.sqrt(1.0 / prec), size)
+
+
+def type_posterior_from_sums(count, sq_sum, base: TypeBase):
+    """type_posterior_params from a type's observation count and the sum of
+    their squared residuals ``sq_sum``; one type per row of 2-D sums, with
+    ``count`` a column."""
+    return base.shape + 0.5 * count, base.rate + 0.5 * sq_sum
 
 
 def type_posterior_params(rs, ps, base: TypeBase):
@@ -187,9 +196,7 @@ def type_posterior_params(rs, ps, base: TypeBase):
     if rs.size == 0:
         return base.shape.copy(), base.rate
     _check_dims(rs, ps, base.shape)
-    shape = base.shape + 0.5 * rs.shape[0]
-    rate = base.rate + 0.5 * ((rs - ps) ** 2).sum(axis=0)
-    return shape, rate
+    return type_posterior_from_sums(rs.shape[0], ((rs - ps) ** 2).sum(axis=0), base)
 
 
 def posterior_sample_type(rs, ps, base: TypeBase, rng):

@@ -27,46 +27,53 @@ Chain state layout.  Each Dirichlet process keeps its bookkeeping in one
 row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
 the types): one matrix of parameter vectors, the id of each row, its
 member count as a float, the member set of each id and the next unused
-id.  The type store also caches, per row, 0.5 * sum(log t), the constant
-of data_loglik_rows and the per-dimension terms of the new-cluster
-marginal, recomputed whenever a type vector is written; the center store
-caches the centers' pairwise_sq_diff_sum and the conditional type prior it
-gives (m3), the sum kept up to date when a center is added or removed and
-recomputed after one is written.  Both indicator
-updates run the same CRP step on their store (Neal 2000, Algorithms 2
-and 8): ``detach`` takes the item out and drops a row that emptied, then
-the item ``join``s an existing row or ``open``s a new one.  An update
-reads contiguous slices: the candidate clusters are the trailing rows
-(all rows when test items may join training clusters, which are never
-emptied and so stay in the leading rows), and the refreshes and the joint
-score map items to rows with one searchsorted.
+id.  The type store also caches, per row, the constant of
+data_loglik_rows and the per-dimension terms of the new-cluster marginal;
+the center store caches the centers' pairwise_sq_diff_sum and the
+conditional type prior it gives (m3).  Both caches are updated by one
+row's terms when a row is added or removed and recomputed after the
+vectors are written.  Both indicator updates run the same CRP step on
+their store (Neal 2000, Algorithms 2 and 8): ``detach`` takes the item out
+and drops a row that emptied, then the item ``join``s an existing row or
+``open``s a new one.  An update reads contiguous slices: the candidate
+clusters are the trailing rows (all rows when test items may join
+training clusters, which are never emptied and so stay in the leading
+rows), and the refreshes and the joint score map items to rows with one
+searchsorted.
 
 Rows are kept in ascending id order: ids only grow, a new row is appended
 and a deleted one closes its gap.  Training cluster ids follow the first
 appearance of each label, so ascending id order is also the order in
 which clusters were created.  That order is the candidate order of every
-update and the order of every refresh loop, so it fixes which candidate a
-uniform draw selects and hence the whole random stream; changing it
-changes every chain.  The refreshes read each row's members from its
-member set, whose iteration order fixes the summation order of the
-posterior statistics.
+update and the order of every refresh's draws, so it fixes which candidate
+a uniform draw selects and hence the whole random stream; changing it
+changes every chain.  The refreshes sum each row's posterior statistics
+with one bincount over the items, in ascending item order.
 
 The indicator pass.  Between the refreshes and the precision draws, a
-sweep updates c and then d of each item in turn.  Every variant's c
+sweep updates c of every test item in turn (the c pass), then d of every
+item in turn (the d pass); each update conditions on the current rest of
+the state, so this is a systematic-scan Gibbs sampler.  Every variant's c
 updates read a table filled ahead (``_ClusterTable``): each test item's
 log-likelihood against each candidate center and its closed-form
 new-cluster log weight, which m1/m2 use and m3 replaces by its auxiliary
 candidates.  This is exact because nothing those numbers read changes
-during the pass: no center or type vector is written (rows are only
-opened and deleted), an item's type at its c update is still its type at
-the start of the pass, and alpha_p and both bases stay fixed.  The table
-is filled in blocks of test items, lives for one pass only and is dropped
-when the pass ends, also when it ends in an exception; a c update called
-outside a sweep fills a table of its own from the current state.  The d
-update works in Python floats, as one to three types make numpy calls
-cost more than their arithmetic.  Both give the weights of the per-item
-formulas, which may differ from them in the last bit (a batched product
-or libm instead of numpy's exp and log can round differently), so a
+during the c pass: no center or type vector is written (rows are only
+opened and deleted), no d changes, and alpha_p and both bases stay fixed.
+Once the c pass is done, every item's cluster, every center, alpha_t and
+the types' prior are fixed for the d pass, so its table (``_TypeTable``)
+holds every item's log-likelihood against each type from one product, its
+new-type weight, and the pass's N uniforms, drawn at once.  The d pass
+walks the items in blocks, evaluating every pick of a block under the
+current counts with each item taken out of its own type; only at the
+first item that moves (an item alone in its type always does) does it run
+the single-item update, and it resumes after that item.  An item that
+stays leaves the state as it found it, so the result is the sequential
+scan's with the same uniforms.  Both tables live for one pass only and are
+dropped when it ends, also when it ends in an exception; an update called
+outside a sweep fills a table of its own from the current state.  The
+tables give the weights of the per-item formulas, which may differ from
+them in the last bit (a batched product can round differently), so a
 uniform picks the same candidate unless it falls within those few ulps of
 a boundary.
 """
@@ -104,6 +111,8 @@ from .gaussian import (
     posterior_sample_publication,
     posterior_sample_type,
     publication_base_logpdf,
+    publication_posterior_from_sums,
+    type_posterior_from_sums,
     type_base_logpdf,
 )
 from .partition import Partition
@@ -180,7 +189,7 @@ class SampleRecord:
 # draw, loop against searchsorted: 1.8 / 3.2 us at 20 candidates, 3.9 / 3.3
 # at 40, 5.6 / 3.3 at 100, 13.4 / 4.1 at 200 (numpy 2.4, one core).
 PICK_SEARCH_MIN = 40
-TABLE_BLOCK = 64  # test items per block of the c-update table
+TABLE_BLOCK = 64  # items per block of the c-update table and of the d pass's scan
 
 
 def _scan(w, u):
@@ -208,14 +217,22 @@ def _pick(logw, rng):
     return _search(w, u) if len(w) >= PICK_SEARCH_MIN else _scan(w.tolist(), u)
 
 
-def _pick_few(logw, rng):
-    """_pick for a short list of log weights, in Python floats."""
-    top = max(logw)
-    w = [math.exp(x - top) for x in logw]
-    total = 0.0
-    for wi in w:
-        total += wi
-    return _scan(w, rng.random() * total)
+def _pick_rows(logw, u):
+    """Per row of the log weights ``logw``, the index drawn by its uniform
+    in ``u``: the first whose running sum exceeds u times the row's total,
+    the last running sum.  As u < 1, some running sum always does, and it
+    is never one of a zero weight."""
+    acc = np.exp(logw - logw.max(axis=1, keepdims=True)).cumsum(axis=1)
+    return (acc <= u[:, None] * acc[:, -1:]).sum(axis=1)
+
+
+def _row_sums(rows, values, k):
+    """Sums of the rows of ``values`` over the items of each of k groups,
+    ``rows`` giving each item's group: one bincount, which adds each sum in
+    ascending item order."""
+    F = values.shape[1]
+    flat = (rows[:, None] * F + np.arange(F)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=k * F).reshape(k, F)
 
 
 def _pair_terms(cands, others):
@@ -243,9 +260,9 @@ class _Rows(Mapping):
         self.next_id = int(self.ids[-1]) + 1
         self._changed()
 
-    def _changed(self, vec=None, sign=0.0):
-        """Called after a vector is written, or after the (1, F) ``vec`` is
-        added (``sign`` 1) or removed (-1)."""
+    def _changed(self, row=None, removed=None):
+        """Called after vectors are written (no arguments), after row
+        ``row`` is added, or after it is removed, ``removed`` its vector."""
 
     def row(self, key):
         return bisect_left(self.id_list, key)
@@ -254,6 +271,7 @@ class _Rows(Mapping):
         return self.ids.searchsorted(keys)
 
     def set(self, row, vec):
+        """Write the vector of one row, or of every row (``row`` a slice)."""
         self.vecs[row] = vec
         self._changed()
 
@@ -272,7 +290,7 @@ class _Rows(Mapping):
         self.ids = np.delete(self.ids, row)
         self.vecs = np.delete(self.vecs, row, axis=0)
         self.counts = np.delete(self.counts, row)
-        self._changed(vec[None, :], -1.0)
+        self._changed(row, vec)
         return vec
 
     def join(self, n, row):
@@ -292,13 +310,8 @@ class _Rows(Mapping):
         self.ids = np.append(self.ids, key)
         self.vecs = np.vstack([self.vecs, vec])
         self.counts = np.append(self.counts, 1.0)
-        self._changed(self.vecs[-1:], 1.0)
+        self._changed(len(self.ids) - 1)
         return key
-
-    def groups(self):
-        """(row, member indices) for every row, in ascending id order."""
-        for row, members in enumerate(self.members.values()):
-            yield row, np.fromiter(members, dtype=np.int64, count=len(members))
 
     def __getitem__(self, key):
         row = self.row(key)
@@ -326,12 +339,13 @@ class _CenterRows(_Rows):
         self.type_base = type_base
         super().__init__(labels, vecs)
 
-    def _changed(self, vec=None, sign=0.0):
+    def _changed(self, row=None, removed=None):
         self._prior = None
-        if vec is None:
+        if row is None:
             self._pair_sq = None
         elif self._pair_sq is not None:
-            self._pair_sq = self._pair_sq + sign * _pair_terms(vec, self.vecs)[0]
+            vec, sign = (self.vecs[row], 1.0) if removed is None else (removed, -1.0)
+            self._pair_sq = self._pair_sq + sign * _pair_terms(vec[None, :], self.vecs)[0]
 
     def pair_sq(self):
         if self._pair_sq is None:
@@ -347,12 +361,10 @@ class _CenterRows(_Rows):
 
 class _TypeRows(_Rows):
     """Precision vectors plus per-row terms that depend on the vector and
-    the center base only: ``half_logsum`` (0.5 * sum(log t)),
-    ``ll_const`` (loglik_const(t)) and ``new_var``/``new_head``
-    (new_publication_terms(t, pub_base)), and the vectors and
-    ``half_logsum`` as lists for the scalar d update (``vec_list``,
-    ``half_logsum_list``).  Every write recomputes them for all rows; there
-    are few types and they change at most once a sweep each."""
+    the center base only: ``ll_const`` (loglik_const(t)) and
+    ``new_var``/``new_head`` (new_publication_terms(t, pub_base)).  A
+    written vector recomputes every row's terms; an added or removed row
+    adds or drops its own."""
 
     def __init__(self, labels, vecs, pub_base):
         self.pub_base = pub_base
@@ -360,15 +372,19 @@ class _TypeRows(_Rows):
 
     def terms(self, t):
         var, head = new_publication_terms(t, self.pub_base)
-        return 0.5 * np.log(t).sum(), loglik_const(t), var, head
+        return loglik_const(t), var, head
 
-    def _changed(self, vec=None, sign=0.0):
-        terms = [self.terms(t) for t in self.vecs]
-        self.half_logsum, self.ll_const, self.new_var, self.new_head = (
-            np.array(column) for column in zip(*terms)
-        )
-        self.vec_list = self.vecs.tolist()
-        self.half_logsum_list = self.half_logsum.tolist()
+    def _changed(self, row=None, removed=None):
+        names = "ll_const", "new_var", "new_head"
+        if row is None:
+            fresh = [np.array(column) for column in zip(*map(self.terms, self.vecs))]
+        elif removed is None:
+            added = self.terms(self.vecs[row])
+            fresh = [np.append(getattr(self, k), [v], axis=0) for k, v in zip(names, added)]
+        else:
+            fresh = [np.delete(getattr(self, k), row, axis=0) for k in names]
+        for name, value in zip(names, fresh):
+            setattr(self, name, value)
 
 
 class _ClusterTable:
@@ -376,8 +392,8 @@ class _ClusterTable:
     counts, computed ahead in blocks of test items.
 
     Nothing they read changes during the pass: no center or type vector is
-    written, an item's type at its c update is its type at the start of the
-    pass (its d update comes after), and alpha_p and both bases are fixed.
+    written, no d changes (the d pass comes after), and alpha_p and both
+    bases are fixed.
     So when the first item of a block of ``TABLE_BLOCK`` test items is
     updated, one batched product gives every item of the block its
     data_loglik_rows against each candidate center, a column per center id,
@@ -454,6 +470,86 @@ class _ClusterTable:
         return self.const[row:, None] - 0.5 * dots
 
 
+class _TypeTable:
+    """The d-update log weights of items lo, ..., hi - 1, without the log
+    counts, and one uniform for each.
+
+    Nothing they read changes while the types are updated: every item's
+    cluster, every center and type vector, alpha_t and the types' prior are
+    fixed.  So one product gives every item its data_loglik_rows against
+    each type, a column per type row, and one new_type_loglik call its log
+    alpha_t + new-type marginal.  When the type rows have changed since the
+    table was last read, a deleted type's column is dropped and an opened
+    one's appended."""
+
+    def __init__(self, state, lo, hi):
+        self.state, self.lo = state, lo
+        pubs = state.pubs
+        D = state.X[lo:hi] - pubs.vecs[pubs.rows(state.c[lo:hi])]
+        self.D2 = D * D
+        _, terms = state._type_prior()
+        self.new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
+        self.u = state.rng.random(hi - lo)
+        self.L = np.empty((hi - lo, 0))
+        self.ids = np.empty(0, dtype=np.int64)
+
+    def _sync(self):
+        types = self.state.types
+        ids = types.ids
+        if ids is self.ids:
+            return
+        top = self.ids[-1] if len(self.ids) else -1
+        old = int(ids.searchsorted(top, side="right"))  # rows from here on opened since
+        kept = self.L[:, self.ids.searchsorted(ids[:old])]
+        fresh = types.ll_const[old:] - 0.5 * (self.D2 @ types.vecs[old:].T)
+        self.L = np.concatenate([kept, fresh], axis=1)
+        self.ids = ids
+
+    def _logw(self, i, j, counts):
+        """Log weights of the table rows i, ..., j - 1 under ``counts``, the
+        type counts (one row for all, or one row each), then a new type's."""
+        logw = np.empty((j - i, self.L.shape[1] + 1))
+        with np.errstate(divide="ignore"):  # a zero count: weight 0
+            np.log(counts, out=logw[:, :-1])
+        logw[:, :-1] += self.L[i:j]
+        logw[:, -1] = self.new[i:j]
+        return logw
+
+    def weights(self, n):
+        """Item n's log weights under the current type counts: each type's,
+        in row order, then a new type's."""
+        self._sync()
+        i = n - self.lo
+        return self._logw(i, i + 1, self.state.types.counts)[0]
+
+    def pick(self, n):
+        """The d update's draw for item n, taken out of its type: a type
+        row, or the number of rows for a new type."""
+        i = n - self.lo
+        return int(_pick_rows(self.weights(n)[None], self.u[i:i + 1])[0])
+
+    def scan(self, n):
+        """The first item from n on whose d update would move it; the
+        table's end if there is none.  Each block's picks are evaluated
+        under the current counts, each item's own type less that item: the
+        weights the single-item update gives it, as long as no item before
+        it moved.  An item alone in its type weighs that type 0, so it
+        always moves, and the single-item update deletes the type."""
+        self._sync()
+        counts = self.state.types.counts
+        end = self.lo + len(self.u)
+        while n < end:
+            i, j = n - self.lo, min(n + TABLE_BLOCK, end) - self.lo
+            own = self.state.types.rows(self.state.d[n:n + j - i])
+            left = np.repeat(counts[None, :], j - i, axis=0)
+            left[np.arange(j - i), own] -= 1.0
+            moved = _pick_rows(self._logw(i, j, left), self.u[i:j]) != own
+            if moved.any():
+                return n + int(moved.argmax())
+            n += j - i
+        return end
+
+
 class ChainState:
     """Full latent state of one MCMC chain."""
 
@@ -475,7 +571,8 @@ class ChainState:
         else:
             self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
-        self._table = None  # a _ClusterTable during an indicator pass
+        self._table = None  # a _ClusterTable during the c pass
+        self._type_table = None  # a _TypeTable during the d pass
 
         self.pub_base = PublicationBase.standard(self.F)
         self._set_type_base(TypeBase.standard(self.F))
@@ -556,25 +653,27 @@ class ChainState:
         return len(self.types) * lift - d_sq @ self.types.vecs.sum(axis=0)
 
     def _resample_publications(self):
-        """Exact conjugate draw of every center.  Under the conditional type
-        prior, with other centers present, a center instead takes one
-        retained-candidate step: its current value and candidate_count - 1
-        conjugate draws, one picked by the tilt (the conditional's ratio to
-        the conjugate posterior), which leaves the conditional invariant
-        (Tjelmeland 2004; Andrieu, Doucet & Holenstein 2010)."""
+        """Exact conjugate draw of every center, all in one call.  Under the
+        conditional type prior, with other centers present, each center
+        instead takes one retained-candidate step in turn: its current value
+        and candidate_count - 1 conjugate draws, one picked by the tilt (the
+        conditional's ratio to the conjugate posterior), which leaves the
+        conditional invariant (Tjelmeland 2004; Andrieu, Doucet & Holenstein
+        2010)."""
         pubs = self.pubs
-        tilted = self.conditional and len(pubs) > 1
-        if tilted:
-            s_pair = pubs.pair_sq()
-            size = (self.config.candidate_count - 1, self.F)
-        t_rows = self.types.rows(self.d)
-        for row, idx in pubs.groups():
-            rs, ts = self.X[idx], self.types.vecs[t_rows[idx]]
-            if not tilted:
-                pubs.set(row, posterior_sample_publication(rs, ts, self.pub_base, self.rng))
-                continue
-            draws = posterior_sample_publication(rs, ts, self.pub_base, self.rng, size)
-            cands = np.vstack([pubs.vecs[row], draws])
+        rows, k = pubs.rows(self.c), len(pubs)
+        ts = self.types.vecs[self.types.rows(self.d)]
+        mean, prec = publication_posterior_from_sums(
+            _row_sums(rows, ts, k), _row_sums(rows, ts * self.X, k), self.pub_base
+        )
+        sd = np.sqrt(1.0 / prec)
+        if not (self.conditional and k > 1):
+            pubs.set(slice(None), self.rng.normal(mean, sd))
+            return
+        s_pair = pubs.pair_sq()
+        size = (self.config.candidate_count - 1, self.F)
+        for row in range(k):
+            cands = np.vstack([pubs.vecs[row], self.rng.normal(mean[row], sd[row], size)])
             d_sq = _pair_terms(cands, np.delete(pubs.vecs, row, axis=0))
             s_rest = s_pair - d_sq[0]  # the running pair sum without this center
             sel = _pick(self._center_tilt(d_sq, s_rest), self.rng)
@@ -582,12 +681,14 @@ class ChainState:
             pubs.set(row, cands[sel])
 
     def _resample_types(self):
-        """Exact conjugate draw of every type under its prior."""
+        """Exact conjugate draw of every type under its prior, all in one
+        call."""
         base, _ = self._type_prior()
-        c_rows = self.pubs.rows(self.c)
-        for row, idx in self.types.groups():
-            ps = self.pubs.vecs[c_rows[idx]]
-            self.types.set(row, posterior_sample_type(self.X[idx], ps, base, self.rng))
+        types = self.types
+        D = self.X - self.pubs.vecs[self.pubs.rows(self.c)]
+        sq = _row_sums(types.rows(self.d), D * D, len(types))
+        shape, rate = type_posterior_from_sums(types.counts[:, None], sq, base)
+        types.set(slice(None), self.rng.gamma(shape, 1.0 / rate))
 
     # ------------------------------------------------------------------
     # indicator updates
@@ -638,39 +739,29 @@ class ChainState:
             pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
             self.c[n] = pubs.open(n, pub)
 
-    def _d_candidates(self, n):
-        """Existing-type ids plus log weights, as a list, for resampling
-        d_n; the last weight is a new type's, with its precisions integrated
-        out under the types' prior.  Computed in Python floats: with one to
-        three types, a numpy call per term costs more than its arithmetic."""
-        p = self.pubs.vecs[self.pubs.row(int(self.c[n]))]
-        types = self.types
-        d2 = [(a - b) ** 2 for a, b in zip(self.X[n].tolist(), p.tolist())]
-        head = 0.5 * self.F * LOG_2PI
-        logw = []
-        for t, half_logsum, count in zip(
-            types.vec_list, types.half_logsum_list, types.counts.tolist()
-        ):
-            dot = 0.0
-            for a, b in zip(t, d2):
-                dot += a * b
-            logw.append(math.log(count) + half_logsum - 0.5 * dot - head)
-        _, terms = self._type_prior()
-        logw.append(math.log(self.alpha_t) + new_type_loglik(d2, terms))
-        return types.ids, logw
-
     def sample_d(self, n):
         """Reassign item n's reference type (training items included)."""
         types = self.types
         types.detach(n, int(self.d[n]))
-        tids, logw = self._d_candidates(n)
-        sel = _pick_few(logw, self.rng)
-        if sel < len(tids):
+        sel = (self._type_table or _TypeTable(self, n, n + 1)).pick(n)
+        if sel < len(types):
             self.d[n] = types.join(n, sel)
         else:
             r, p = self.X[n], self.pubs[int(self.c[n])]
             base, _ = self._type_prior()
             self.d[n] = types.open(n, posterior_sample_type(r[None, :], p[None, :], base, self.rng))
+
+    def _d_pass(self):
+        """sample_d of every item in turn, run only where the pass table's
+        scan finds an item that moves or sits alone in its type."""
+        self._type_table = table = _TypeTable(self, 0, self.N)
+        try:
+            n = table.scan(0)
+            while n < self.N:
+                self.sample_d(n)
+                n = table.scan(n + 1)
+        finally:
+            self._type_table = None
 
     # ------------------------------------------------------------------
     # sweeps and scoring
@@ -692,13 +783,12 @@ class ChainState:
             self._resample_types()
         self._table = _ClusterTable(self)
         try:
-            for n in range(self.N):
-                if self.is_test[n]:
-                    self.sample_c(n)
-                if not self.frozen_types:
-                    self.sample_d(n)
+            for n in self.test_indices.tolist():
+                self.sample_c(n)
         finally:
             self._table = None
+        if not self.frozen_types:
+            self._d_pass()
         if self.config.resample_alphas:
             self._resample_alphas()
 
@@ -742,10 +832,8 @@ class ChainState:
         assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
         # The cached per-type terms, bit for bit against a recomputation.
         fresh = zip(*(self.types.terms(t) for t in self.types.vecs))
-        cached = (self.types.half_logsum, self.types.ll_const, self.types.new_var,
-                  self.types.new_head)
+        cached = (self.types.ll_const, self.types.new_var, self.types.new_head)
         assert all(c.tobytes() == np.array(f).tobytes() for c, f in zip(cached, fresh))
-        assert self.types.vec_list == self.types.vecs.tolist()
         # The running pair sum, to rounding, and the prior built from it.
         pubs = self.pubs
         if pubs._pair_sq is not None:
@@ -754,7 +842,8 @@ class ChainState:
         if pubs._prior is not None:
             want = conditional_type_base(self.type_base, pubs._pair_sq)
             assert pubs._prior[0].scale.tobytes() == want.scale.tobytes()
-            assert pubs._prior[1] == new_type_terms(want)
+            terms = zip(pubs._prior[1], new_type_terms(want))
+            assert all(np.array(c).tobytes() == np.array(f).tobytes() for c, f in terms)
         assert self.alpha_p > 0 and self.alpha_t > 0
         assert np.isfinite(self.pubs.vecs).all()
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()

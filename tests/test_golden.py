@@ -6,26 +6,27 @@ the flags in ``CASES`` (one chain worker, ``DPSC_THREADS=1``) on
 --test-classes 2 --dim 3 --min-size 6 --max-size 10 --separation 5
 --seed 11``.  A refactor of the sampler must reproduce them
 byte for byte: the same candidate order, random stream and float rounding.
-A change that alters any of these on purpose regenerates the files with
-the same flags and says so.  ``m3*`` (and with them ``score.csv``) were
-last regenerated when m3 moved to exact conjugate refreshes, one
-retained-candidate step for a center under the conditional type prior,
-the one-of-M auxiliary-candidate rule, the tilted new-cluster weight and
-m1's closed-form d update under the types' prior; no other file changed
-then.
+A change that alters any of these on purpose re-records every file with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+which writes each run golden with the arguments the tests below use, and
+``score.csv`` by the score test's procedure, and says so.  All of them were
+last re-recorded when the d updates moved to one batched pass per sweep
+after the c updates (a new sweep order and random stream) and the
+refreshes to bincount sums in item order.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
-identity type, labels ignored) next to an m1 run without alpha resampling:
-``dpsc run tests/golden/data.csv --variant m1 --chains 2 --iters 24
---seed 5 --baseline cdp -o tests/golden/cdp``.
+identity type, labels ignored) next to an m1 run without alpha resampling
+(``CDP``).
 
 ``tests/golden/large-*`` pin runs at large cluster counts: every test item
 starts as its own cluster, so the first sweep's early updates choose among
 well over a hundred candidates, and clusters open and close mid-sweep.  The
 data, ``tests/golden/large.csv``, was written by ``dpsc synth
 --train-classes 4 --test-classes 40 --dim 4 --min-size 2 --max-size 5
---separation 6 --seed 13``, and each case by ``dpsc run
-tests/golden/large.csv`` with the flags in ``LARGE_CASES`` plus ``COMMON``.
+--separation 6 --seed 13``, and each case is run on it with the flags in
+``LARGE_CASES`` plus ``COMMON``.
 
 ``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
@@ -34,6 +35,9 @@ are the ``*.pred.tsv`` files of the five ``CASES``, named relative to
 """
 
 import csv
+import os
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -53,16 +57,27 @@ LARGE_CASES = {
     "large-m1": ["--variant", "m1"],
     "large-m2": ["--variant", "m2"],
 }
+CDP = ["--variant", "m1", "--chains", "2", "--iters", "24", "--seed", "5", "--baseline", "cdp"]
+RUN_SUFFIXES = (".pred.tsv", ".chains.csv")
+
+
+def run_args(case, prefix):
+    """`dpsc run` arguments of a golden case, writing to ``prefix``."""
+    if case == "cdp":
+        data, flags = "data.csv", CDP
+    elif case in LARGE_CASES:
+        data, flags = "large.csv", LARGE_CASES[case] + COMMON
+    else:
+        data, flags = "data.csv", CASES[case] + COMMON
+    return ["run", str(GOLDEN / data), *flags, "-o", str(prefix)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + sorted(LARGE_CASES))
 def test_run_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
     monkeypatch.setenv("DPSC_THREADS", "1")
     prefix = tmp_path / case
-    data, flags = ("large.csv", LARGE_CASES[case]) if case in LARGE_CASES else ("data.csv", CASES[case])
-    args = ["run", str(GOLDEN / data), *flags, *COMMON, "-o", str(prefix)]
-    assert main(args) == 0
-    for suffix in (".pred.tsv", ".chains.csv"):
+    assert main(run_args(case, prefix)) == 0
+    for suffix in RUN_SUFFIXES:
         got = Path(f"{prefix}{suffix}").read_bytes()
         assert got == (GOLDEN / f"{case}{suffix}").read_bytes(), f"{case}{suffix} differs"
 
@@ -70,10 +85,8 @@ def test_run_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
 def test_cdp_baseline_outputs_match_golden_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("DPSC_THREADS", "1")
     prefix = tmp_path / "cdp"
-    args = ["run", str(GOLDEN / "data.csv"), "--variant", "m1", "--chains", "2", "--iters", "24",
-            "--seed", "5", "--baseline", "cdp", "-o", str(prefix)]
-    assert main(args) == 0
-    for suffix in (".pred.tsv", ".chains.csv", ".cdp.tsv"):
+    assert main(run_args("cdp", prefix)) == 0
+    for suffix in (*RUN_SUFFIXES, ".cdp.tsv"):
         got = Path(f"{prefix}{suffix}").read_bytes()
         assert got == (GOLDEN / f"cdp{suffix}").read_bytes(), f"cdp{suffix} differs"
 
@@ -86,11 +99,38 @@ def write_gold_partition(path):
                 out.write(f"{row['id']}\t{row['label']}\n")
 
 
+def score(gold, out):
+    """`dpsc score` of the five ``CASES`` predictions against ``gold``; run
+    from ``tests/golden/``, so the hypotheses are named relative to it."""
+    hyps = [f"{case}.pred.tsv" for case in sorted(CASES)]
+    return main(["score", "--gold", str(gold), *hyps, "-o", str(out)])
+
+
 def test_score_output_matches_golden_bytes(tmp_path, monkeypatch):
     gold = tmp_path / "gold.tsv"
     write_gold_partition(gold)
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / "score.csv"
-    hyps = [f"{case}.pred.tsv" for case in sorted(CASES)]
-    assert main(["score", "--gold", str(gold), *hyps, "-o", str(out)]) == 0
+    assert score(gold, out) == 0
     assert out.read_bytes() == (GOLDEN / "score.csv").read_bytes()
+
+
+def record():
+    """Rewrite every golden output: the run cases, cdp, then score.csv from
+    the new predictions."""
+    os.environ["DPSC_THREADS"] = "1"
+    for case in [*sorted(CASES), *sorted(LARGE_CASES), "cdp"]:
+        if main(run_args(case, GOLDEN / case)) != 0:
+            raise SystemExit(f"dpsc run failed for {case}")
+    with tempfile.TemporaryDirectory() as tmp:
+        gold = Path(tmp) / "gold.tsv"
+        write_gold_partition(gold)
+        os.chdir(GOLDEN)
+        if score(gold, GOLDEN / "score.csv") != 0:
+            raise SystemExit("dpsc score failed")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_golden.py --record")
+    record()

@@ -13,6 +13,9 @@ from dpsc.gaussian import (
     data_loglik_rows,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
+    posterior_sample_type,
+    publication_posterior_params,
+    type_posterior_params,
 )
 from dpsc.partition import Partition
 from dpsc.sampler import (
@@ -288,7 +291,7 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     state.sweep()
-    assert state._table is None
+    assert state._table is None and state._type_table is None
 
     class Boom(RuntimeError):
         pass
@@ -296,11 +299,11 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     def fail(n):
         raise Boom(n)
 
-    state.sample_d = fail
+    state.sample_c = fail
     with pytest.raises(Boom):
         state.sweep()
     assert state._table is None
-    del state.sample_d
+    del state.sample_c
     state.check()
 
     # Direct calls read current values: alpha_p changed after the pass.
@@ -318,6 +321,61 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     assert np.asarray(logw) == pytest.approx(want, rel=1e-12)
 
 
+def _sequential_d_pass(state):
+    """The d pass as a plain sequential scan fed the batched pass's
+    uniforms: per item, detach, weigh each type by its count and data_loglik
+    and a new type by alpha_t and marginal_loglik_new_type, pick by running
+    sums, then join or open.  It reads the state's type prior object, so an
+    opened type's draw sees the same bits."""
+    u = state.rng.random(state.N)
+    base, _ = state._type_prior()
+    types = state.types
+    for n in range(state.N):
+        types.detach(n, int(state.d[n]))
+        r, p = state.X[n], state.pubs[int(state.c[n])]
+        logw = [math.log(k) + data_loglik(r, p, t) for k, t in zip(types.counts, types.vecs)]
+        logw.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, base))
+        acc = np.cumsum(np.exp(np.array(logw) - max(logw)))
+        sel = int(np.searchsorted(acc, u[n] * acc[-1], side="right"))
+        if sel < len(types):
+            state.d[n] = types.join(n, sel)
+        else:
+            state.d[n] = types.open(n, posterior_sample_type(r[None], p[None], base, state.rng))
+
+
+@pytest.mark.parametrize(
+    "variant,share,conditional",
+    [("m1", False, False), ("m1", True, False), ("m2", False, False), ("m2", True, False),
+     ("m3", False, True), ("m3", True, True), ("m3", False, False), ("m3", True, False)],
+)
+def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional):
+    ds = synth_gaussian(
+        SynthConfig(3, 30, dim=3, min_class_size=2, max_class_size=5, separation=5.0, seed=3)
+    )
+    ds, _ = standardize(ds)
+    cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share, alpha_t=20.0,
+                        resample_alphas=False, conditional_type_prior=conditional)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    most_types = moved = opened = 0
+    for _ in range(12):
+        state.sweep()
+        batched, sequential = copy.deepcopy(state), copy.deepcopy(state)
+        batched._d_pass()
+        _sequential_d_pass(sequential)
+        for a, b in ((batched.c, sequential.c), (batched.d, sequential.d),
+                     (batched.types.ids, sequential.types.ids),
+                     (batched.types.vecs, sequential.types.vecs),
+                     (batched.pubs.vecs, sequential.pubs.vecs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert batched.rng.random() == sequential.rng.random()  # the same draws consumed
+        batched.check()
+        most_types = max(most_types, len(state.types), len(batched.types))
+        moved += int((batched.d != state.d).sum())
+        opened += batched.types.next_id - state.types.next_id
+        state = batched
+    assert most_types > 10 and moved > 0 and opened > 0
+
+
 def test_scalar_d_update_matches_per_item_formula():
     ds = supervised_dataset(seed=6)
     cfg = SamplerConfig(variant="m1", iterations=4, seed=1, alpha_t=5.0)
@@ -327,7 +385,7 @@ def test_scalar_d_update_matches_per_item_formula():
     state.alpha_t *= 3.0
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(n, int(state.d[n]))
-        tids, logw = state._d_candidates(n)
+        tids, logw = state.types.ids, sampler._TypeTable(state, n, n + 1).weights(n)
         r, p = state.X[n], state.pubs[int(state.c[n])]
         want = [
             math.log(len(state.types.members[int(k)])) + data_loglik(r, p, state.types[int(k)])
@@ -473,6 +531,38 @@ def test_conditional_c_weights_follow_the_joint_score():
             assert logw[len(cand) + i] - logw[j] == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("variant", ["m1", "m3"])
+def test_batched_refreshes_match_per_row_posteriors(variant):
+    # One draw for all rows equals per-row conjugate draws from the same
+    # stream; the posterior sums are added in another order, so to rounding.
+    ds = supervised_dataset(seed=8)
+    cfg = SamplerConfig(variant=variant, seed=2, alpha_t=20.0, resample_alphas=False,
+                        conditional_type_prior=False)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    assert len(state.types) > 1 and len(state.pubs) > 2
+    rng = copy.deepcopy(state.rng)
+    want = []
+    for members in state.pubs.members.values():
+        idx = sorted(members)
+        ts = state.types.vecs[state.types.rows(state.d[idx])]
+        mean, prec = publication_posterior_params(state.X[idx], ts, state.pub_base)
+        want.append(rng.normal(mean, np.sqrt(1.0 / prec)))
+    state._resample_publications()
+    np.testing.assert_allclose(state.pubs.vecs, want, rtol=1e-12, atol=1e-12)
+    want = []
+    for members in state.types.members.values():
+        idx = sorted(members)
+        ps = state.pubs.vecs[state.pubs.rows(state.c[idx])]
+        shape, rate = type_posterior_params(state.X[idx], ps, state.type_base)
+        want.append(rng.gamma(shape, 1.0 / rate))
+    state._resample_types()
+    np.testing.assert_allclose(state.types.vecs, want, rtol=1e-12, atol=0.0)
+    assert state.rng.random() == rng.random()
+    state.check()
+
+
 def test_conditional_type_refresh_is_the_shifted_gamma_posterior():
     # Each type's refresh is an exact draw from Gamma(a + n/2, rate + S + q/2):
     # n and q its members' count and squared residuals, S the centers' pair
@@ -530,7 +620,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
         state.sweep()
     n = int(ds.indices("test")[0])
     state.types.detach(n, int(state.d[n]))
-    tids, logw = state._d_candidates(n)
+    logw = sampler._TypeTable(state, n, n + 1).weights(n)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
         state.X[n], state.pubs[int(state.c[n])], state.type_base
     )
@@ -550,7 +640,7 @@ def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
     shifted = TypeBase(shape=np.ones(state.F), scale=1.0 / (1.0 + s))
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(n, int(state.d[n]))
-        tids, logw = state._d_candidates(n)
+        tids, logw = state.types.ids, sampler._TypeTable(state, n, n + 1).weights(n)
         expected = math.log(state.alpha_t) + marginal_loglik_new_type(
             state.X[n], state.pubs[int(state.c[n])], shifted
         )
