@@ -35,6 +35,8 @@ class Dataset:
         n = len(self.ids)
         if self.X.ndim != 2 or self.X.shape[0] != n:
             raise DomainError(f"feature matrix must be ({n}, F), got {self.X.shape}")
+        if self.X.shape[1] == 0:
+            raise DomainError("items must have at least one feature, got none")
         if len(self.labels) != n or len(self.split) != n:
             raise DomainError("ids, labels and split must have equal length")
         if len(set(self.ids)) != n:
@@ -178,10 +180,16 @@ def _load_json(path) -> Dataset:
     ids, labels, split, rows = [], [], [], []
     dim = None
     for i, rec in enumerate(payload):
+        if not isinstance(rec, dict):
+            raise DomainError(f"{path}: item {i} must be an object, got {rec!r}")
         for key in ("id", "split", "features"):
             if key not in rec:
                 raise DomainError(f"{path}: item {i} is missing {key!r}")
         feats = rec["features"]
+        if not isinstance(feats, list):
+            raise DomainError(
+                f"{path}: item {rec['id']!r}: features must be a list, got {feats!r}"
+            )
         if dim is None:
             dim = len(feats)
         elif len(feats) != dim:
@@ -191,7 +199,12 @@ def _load_json(path) -> Dataset:
         ids.append(str(rec["id"]))
         split.append(rec["split"])
         labels.append(rec.get("label") or None)
-        rows.append([float(v) for v in feats])
+        try:
+            rows.append([float(v) for v in feats])
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"{path}: item {rec['id']!r}: features must be numbers, got {feats!r}"
+            ) from None
     return Dataset(ids=ids, X=np.array(rows), labels=labels, split=split)
 
 

@@ -53,10 +53,14 @@ with one bincount over the items, in ascending item order.
 The indicator pass.  Between the refreshes and the precision draws, a
 sweep updates c of every test item in turn (the c pass), then d of every
 item in turn (the d pass); each update conditions on the current rest of
-the state, so this is a systematic-scan Gibbs sampler.  Every variant's c
-updates read a table filled ahead (``_ClusterTable``): each test item's
-log-likelihood against each candidate center and its closed-form
-new-cluster log weight, which m1/m2 use and m3 replaces by its auxiliary
+the state, so this is a systematic-scan Gibbs sampler.  Both passes read
+their weights from one kind of table filled ahead (``_PassTable``): each
+item's log-likelihood against every candidate row of one store, a column
+per row id, and its new-row log weight in column 0.  A row opened during
+the pass gets its column when an item first reads the table after it, and
+a deleted one drops out of the lookup.  The c table (``_ClusterTable``)
+covers a block of test items: the candidate centers and the closed-form
+new-cluster weight, which m1/m2 use and m3 replaces by its auxiliary
 candidates.  This is exact because nothing those numbers read changes
 during the c pass: no center or type vector is written (rows are only
 opened and deleted), no d changes, and alpha_p and both bases stay fixed.
@@ -69,13 +73,15 @@ current counts with each item taken out of its own type; only at the
 first item that moves (an item alone in its type always does) does it run
 the single-item update, and it resumes after that item.  An item that
 stays leaves the state as it found it, so the result is the sequential
-scan's with the same uniforms.  Both tables live for one pass only and are
-dropped when it ends, also when it ends in an exception; an update called
-outside a sweep fills a table of its own from the current state.  The
-tables give the weights of the per-item formulas, which may differ from
-them in the last bit (a batched product can round differently), so a
-uniform picks the same candidate unless it falls within those few ulps of
-a boundary.
+scan's with the same uniforms.  Every draw, of one row of weights or of
+many, takes the first index whose running sum exceeds the uniform times
+the last running sum (``_pick``, ``_pick_rows``).  The tables live for one
+pass only and are dropped when it ends, also when it ends in an
+exception; an update called outside a sweep fills a table of its own from
+the current state.  The tables give the weights of the per-item formulas,
+which may differ from them in the last bit (a batched product can round
+differently), so a uniform picks the same candidate unless it falls
+within those few ulps of a boundary.
 """
 
 from __future__ import annotations
@@ -184,44 +190,21 @@ class SampleRecord:
     n_types: int
 
 
-# From this many candidates on, _pick finds the drawn index with one
-# searchsorted on the cumulative weights instead of a Python loop.  Per
-# draw, loop against searchsorted: 1.8 / 3.2 us at 20 candidates, 3.9 / 3.3
-# at 40, 5.6 / 3.3 at 100, 13.4 / 4.1 at 200 (numpy 2.4, one core).
-PICK_SEARCH_MIN = 40
 TABLE_BLOCK = 64  # items per block of the c-update table and of the d pass's scan
 
 
-def _scan(w, u):
-    """First index whose running sum of the weights ``w`` exceeds ``u``;
-    the last index if none does (``u`` may reach the total, which is summed
-    in another order)."""
-    acc = 0.0
-    for i, wi in enumerate(w):
-        acc += wi
-        if u < acc:
-            return i
-    return len(w) - 1
-
-
-def _search(w, u):
-    """_scan by one searchsorted: cumsum adds in the same order as the
-    loop, so the running sums, and the index, are the same."""
-    return min(int(w.cumsum().searchsorted(u, side="right")), len(w) - 1)
-
-
-def _pick(logw, rng):
-    """Index drawn from unnormalized log weights (max-subtracted)."""
-    w = np.exp(logw - logw.max())
-    u = rng.random() * w.sum()
-    return _search(w, u) if len(w) >= PICK_SEARCH_MIN else _scan(w.tolist(), u)
+def _pick(logw, u):
+    """Index drawn by the uniform ``u`` from unnormalized log weights: the
+    first whose running sum of the max-subtracted weights exceeds u times
+    their total, the last running sum.  As u < 1, some running sum always
+    does, and it is never one of a zero weight."""
+    acc = np.exp(logw - logw.max()).cumsum()
+    return int(acc.searchsorted(u * acc[-1], side="right"))
 
 
 def _pick_rows(logw, u):
-    """Per row of the log weights ``logw``, the index drawn by its uniform
-    in ``u``: the first whose running sum exceeds u times the row's total,
-    the last running sum.  As u < 1, some running sum always does, and it
-    is never one of a zero weight."""
+    """_pick of each row of the log weights ``logw`` by its uniform in
+    ``u``."""
     acc = np.exp(logw - logw.max(axis=1, keepdims=True)).cumsum(axis=1)
     return (acc <= u[:, None] * acc[:, -1:]).sum(axis=1)
 
@@ -387,166 +370,150 @@ class _TypeRows(_Rows):
             setattr(self, name, value)
 
 
-class _ClusterTable:
-    """The c-update log weights of one indicator pass, without the log
-    counts, computed ahead in blocks of test items.
+class _PassTable:
+    """The log-likelihoods of some items against every candidate row of one
+    row store, computed ahead for one indicator pass: a column per row id,
+    and in column 0 each item's log weight for a new row.
+
+    Nothing a column reads changes during its pass, so a column is computed
+    once.  A row opened since the table was last read gets its column, for
+    the items from the reading one on, at that read (earlier items are not
+    read again); a deleted row drops out of the lookup by id.  Subclasses
+    supply the columns, ``_loglik``."""
+
+    def __init__(self, store, lo, items, new):
+        """The candidates are the rows of ``store`` from row ``lo`` on; ``new``
+        holds each of ``items``' new-row log weights."""
+        self.store, self.lo = store, lo
+        self.pos = {n: i for i, n in enumerate(np.asarray(items).tolist())}
+        # Room for a row opened by each item of a block.
+        room = min(len(self.pos), TABLE_BLOCK)
+        self.buf = np.empty((len(self.pos), 1 + len(store) - lo + room))
+        self.buf[:, 0] = new
+        self.ids = np.empty(0, dtype=np.int64)  # the id of each column from 1 on
+        self.seen = None  # the store's ids at the last read
+
+    def _map(self, i):
+        """Map the candidate rows to columns, if the store's rows changed
+        since the last read; a row opened since first gets its column, from
+        table row i on, the buffer growing if it is full."""
+        store = self.store
+        if store.ids is self.seen:
+            return
+        ids = store.ids[self.lo:]
+        top = self.ids[-1] if len(self.ids) else -1
+        fresh = len(ids) - int(ids.searchsorted(top, side="right"))
+        if fresh:
+            col = 1 + len(self.ids)
+            if col + fresh > self.buf.shape[1]:
+                grown = np.empty((len(self.buf), 2 * (col + fresh)))
+                grown[:, :col] = self.buf[:, :col]
+                self.buf = grown
+            self.buf[i:, col:col + fresh] = self._loglik(i, len(store) - fresh)
+            self.ids = np.concatenate([self.ids, ids[-fresh:]])
+        self.cols = np.append(1 + self.ids.searchsorted(ids), 0)
+        self.seen = store.ids
+
+    def weights(self, n):
+        """Item n's log weights under the store's counts: each candidate
+        row's, in row order, then a new row's (a new array)."""
+        i = self.pos[n]
+        self._map(i)
+        logw = self.buf[i, self.cols]
+        logw[:-1] += np.log(self.store.counts[self.lo:])
+        return logw
+
+
+class _ClusterTable(_PassTable):
+    """The c-update log-likelihoods of a block of test items, and in column
+    0 their log alpha_p + new-cluster marginal (m1/m2's new-cluster weight;
+    m3 ignores it).
 
     Nothing they read changes during the pass: no center or type vector is
     written, no d changes (the d pass comes after), and alpha_p and both
-    bases are fixed.
-    So when the first item of a block of ``TABLE_BLOCK`` test items is
-    updated, one batched product gives every item of the block its
-    data_loglik_rows against each candidate center, a column per center id,
-    and column 0 gets its log alpha_p + new-cluster marginal (m1/m2's
-    new-cluster weight; m3 ignores it).  A center opened later gets its
-    column, for the rest of the block, when an item first reads it; a
-    deleted one drops out of the lookup by id."""
+    bases are fixed."""
 
-    def __init__(self, state):
-        self.state = state
-        self.pos = {n: i for i, n in enumerate(state.test_indices.tolist())}
-        self.start = self.stop = 0
-
-    def weights(self, n):
-        """Test item n's log-likelihood against each candidate center, in
-        row order, then its new-cluster log weight (a new array)."""
-        i = self.pos[n]
-        if not self.start <= i < self.stop:
-            self._fill(i)
-        row = i - self.start
-        if self.state.pubs.ids is not self.seen:
-            self._index(row)
-        return self.buf[row, self.cols]
-
-    def _fill(self, i):
-        st = self.state
-        lo = st.first_candidate
-        items = st.test_indices[i:i + TABLE_BLOCK]
-        k = st.types.rows(st.d[items])
-        self.R, self.k, self.const = st.X[items], k, st.types.ll_const[k]
-        self.tvecs = st.types.vecs  # replaced, not written, when a type opens or goes
-        self.ids = st.pubs.ids[lo:]
-        # Room for a center opened by each item of the block.
-        self.buf = np.empty((len(items), 1 + len(self.ids) + len(items)))
-        self.buf[:, 0] = np.log(st.alpha_p) + new_publication_loglik_rows(
-            self.R, st.types.new_var[k], st.types.new_head[k], st.pub_base
+    def __init__(self, state, items):
+        types = state.types
+        k = types.rows(state.d[items])
+        self.R, self.k, self.const = state.X[items], k, types.ll_const[k]
+        self.tvecs = types.vecs  # replaced, not written, when a type opens or goes
+        new = np.log(state.alpha_p) + new_publication_loglik_rows(
+            self.R, types.new_var[k], types.new_head[k], state.pub_base
         )
-        self.buf[:, 1:1 + len(self.ids)] = self._loglik(0, st.pubs.vecs[lo:])
-        self.top = self.ids[-1] if len(self.ids) else -1
-        self.start, self.stop = i, i + len(items)
-        self.seen = None
+        super().__init__(state.pubs, state.first_candidate, items, new)
 
-    def _index(self, row):
-        """Map the current candidate centers to columns, after a center was
-        opened or deleted; an opened one first gets its column."""
-        pubs = self.state.pubs
-        ids = pubs.ids[self.state.first_candidate:]
-        fresh = len(ids) - int(ids.searchsorted(self.top, side="right"))
-        if fresh:
-            col = 1 + len(self.ids)
-            self.buf[row:, col:col + fresh] = self._loglik(row, pubs.vecs[-fresh:])
-            self.ids = np.concatenate([self.ids, ids[-fresh:]])
-            self.top = self.ids[-1]
-        self.cols = np.append(1 + self.ids.searchsorted(ids), 0)
-        self.seen = pubs.ids
-
-    def _loglik(self, row, P):
-        """data_loglik_rows of the block's items from ``row`` on against the
-        rows of P: one matrix-vector product per type, over the rows of all
-        its items at once."""
-        if not len(P):  # every candidate center was deleted
-            return np.empty((len(self.R) - row, 0))
+    def _loglik(self, i, row):
+        """data_loglik_rows of the block's items from i on against the
+        centers from ``row`` on: one matrix-vector product per type, over
+        the rows of all its items at once."""
+        P = self.store.vecs[row:]
         # (r - P)**2 of item after item; subtracting P from repeated rows is
         # much faster than broadcasting r across P.
-        D = np.repeat(self.R[row:], len(P), axis=0).reshape(-1, *P.shape)
+        D = np.repeat(self.R[i:], len(P), axis=0).reshape(-1, *P.shape)
         D -= P
         D *= D
-        k = self.k[row:]
+        k = self.k[i:]
         types = np.unique(k)
         dots = np.empty(D.shape[:2])
         for t in types:
             same = k == t if len(types) > 1 else slice(None)
             dots[same] = (D[same].reshape(-1, P.shape[1]) @ self.tvecs[t]).reshape(-1, len(P))
-        return self.const[row:, None] - 0.5 * dots
+        return self.const[i:, None] - 0.5 * dots
 
 
-class _TypeTable:
-    """The d-update log weights of items lo, ..., hi - 1, without the log
-    counts, and one uniform for each.
+class _TypeTable(_PassTable):
+    """The d-update log-likelihoods of some items, in column 0 their log
+    alpha_t + new-type marginal, and one uniform for each.
 
     Nothing they read changes while the types are updated: every item's
     cluster, every center and type vector, alpha_t and the types' prior are
     fixed.  So one product gives every item its data_loglik_rows against
-    each type, a column per type row, and one new_type_loglik call its log
-    alpha_t + new-type marginal.  When the type rows have changed since the
-    table was last read, a deleted type's column is dropped and an opened
-    one's appended."""
+    each type, and one new_type_loglik call its new-type weight."""
 
-    def __init__(self, state, lo, hi):
-        self.state, self.lo = state, lo
+    def __init__(self, state, items):
         pubs = state.pubs
-        D = state.X[lo:hi] - pubs.vecs[pubs.rows(state.c[lo:hi])]
+        D = state.X[items] - pubs.vecs[pubs.rows(state.c[items])]
         self.D2 = D * D
         _, terms = state._type_prior()
-        self.new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
-        self.u = state.rng.random(hi - lo)
-        self.L = np.empty((hi - lo, 0))
-        self.ids = np.empty(0, dtype=np.int64)
+        new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
+        super().__init__(state.types, 0, items, new)
+        self.state = state
+        self.u = state.rng.random(len(self.D2))
 
-    def _sync(self):
-        types = self.state.types
-        ids = types.ids
-        if ids is self.ids:
-            return
-        top = self.ids[-1] if len(self.ids) else -1
-        old = int(ids.searchsorted(top, side="right"))  # rows from here on opened since
-        kept = self.L[:, self.ids.searchsorted(ids[:old])]
-        fresh = types.ll_const[old:] - 0.5 * (self.D2 @ types.vecs[old:].T)
-        self.L = np.concatenate([kept, fresh], axis=1)
-        self.ids = ids
-
-    def _logw(self, i, j, counts):
-        """Log weights of the table rows i, ..., j - 1 under ``counts``, the
-        type counts (one row for all, or one row each), then a new type's."""
-        logw = np.empty((j - i, self.L.shape[1] + 1))
-        with np.errstate(divide="ignore"):  # a zero count: weight 0
-            np.log(counts, out=logw[:, :-1])
-        logw[:, :-1] += self.L[i:j]
-        logw[:, -1] = self.new[i:j]
-        return logw
-
-    def weights(self, n):
-        """Item n's log weights under the current type counts: each type's,
-        in row order, then a new type's."""
-        self._sync()
-        i = n - self.lo
-        return self._logw(i, i + 1, self.state.types.counts)[0]
+    def _loglik(self, i, row):
+        """data_loglik_rows of the items from i on against the types from
+        ``row`` on, from one product."""
+        types = self.store
+        return types.ll_const[row:] - 0.5 * (self.D2[i:] @ types.vecs[row:].T)
 
     def pick(self, n):
         """The d update's draw for item n, taken out of its type: a type
         row, or the number of rows for a new type."""
-        i = n - self.lo
-        return int(_pick_rows(self.weights(n)[None], self.u[i:i + 1])[0])
+        return _pick(self.weights(n), self.u[self.pos[n]])
 
     def scan(self, n):
-        """The first item from n on whose d update would move it; the
-        table's end if there is none.  Each block's picks are evaluated
-        under the current counts, each item's own type less that item: the
-        weights the single-item update gives it, as long as no item before
-        it moved.  An item alone in its type weighs that type 0, so it
-        always moves, and the single-item update deletes the type."""
-        self._sync()
-        counts = self.state.types.counts
-        end = self.lo + len(self.u)
+        """The first item from n on whose d update would move it; N if there
+        is none (the table of all N items, in order).  Each block's picks are
+        evaluated under the current counts, each item's own type less that
+        item: the weights the single-item update gives it, as long as no
+        item before it moved.  An item alone in its type weighs that type 0,
+        so it always moves, and the single-item update deletes the type."""
+        self._map(n)
+        counts = self.store.counts
+        end = len(self.u)
         while n < end:
-            i, j = n - self.lo, min(n + TABLE_BLOCK, end) - self.lo
-            own = self.state.types.rows(self.state.d[n:n + j - i])
-            left = np.repeat(counts[None, :], j - i, axis=0)
-            left[np.arange(j - i), own] -= 1.0
-            moved = _pick_rows(self._logw(i, j, left), self.u[i:j]) != own
+            j = min(n + TABLE_BLOCK, end)
+            own = self.store.rows(self.state.d[n:j])
+            left = np.repeat(counts[None, :], j - n, axis=0)
+            left[np.arange(j - n), own] -= 1.0
+            logw = self.buf[n:j, self.cols]
+            with np.errstate(divide="ignore"):  # a zero count: weight 0
+                logw[:, :-1] += np.log(left)
+            moved = _pick_rows(logw, self.u[n:j]) != own
             if moved.any():
                 return n + int(moved.argmax())
-            n += j - i
+            n = j
         return end
 
 
@@ -676,7 +643,7 @@ class ChainState:
             cands = np.vstack([pubs.vecs[row], self.rng.normal(mean[row], sd[row], size)])
             d_sq = _pair_terms(cands, np.delete(pubs.vecs, row, axis=0))
             s_rest = s_pair - d_sq[0]  # the running pair sum without this center
-            sel = _pick(self._center_tilt(d_sq, s_rest), self.rng)
+            sel = _pick(self._center_tilt(d_sq, s_rest), self.rng.random())
             s_pair = s_rest + d_sq[sel]
             pubs.set(row, cands[sel])
 
@@ -702,8 +669,7 @@ class ChainState:
         weight; m3 replaces it by its auxiliary candidates."""
         lo = self.first_candidate
         pubs = self.pubs
-        logw = (self._table or _ClusterTable(self)).weights(n)
-        logw[:-1] += np.log(pubs.counts[lo:])
+        logw = (self._table or _ClusterTable(self, [n])).weights(n)
         if self.variant != "m3":
             return pubs.ids[lo:], logw, None
         # aux_samples candidates (Neal 2000, Algorithm 8): fresh base draws,
@@ -728,7 +694,7 @@ class ChainState:
             raise DomainError(f"item {n} is a training item; its cluster is pinned")
         pubs = self.pubs
         cand, logw, news = self._c_candidates(n, pubs.detach(n, int(self.c[n])))
-        sel = _pick(logw, self.rng)
+        sel = _pick(logw, self.rng.random())
         if sel < len(cand):
             # The candidates are the trailing rows of the store.
             self.c[n] = pubs.join(n, len(pubs.ids) - len(cand) + sel)
@@ -743,7 +709,7 @@ class ChainState:
         """Reassign item n's reference type (training items included)."""
         types = self.types
         types.detach(n, int(self.d[n]))
-        sel = (self._type_table or _TypeTable(self, n, n + 1)).pick(n)
+        sel = (self._type_table or _TypeTable(self, [n])).pick(n)
         if sel < len(types):
             self.d[n] = types.join(n, sel)
         else:
@@ -754,7 +720,7 @@ class ChainState:
     def _d_pass(self):
         """sample_d of every item in turn, run only where the pass table's
         scan finds an item that moves or sits alone in its type."""
-        self._type_table = table = _TypeTable(self, 0, self.N)
+        self._type_table = table = _TypeTable(self, np.arange(self.N))
         try:
             n = table.scan(0)
             while n < self.N:
@@ -781,10 +747,13 @@ class ChainState:
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
-        self._table = _ClusterTable(self)
+        test = self.test_indices
         try:
-            for n in self.test_indices.tolist():
-                self.sample_c(n)
+            for i in range(0, len(test), TABLE_BLOCK):
+                block = test[i:i + TABLE_BLOCK]
+                self._table = _ClusterTable(self, block)
+                for n in block.tolist():
+                    self.sample_c(n)
         finally:
             self._table = None
         if not self.frozen_types:

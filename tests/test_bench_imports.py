@@ -72,6 +72,19 @@ def test_sampler_imports_rebound_by_the_trace_exist():
         assert getattr(dpsc.sampler, name) is getattr(layer_module, name), f"{layer}.{name}"
 
 
+def test_traced_chain_state_overrides_chain_state_methods():
+    # A method renamed in ChainState would silently stop being traced.
+    tree = _parse(BENCH / "workloads.py")
+    (cls,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "TracedChainState"
+    ]
+    methods = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert {"sweep", "sample_c", "sample_d"} <= set(methods)
+    for name in methods:
+        assert callable(getattr(ChainState, name, None)), f"ChainState.{name}"
+
+
 def test_chain_state_and_record_shape_the_bench_reads():
     # The traced sampler reads these two; the bench builds records positionally.
     assert hasattr(ChainState, "c_members") and hasattr(ChainState, "next_c")

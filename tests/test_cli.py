@@ -143,6 +143,37 @@ def test_run_non_finite_feature_exit_2(tmp_path, capsys, name, bad):
     assert "ERROR:2:" in err and repr(ds.ids[5]) in err and "finite" in err
 
 
+@pytest.mark.parametrize("bad,named", [
+    (1, "item 1"),
+    ({"id": "b", "split": "test", "features": 5}, "'b'"),
+    ({"id": "b", "split": "test", "features": ["q"]}, "'b'"),
+])
+def test_run_malformed_json_item_exit_2(tmp_path, capsys, bad, named):
+    good = {"id": "a", "split": "train", "label": "x", "features": [0.5]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([good, bad]))
+    code = main(["run", str(path), "-o", str(tmp_path / "x")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and named in line
+
+
+@pytest.mark.parametrize("name,text", [
+    ("data.csv", "id,split,label\na,train,x\nb,train,y\nc,test,\n"),
+    ("data.json", json.dumps([{"id": i, "split": "train", "label": i, "features": []}
+                              for i in "ab"])),
+])
+def test_run_without_features_exit_2(tmp_path, capsys, monkeypatch, name, text):
+    (tmp_path / name).write_text(text)
+    calls = []
+    monkeypatch.setattr("dpsc.cli.run_chains", lambda *a, **k: calls.append(a))
+    code = main(["run", str(tmp_path / name), "-o", str(tmp_path / "x")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and "feature" in line
+    assert calls == [] and not (tmp_path / "x.pred.tsv").exists()
+
+
 def test_run_missing_output_dir_fails_before_sampling(tmp_path, capsys, monkeypatch):
     data, _ = make_dataset_file(tmp_path, seed=3)
     calls = []

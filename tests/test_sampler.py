@@ -217,25 +217,25 @@ def test_tiny_alpha_t_keeps_single_type():
     assert len(state.types) == 1
 
 
-def test_pick_search_matches_scan():
-    # The searchsorted rule draws the same index as the loop for the same
-    # uniform, across the crossover, with underflowed (zero) weights and
-    # with u at the very top of the total (the last-index fallback).
+def test_pick_and_pick_rows_draw_the_same_index():
+    # _pick is _pick_rows' rule on one row: the same index for the same
+    # uniform, with underflowed (zero) weights and with u at its largest,
+    # 1 - 2**-53, where u times the total is just below the last running sum.
     rng = np.random.default_rng(12)
-    for length in list(range(1, 80)) + list(range(80, 201, 20)):
+    top = 1.0 - 2.0**-53
+    assert top < 1.0 and np.nextafter(top, 1.0) == 1.0
+    for length in range(1, 201):
         for underflow in (False, True):
             logw = rng.normal(0.0, 3.0, length)
             if underflow:  # every other weight, the last included, is exp(-2000) = 0
                 logw[-1::-2] = -2000.0
-            w = np.exp(logw - logw.max())
-            assert (w == 0.0).any() == (underflow and length > 1)
-            acc = w.cumsum()
-            us = [rng.random() * w.sum() for _ in range(20)]
-            us += [0.0, w.sum(), acc[-1], np.nextafter(acc[-1], 0.0), *acc[:3]]
-            for u in us:
-                assert sampler._search(w, u) == sampler._scan(w.tolist(), u)
-    # u at or past every running sum falls back to the last index.
-    assert sampler._scan([1.0, 0.0], 1.0) == sampler._search(np.array([1.0, 0.0]), 1.0) == 1
+            zero = np.exp(logw - logw.max()) == 0.0
+            assert zero.any() == (underflow and length > 1)
+            us = np.concatenate([rng.random(20), [0.0, top]])
+            rows = sampler._pick_rows(np.tile(logw, (len(us), 1)), us)
+            for u, row in zip(us, rows.tolist()):
+                i = sampler._pick(logw, u)
+                assert i == row and 0 <= i < length and not zero[i]
 
 
 class _CheckedTable(ChainState):
@@ -385,7 +385,7 @@ def test_scalar_d_update_matches_per_item_formula():
     state.alpha_t *= 3.0
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(n, int(state.d[n]))
-        tids, logw = state.types.ids, sampler._TypeTable(state, n, n + 1).weights(n)
+        tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
         r, p = state.X[n], state.pubs[int(state.c[n])]
         want = [
             math.log(len(state.types.members[int(k)])) + data_loglik(r, p, state.types[int(k)])
@@ -620,7 +620,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
         state.sweep()
     n = int(ds.indices("test")[0])
     state.types.detach(n, int(state.d[n]))
-    logw = sampler._TypeTable(state, n, n + 1).weights(n)
+    logw = sampler._TypeTable(state, [n]).weights(n)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
         state.X[n], state.pubs[int(state.c[n])], state.type_base
     )
@@ -640,7 +640,7 @@ def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
     shifted = TypeBase(shape=np.ones(state.F), scale=1.0 / (1.0 + s))
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(n, int(state.d[n]))
-        tids, logw = state.types.ids, sampler._TypeTable(state, n, n + 1).weights(n)
+        tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
         expected = math.log(state.alpha_t) + marginal_loglik_new_type(
             state.X[n], state.pubs[int(state.c[n])], shifted
         )
