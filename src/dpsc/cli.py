@@ -34,23 +34,30 @@ class _ValidationFailure(Exception):
         self.messages = list(messages)
 
 
-def _output_problems(what, path):
-    """The directory an output path names must exist and be writable."""
+def _output_problems(what, path, *files):
+    """The directory an output path names must exist and be writable, and
+    none of the ``files`` written there (by default the path itself) may be
+    a directory."""
     out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
         return [f"{what} {path!r}: directory {out_dir!r} does not exist"]
     if not os.access(out_dir, os.W_OK | os.X_OK):
         return [f"{what} {path!r}: directory {out_dir!r} is not writable"]
-    return []
+    return [f"{what} {f!r} is a directory" for f in files or (path,) if os.path.isdir(f)]
 
 
 def _read(reader, path, errors):
     """``reader(path)``, or None with its error appended to ``errors``."""
     try:
         return reader(path)
-    except (DomainError, FileNotFoundError) as exc:
+    except DomainError as exc:
         errors.append(str(exc))
-        return None
+    except OSError as exc:  # missing, a directory, unreadable
+        errors.append(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        errors.append(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                      f"at offset {exc.start})")
+    return None
 
 
 def build_parser():
@@ -138,7 +145,9 @@ def _run_validate(args, dataset):
             errors.append("dataset has no test items to predict")
         if "kmeans" in wanted and any(not dataset.labels[i] for i in test_idx):
             errors.append("kmeans baseline needs gold labels on test items to pick oracle k")
-    errors += _output_problems("output prefix", args.out_prefix)
+    written = [".pred.tsv", ".chains.csv", *(f".{b}.tsv" for b in wanted)]
+    errors += _output_problems("output prefix", args.out_prefix,
+                               *(args.out_prefix + suffix for suffix in written))
     return wanted, errors
 
 

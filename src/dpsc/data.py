@@ -114,9 +114,19 @@ def standardize(dataset: Dataset, stats_over="train"):
     mean = dataset.X[idx].mean(axis=0)
     std = np.maximum(dataset.X[idx].std(axis=0), STD_FLOOR)
     tf = Standardizer(mean=mean, std=std)
+    X = tf.apply(dataset.X)
+    # The samplers sum squared standardized values over the items, so those
+    # sums must be finite.
+    with np.errstate(over="ignore"):
+        too_large = np.flatnonzero(~np.isfinite((X * X).sum(axis=0)))
+    if len(too_large):
+        raise DomainError(
+            f"features {(too_large + 1).tolist()} are too large after standardization: "
+            "the sum of their squares over the items is not a finite float"
+        )
     out = Dataset(
         ids=list(dataset.ids),
-        X=tf.apply(dataset.X),
+        X=X,
         labels=list(dataset.labels),
         split=list(dataset.split),
     )
@@ -196,9 +206,16 @@ def _load_json(path) -> Dataset:
             raise DomainError(
                 f"{path}: item {rec['id']!r} has {len(feats)} features, expected {dim}"
             )
+        label = rec.get("label")
+        if not (label is None or isinstance(label, (str, int, float))):
+            raise DomainError(
+                f"{path}: item {rec['id']!r}: label must be a string or a number, got {label!r}"
+            )
         ids.append(str(rec["id"]))
         split.append(rec["split"])
-        labels.append(rec.get("label") or None)
+        # Only a missing or null label is missing; a number is kept as the
+        # string CSV would give.
+        labels.append(None if label is None else str(label))
         try:
             rows.append([float(v) for v in feats])
         except (TypeError, ValueError):

@@ -53,33 +53,45 @@ with one bincount over the items, in ascending item order.
 The indicator pass.  Between the refreshes and the precision draws, a
 sweep updates c of every test item in turn (the c pass), then d of every
 item in turn (the d pass); each update conditions on the current rest of
-the state, so this is a systematic-scan Gibbs sampler.  Both passes read
-their weights from one kind of table filled ahead (``_PassTable``): each
-item's log-likelihood against every candidate row of one store, a column
-per row id, and its new-row log weight in column 0.  A row opened during
-the pass gets its column when an item first reads the table after it, and
-a deleted one drops out of the lookup.  The c table (``_ClusterTable``)
-covers a block of test items: the candidate centers and the closed-form
-new-cluster weight, which m1/m2 use and m3 replaces by its auxiliary
-candidates.  This is exact because nothing those numbers read changes
+the state, so this is a systematic-scan Gibbs sampler.  Each pass reads
+its weights from one table filled ahead (``_PassTable``): each item's
+log-likelihood against every candidate row of one store, a column per row
+id, its new-row log weights in the leading columns, and the pass's uniform
+for each item, drawn at once.  A row opened during the pass gets its column
+when the table is next read, and a deleted one drops out of the lookup.
+A c table (``_ClusterTable``), one for each block of test items, holds
+the candidate centers and m1/m2's closed-form new-cluster weight, or m3's
+auxiliary candidates: aux_samples fresh base draws per item, drawn up
+front because they do not depend on the state.  This is exact because nothing those numbers read changes
 during the c pass: no center or type vector is written (rows are only
 opened and deleted), no d changes, and alpha_p and both bases stay fixed.
-Once the c pass is done, every item's cluster, every center, alpha_t and
-the types' prior are fixed for the d pass, so its table (``_TypeTable``)
-holds every item's log-likelihood against each type from one product, its
-new-type weight, and the pass's N uniforms, drawn at once.  The d pass
-walks the items in blocks, evaluating every pick of a block under the
-current counts with each item taken out of its own type; only at the
-first item that moves (an item alone in its type always does) does it run
-the single-item update, and it resumes after that item.  An item that
-stays leaves the state as it found it, so the result is the sequential
-scan's with the same uniforms.  Every draw, of one row of weights or of
-many, takes the first index whose running sum exceeds the uniform times
-the last running sum (``_pick``, ``_pick_rows``).  The tables live for one
-pass only and are dropped when it ends, also when it ends in an
-exception; an update called outside a sweep fills a table of its own from
-the current state.  The tables give the weights of the per-item formulas,
-which may differ from them in the last bit (a batched product can round
+Under the conditional prior, an auxiliary candidate's weight also carries
+the tilt of the center it would add, which reads the centers; it is
+recomputed, for the items read from there on, after a cluster opens or
+closes.  Once the c pass is done, every item's cluster, every center,
+alpha_t and the types' prior are fixed for the d pass, so its table
+(``_TypeTable``) holds every item's log-likelihood against each type from
+one product.
+
+Both passes follow one scan rule (``_PassTable.scan``): the picks of a
+window of items are evaluated at once, under the current counts with each
+item taken out of its own row, and the single-item update (``sample_c``,
+``sample_d``) runs only at the first item that moves (an item alone in its
+row always does); the scan resumes after it.  An item that stays leaves
+the state as it found it, and every value a table holds is computed the
+same way whichever window reads it, so the result is the sequential
+scan's with the same uniforms, bit for bit, for any window.  A pass sizes
+its window from its own previous pass: twice the mean gap between the
+items that moved, at most TABLE_BLOCK, and no scan (the single-item update
+of every item) when that gap is under 4 items or there is no previous
+pass, because evaluating a window costs about as much as a few
+single-item updates.  Every draw, of one row of weights or of many, takes
+the first index whose running sum exceeds the uniform times the last
+running sum (``_pick``, ``_pick_rows``).  The tables live for one pass
+only and are dropped when it ends, also when it ends in an exception; an
+update called outside a sweep fills a table of its own from the current
+state.  The tables give the weights of the per-item formulas, which may
+differ from them in the last bit (a batched product can round
 differently), so a uniform picks the same candidate unless it falls
 within those few ulps of a boundary.
 """
@@ -190,7 +202,8 @@ class SampleRecord:
     n_types: int
 
 
-TABLE_BLOCK = 64  # items per block of the c-update table and of the d pass's scan
+TABLE_BLOCK = 64  # the widest scan window, and a table's room for opened rows
+TABLE_CELLS = 1 << 14  # items times centers a c table may reach past TABLE_BLOCK items
 
 
 def _pick(logw, u):
@@ -206,7 +219,7 @@ def _pick_rows(logw, u):
     """_pick of each row of the log weights ``logw`` by its uniform in
     ``u``."""
     acc = np.exp(logw - logw.max(axis=1, keepdims=True)).cumsum(axis=1)
-    return (acc <= u[:, None] * acc[:, -1:]).sum(axis=1)
+    return (acc > u[:, None] * acc[:, -1:]).argmax(axis=1)
 
 
 def _row_sums(rows, values, k):
@@ -370,28 +383,49 @@ class _TypeRows(_Rows):
             setattr(self, name, value)
 
 
+def _window(items, moves):
+    """The scan window of a pass over ``items`` items whose previous pass
+    moved ``moves`` of them (None before the first): twice the mean gap
+    between moves, at most TABLE_BLOCK.  0, a single-item update of every
+    item with no scan, when that gap is under 4 items or unknown: a scan
+    costs a few single-item updates, so it pays only where few items move.
+    Any window gives the same result."""
+    gap = 0 if moves is None else items // (moves + 1)
+    return min(TABLE_BLOCK, 2 * gap) if gap >= 4 else 0
+
+
 class _PassTable:
     """The log-likelihoods of some items against every candidate row of one
     row store, computed ahead for one indicator pass: a column per row id,
-    and in column 0 each item's log weight for a new row.
+    and in the first ``m`` columns each item's log weights for a new row
+    (m1/m2 and the d pass weigh one, m3's c pass its auxiliary candidates).
+    It also holds the pass's uniform for each item.
 
     Nothing a column reads changes during its pass, so a column is computed
     once.  A row opened since the table was last read gets its column, for
     the items from the reading one on, at that read (earlier items are not
-    read again); a deleted row drops out of the lookup by id.  Subclasses
-    supply the columns, ``_loglik``."""
+    read again); a deleted row drops out of the lookup by id.  The columns
+    of the rows present at construction are computed there, so every
+    column is computed over the same items whichever items the pass reads.
+    Subclasses supply the columns, ``_loglik``."""
 
-    def __init__(self, store, lo, items, new):
+    def __init__(self, store, lo, items, new, labels, rng):
         """The candidates are the rows of ``store`` from row ``lo`` on; ``new``
-        holds each of ``items``' new-row log weights."""
-        self.store, self.lo = store, lo
-        self.pos = {n: i for i, n in enumerate(np.asarray(items).tolist())}
-        # Room for a row opened by each item of a block.
+        holds each of ``items``' new-row log weights, a row per item, and
+        ``labels`` is the indicator array the pass updates."""
+        self.store, self.lo, self.labels = store, lo, labels
+        self.items = np.asarray(items)
+        self.pos = dict(zip(self.items.tolist(), range(len(self.items))))
+        new = np.asarray(new, dtype=float).reshape(len(self.pos), -1)
+        self.m = new.shape[1]
+        # Room for some opened rows before the buffer grows.
         room = min(len(self.pos), TABLE_BLOCK)
-        self.buf = np.empty((len(self.pos), 1 + len(store) - lo + room))
-        self.buf[:, 0] = new
-        self.ids = np.empty(0, dtype=np.int64)  # the id of each column from 1 on
+        self.buf = np.empty((len(self.pos), self.m + len(store) - lo + room))
+        self.buf[:, :self.m] = new
+        self.ids = np.empty(0, dtype=np.int64)  # the id of each column from m on
         self.seen = None  # the store's ids at the last read
+        self.u = rng.random(len(self.pos))
+        self._map(0)
 
     def _map(self, i):
         """Map the candidate rows to columns, if the store's rows changed
@@ -404,47 +438,144 @@ class _PassTable:
         top = self.ids[-1] if len(self.ids) else -1
         fresh = len(ids) - int(ids.searchsorted(top, side="right"))
         if fresh:
-            col = 1 + len(self.ids)
+            col = self.m + len(self.ids)
             if col + fresh > self.buf.shape[1]:
                 grown = np.empty((len(self.buf), 2 * (col + fresh)))
                 grown[:, :col] = self.buf[:, :col]
                 self.buf = grown
             self.buf[i:, col:col + fresh] = self._loglik(i, len(store) - fresh)
             self.ids = np.concatenate([self.ids, ids[-fresh:]])
-        self.cols = np.append(1 + self.ids.searchsorted(ids), 0)
+        self.cols = np.concatenate([self.m + self.ids.searchsorted(ids), np.arange(self.m)])
         self.seen = store.ids
+
+    def _read(self, i, j):
+        """Table rows i to j - 1 under the store's current rows: each
+        candidate row's column, in row order, then the new-row columns (a
+        new array)."""
+        self._map(i)
+        return self.buf[i:j].take(self.cols, axis=1)
 
     def weights(self, n):
         """Item n's log weights under the store's counts: each candidate
-        row's, in row order, then a new row's (a new array)."""
+        row's, in row order, then the new-row ones (a new array)."""
         i = self.pos[n]
-        self._map(i)
-        logw = self.buf[i, self.cols]
-        logw[:-1] += np.log(self.store.counts[self.lo:])
+        logw = self._read(i, i + 1)[0]
+        logw[:-self.m] += np.log(self.store.counts[self.lo:])
         return logw
+
+    def uniform(self, n):
+        """Item n's uniform for its pick."""
+        return self.u[self.pos[n]]
+
+    def scan(self, i, window):
+        """The first table row from i on whose item's update would move it;
+        the number of rows if there is none.  The picks of each ``window``
+        items are evaluated at once, under the current counts with each
+        item's own row less that item: the weights its single-item update
+        gives it, as long as no item before it moved.  An item alone in its
+        row weighs that row 0, so it always moves."""
+        end = len(self.u)
+        ids = self.store.ids[self.lo:]
+        # Each row's log count, and its log count less one item, then 0 (the
+        # log of 1) for the new-row columns.
+        counts = np.concatenate([self.store.counts[self.lo:], np.ones(self.m)])
+        with_own = np.log(counts)
+        counts[:len(ids)] -= 1.0
+        with np.errstate(divide="ignore"):  # a zero count: weight 0
+            without = np.log(counts)
+        cols = np.arange(len(counts))
+        while i < end:
+            j = min(i + window, end)
+            own = ids.searchsorted(self.labels[self.items[i:j]])
+            logw = self._read(i, j)
+            logw += np.where(cols == own[:, None], without, with_own)
+            moved = _pick_rows(logw, self.u[i:j]) != own
+            k = int(moved.argmax())
+            if moved[k]:
+                return i + k
+            i = j
+        return end
+
+    def run(self, update, window):
+        """update(n) of each of the table's items in turn, or, with a scan
+        window, only of those the scan finds move: an item that stays leaves
+        the state as it found it, so the result is the same.  Returns how
+        many items moved."""
+        items = self.items.tolist()
+        before = self.labels[self.items]
+        if not window:
+            for n in items:
+                update(n)
+        else:
+            i = self.scan(0, window)
+            while i < len(items):
+                update(items[i])
+                i = self.scan(i + 1, window)
+        return int((self.labels[self.items] != before).sum())
 
 
 class _ClusterTable(_PassTable):
-    """The c-update log-likelihoods of a block of test items, and in column
-    0 their log alpha_p + new-cluster marginal (m1/m2's new-cluster weight;
-    m3 ignores it).
+    """The c-update log-likelihoods of a block of test items, and in the
+    new-row columns m1/m2's log alpha_p + new-cluster marginal, or m3's
+    auxiliary candidates (Neal 2000, Algorithm 8): for each item,
+    aux_samples fresh base draws (``news``), each weighted alpha_p /
+    aux_samples times its likelihood and, under the conditional prior, the
+    tilt of the center it would add.
 
-    Nothing they read changes during the pass: no center or type vector is
-    written, no d changes (the d pass comes after), and alpha_p and both
-    bases are fixed."""
+    Nothing they read changes during the pass but the tilt: no center or
+    type vector is written, no d changes (the d pass comes after), and
+    alpha_p and both bases are fixed.  The tilt reads the centers, which
+    change when a cluster opens or closes; it is recomputed at the next
+    read, for the items read from there on."""
 
     def __init__(self, state, items):
         types = state.types
         k = types.rows(state.d[items])
         self.R, self.k, self.const = state.X[items], k, types.ll_const[k]
         self.tvecs = types.vecs  # replaced, not written, when a type opens or goes
-        new = np.log(state.alpha_p) + new_publication_loglik_rows(
-            self.R, types.new_var[k], types.new_head[k], state.pub_base
-        )
-        super().__init__(state.pubs, state.first_candidate, items, new)
+        self.state = state
+        if state.variant != "m3":
+            new = np.log(state.alpha_p) + new_publication_loglik_rows(
+                self.R, types.new_var[k], types.new_head[k], state.pub_base
+            )
+        else:
+            base, m = state.pub_base, state.config.aux_samples
+            z = state.rng.standard_normal((len(k), m, state.F))
+            self.news = base.mean + math.sqrt(base.variance) * z
+            D = self.R[:, None, :] - self.news
+            D *= D
+            self.untilted = math.log(state.alpha_p / m) + self.const[:, None] - 0.5 * (
+                D * self.tvecs[k][:, None, :]
+            ).sum(axis=2)
+            new = self.untilted
+        super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng)
+        if state.conditional:
+            # The running pair sum, computed before any update deletes a center,
+            # so that every read sees the same sums whichever items it covers.
+            state.pubs.pair_sq()
+            self.tilted, self.tilt_ids = 0, state.pubs.ids
+
+    def _tilt(self, i, j):
+        """Make the new-candidate weights of table rows i to j - 1 carry the
+        tilt under the current centers, recomputing from i on if the
+        centers changed since the last tilt."""
+        pubs = self.store
+        if pubs.ids is not self.tilt_ids:
+            self.tilted, self.tilt_ids = i, pubs.ids
+        a = self.tilted
+        if a < j:
+            news = self.news[a:j].reshape(-1, self.state.F)
+            tilt = self.state._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
+            self.buf[a:j, :self.m] = self.untilted[a:j] + tilt.reshape(j - a, self.m)
+            self.tilted = j
+
+    def _read(self, i, j):
+        if self.state.conditional:
+            self._tilt(i, j)
+        return super()._read(i, j)
 
     def _loglik(self, i, row):
-        """data_loglik_rows of the block's items from i on against the
+        """data_loglik_rows of the table's items from i on against the
         centers from ``row`` on: one matrix-vector product per type, over
         the rows of all its items at once."""
         P = self.store.vecs[row:]
@@ -463,8 +594,8 @@ class _ClusterTable(_PassTable):
 
 
 class _TypeTable(_PassTable):
-    """The d-update log-likelihoods of some items, in column 0 their log
-    alpha_t + new-type marginal, and one uniform for each.
+    """The d-update log-likelihoods of some items, and in column 0 their log
+    alpha_t + new-type marginal.
 
     Nothing they read changes while the types are updated: every item's
     cluster, every center and type vector, alpha_t and the types' prior are
@@ -477,44 +608,13 @@ class _TypeTable(_PassTable):
         self.D2 = D * D
         _, terms = state._type_prior()
         new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
-        super().__init__(state.types, 0, items, new)
-        self.state = state
-        self.u = state.rng.random(len(self.D2))
+        super().__init__(state.types, 0, items, new, state.d, state.rng)
 
     def _loglik(self, i, row):
         """data_loglik_rows of the items from i on against the types from
         ``row`` on, from one product."""
         types = self.store
         return types.ll_const[row:] - 0.5 * (self.D2[i:] @ types.vecs[row:].T)
-
-    def pick(self, n):
-        """The d update's draw for item n, taken out of its type: a type
-        row, or the number of rows for a new type."""
-        return _pick(self.weights(n), self.u[self.pos[n]])
-
-    def scan(self, n):
-        """The first item from n on whose d update would move it; N if there
-        is none (the table of all N items, in order).  Each block's picks are
-        evaluated under the current counts, each item's own type less that
-        item: the weights the single-item update gives it, as long as no
-        item before it moved.  An item alone in its type weighs that type 0,
-        so it always moves, and the single-item update deletes the type."""
-        self._map(n)
-        counts = self.store.counts
-        end = len(self.u)
-        while n < end:
-            j = min(n + TABLE_BLOCK, end)
-            own = self.store.rows(self.state.d[n:j])
-            left = np.repeat(counts[None, :], j - n, axis=0)
-            left[np.arange(j - n), own] -= 1.0
-            logw = self.buf[n:j, self.cols]
-            with np.errstate(divide="ignore"):  # a zero count: weight 0
-                logw[:, :-1] += np.log(left)
-            moved = _pick_rows(logw, self.u[n:j]) != own
-            if moved.any():
-                return n + int(moved.argmax())
-            n = j
-        return end
 
 
 class ChainState:
@@ -540,6 +640,8 @@ class ChainState:
         self.test_indices = np.flatnonzero(self.is_test)
         self._table = None  # a _ClusterTable during the c pass
         self._type_table = None  # a _TypeTable during the d pass
+        # The items each pass moved in the last sweep; they size its scan.
+        self.c_moves = self.d_moves = None
 
         self.pub_base = PublicationBase.standard(self.F)
         self._set_type_base(TypeBase.standard(self.F))
@@ -616,8 +718,10 @@ class ChainState:
         types' conditional priors, for each row of ``d_sq``: that center's
         squared differences to the centers whose pair sum is ``s_base``."""
         base = self.type_base
-        lift = np.log1p(d_sq / (base.rate + s_base)) @ base.shape
-        return len(self.types) * lift - d_sq @ self.types.vecs.sum(axis=0)
+        # Sums over each row rather than products, so that a row's bits do not
+        # depend on how many rows are computed with it.
+        lift = (np.log1p(d_sq / (base.rate + s_base)) * base.shape).sum(axis=1)
+        return len(self.types) * lift - (d_sq * self.types.vecs.sum(axis=0)).sum(axis=1)
 
     def _resample_publications(self):
         """Exact conjugate draw of every center, all in one call.  Under the
@@ -666,35 +770,39 @@ class ChainState:
         candidates are the trailing rows of the center store, weighted by
         their log counts plus the pass table's log-likelihoods (a table of
         its own outside a sweep).  m1/m2 take the table's new-cluster
-        weight; m3 replaces it by its auxiliary candidates."""
-        lo = self.first_candidate
-        pubs = self.pubs
-        logw = (self._table or _ClusterTable(self, [n])).weights(n)
+        weight, m3 its auxiliary candidates, of which a singleton's orphaned
+        center takes the last one's place (Neal 2000, Algorithm 8)."""
+        table = self._table or _ClusterTable(self, [n])
+        cand, logw = self.pubs.ids[self.first_candidate:], table.weights(n)
         if self.variant != "m3":
-            return pubs.ids[lo:], logw, None
-        # aux_samples candidates (Neal 2000, Algorithm 8): fresh base draws,
-        # then a singleton's orphaned center.
-        base = self.pub_base
-        m = self.config.aux_samples - (orphan is not None)
-        news = self.rng.normal(base.mean, np.sqrt(base.variance), (m, self.F))
+            return cand, logw, None
+        news = table.news[table.pos[n]]
         if orphan is not None:
-            news = np.vstack([news, orphan[None, :]])
-        k = self.types.row(int(self.d[n]))
-        new = np.log(self.alpha_p / len(news)) + data_loglik_rows(
-            self.X[n], news, self.types.vecs[k], self.types.ll_const[k]
-        )
-        if self.conditional:
-            # A new cluster adds a center, which shifts every type's prior.
-            new += self._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
-        return pubs.ids[lo:], np.concatenate([logw[:-1], new]), news
+            news = np.vstack([news[:-1], orphan])
+            k = self.types.row(int(self.d[n]))
+            own = data_loglik_rows(self.X[n], orphan[None], self.types.vecs[k], self.types.ll_const[k])
+            logw[-1] = math.log(self.alpha_p / len(news)) + own[0]
+            if self.conditional:
+                # Against the centers without the orphan, as the table's tilt.
+                d_sq = _pair_terms(orphan[None], self.pubs.vecs)
+                logw[-1] += self._center_tilt(d_sq, self.pubs.pair_sq())[0]
+        return cand, logw, news
 
     def sample_c(self, n):
-        """Reassign test item n to an existing cluster or a fresh one."""
+        """Reassign test item n to an existing cluster or a fresh one, by the
+        uniform the pass table holds for it."""
         if not self.is_test[n]:
             raise DomainError(f"item {n} is a training item; its cluster is pinned")
+        table = self._table
+        if table is None:  # outside a sweep: a table of its own
+            self._table = _ClusterTable(self, [n])
+            try:
+                return self.sample_c(n)
+            finally:
+                self._table = None
         pubs = self.pubs
         cand, logw, news = self._c_candidates(n, pubs.detach(n, int(self.c[n])))
-        sel = _pick(logw, self.rng.random())
+        sel = _pick(logw, table.uniform(n))
         if sel < len(cand):
             # The candidates are the trailing rows of the store.
             self.c[n] = pubs.join(n, len(pubs.ids) - len(cand) + sel)
@@ -706,10 +814,12 @@ class ChainState:
             self.c[n] = pubs.open(n, pub)
 
     def sample_d(self, n):
-        """Reassign item n's reference type (training items included)."""
+        """Reassign item n's reference type (training items included), by
+        the uniform the pass table holds for it."""
         types = self.types
         types.detach(n, int(self.d[n]))
-        sel = (self._type_table or _TypeTable(self, [n])).pick(n)
+        table = self._type_table or _TypeTable(self, [n])
+        sel = _pick(table.weights(n), table.uniform(n))
         if sel < len(types):
             self.d[n] = types.join(n, sel)
         else:
@@ -717,15 +827,26 @@ class ChainState:
             base, _ = self._type_prior()
             self.d[n] = types.open(n, posterior_sample_type(r[None, :], p[None, :], base, self.rng))
 
-    def _d_pass(self):
-        """sample_d of every item in turn, run only where the pass table's
-        scan finds an item that moves or sits alone in its type."""
-        self._type_table = table = _TypeTable(self, np.arange(self.N))
+    def _c_pass(self):
+        """sample_c of every test item in turn, from a pass table for each
+        block of items: TABLE_BLOCK, or as many more as keep the table
+        within TABLE_CELLS cells, which bounds its memory at large K."""
+        test, moves = self.test_indices, 0
+        window = _window(len(test), self.c_moves)
+        size = max(TABLE_BLOCK, TABLE_CELLS // len(self.pubs))
         try:
-            n = table.scan(0)
-            while n < self.N:
-                self.sample_d(n)
-                n = table.scan(n + 1)
+            for i in range(0, len(test), size):
+                self._table = _ClusterTable(self, test[i:i + size])
+                moves += self._table.run(self.sample_c, window)
+        finally:
+            self._table = None
+        self.c_moves = moves
+
+    def _d_pass(self):
+        """sample_d of every item in turn, from one pass table."""
+        self._type_table = _TypeTable(self, np.arange(self.N))
+        try:
+            self.d_moves = self._type_table.run(self.sample_d, _window(self.N, self.d_moves))
         finally:
             self._type_table = None
 
@@ -747,15 +868,7 @@ class ChainState:
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
-        test = self.test_indices
-        try:
-            for i in range(0, len(test), TABLE_BLOCK):
-                block = test[i:i + TABLE_BLOCK]
-                self._table = _ClusterTable(self, block)
-                for n in block.tolist():
-                    self.sample_c(n)
-        finally:
-            self._table = None
+        self._c_pass()
         if not self.frozen_types:
             self._d_pass()
         if self.config.resample_alphas:

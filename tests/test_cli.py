@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from dpsc.cli import main
-from dpsc.data import Dataset, SynthConfig, save_dataset, synth_gaussian
+from dpsc.data import Dataset, SynthConfig, load_dataset, save_dataset, standardize, synth_gaussian
 from dpsc.metrics import full_report
 from dpsc.partition import Partition, read_partition_file, write_partition_file
 
@@ -258,6 +259,94 @@ def test_run_missing_dataset_exit_2(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "x")])
     assert code == 2
     assert "ERROR:2:" in capsys.readouterr().err
+
+
+def test_run_json_numeric_labels(tmp_path, capsys):
+    # A label 0 is a label, and a number reads as the string CSV would give.
+    items = [{"id": f"a{i}", "split": "train", "label": i % 2, "features": [i % 2 + 0.1 * i]}
+             for i in range(8)]
+    items += [{"id": f"t{i}", "split": "test", "features": [3.0 + 0.1 * i]} for i in range(4)]
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(items))
+    assert load_dataset(path).labels == ["0", "1"] * 4 + [None] * 4
+    assert main(["run", str(path), "--iters", "4", "-o", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_partition_file(tmp_path / "out.pred.tsv").n_items == 4
+
+
+def _bad_bytes(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("id,split,label,f1\nb\xe9,train,x,0\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "dataset-not-utf8", "partition-not-utf8", "dataset-dir", "gold-dir", "hypothesis-dir",
+    "score-output-dir",
+])
+def test_unreadable_input_exit_2(tmp_path, capsys, case):
+    data, _ = make_dataset_file(tmp_path, seed=3)
+    write_parts(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    gold, hyp, out = tmp_path / "gold.tsv", tmp_path / "fine.tsv", tmp_path / "s.csv"
+    if case == "dataset-not-utf8":
+        args, named = ["run", str(_bad_bytes(tmp_path)), "-o", str(tmp_path / "x")], "latin1"
+    elif case == "dataset-dir":
+        args, named = ["run", str(folder), "-o", str(tmp_path / "x")], "folder"
+    else:
+        if case == "partition-not-utf8":
+            hyp = _bad_bytes(tmp_path)
+        elif case == "gold-dir":
+            gold = folder
+        elif case == "hypothesis-dir":
+            hyp = folder
+        else:
+            out = folder
+        args = ["score", "--gold", str(gold), str(hyp), "-o", str(out)]
+        named = "latin1" if case == "partition-not-utf8" else "folder"
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and named in line
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("value,code", [("1e160", 2), ("1e200", 2), ("1e12", 0)])
+def test_run_feature_too_large_to_square_exit_2(tmp_path, capsys, value, code):
+    # Standardized by the training values 0 and 1, the test value doubles;
+    # from about 1e154 its square is not a finite float.
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,split,label,f1\na,train,x,0\nb,train,y,1\nc,test,,{value}\n")
+    assert main(["run", str(path), "--iters", "60", "-o", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert (tmp_path / "o.pred.tsv").exists() == (code == 0)
+    if code:
+        (line,) = err.splitlines()
+        assert line.startswith("ERROR:2:") and "too large" in line
+
+
+def test_commands_leave_process_state_alone(tmp_path, capsys):
+    # Neither the sampler nor any command may change numpy's error handling
+    # or the environment.
+    from dpsc.sampler import SamplerConfig, run_chains
+
+    data, ds = make_dataset_file(tmp_path, seed=3)
+    write_parts(tmp_path)
+    write_partition_file(Partition({f"i{k}": k % 3 for k in range(12)}), tmp_path / "pool.tsv")
+    steps = [
+        lambda: run_chains(standardize(ds)[0], SamplerConfig(iterations=4)),
+        lambda: main(["run", str(data), "--iters", "4", "--variant", "m3",
+                      "-o", str(tmp_path / "r")]),
+        lambda: main(["score", "--gold", str(tmp_path / "gold.tsv"), str(tmp_path / "fine.tsv"),
+                      "-o", str(tmp_path / "s.csv")]),
+        lambda: main(["dpfit", str(tmp_path / "pool.tsv"), "--resamples", "5",
+                      "-o", str(tmp_path / "c.csv")]),
+    ]
+    for step in steps:
+        err, env = np.geterr(), dict(os.environ)
+        assert step() not in (1, 2)
+        assert np.geterr() == err and dict(os.environ) == env
 
 
 # ------------------------------------------------------------------ score

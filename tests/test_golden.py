@@ -12,9 +12,9 @@ A change that alters any of these on purpose re-records every file with
 
 which writes each run golden with the arguments the tests below use, and
 ``score.csv`` by the score test's procedure, and says so.  All of them were
-last re-recorded when the d updates moved to one batched pass per sweep
-after the c updates (a new sweep order and random stream) and the
-refreshes to bincount sums in item order.
+last re-recorded when the c pass took its uniforms, and m3's auxiliary
+candidates, from its pass tables, drawn when each table is built (a new
+random stream).
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling

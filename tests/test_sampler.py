@@ -9,12 +9,16 @@ from dpsc.errors import ConfigError, DomainError
 from dpsc import sampler
 from dpsc.gaussian import (
     TypeBase,
+    conditional_type_base,
     data_loglik,
     data_loglik_rows,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
+    pairwise_sq_diff_sum,
+    posterior_sample_publication,
     posterior_sample_type,
     publication_posterior_params,
+    type_base_logpdf,
     type_posterior_params,
 )
 from dpsc.partition import Partition
@@ -343,37 +347,155 @@ def _sequential_d_pass(state):
             state.d[n] = types.open(n, posterior_sample_type(r[None], p[None], base, state.rng))
 
 
-@pytest.mark.parametrize(
-    "variant,share,conditional",
-    [("m1", False, False), ("m1", True, False), ("m2", False, False), ("m2", True, False),
-     ("m3", False, True), ("m3", True, True), ("m3", False, False), ("m3", True, False)],
-)
-def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional):
+PASS_CASES = [
+    ("m1", False, False), ("m1", True, False), ("m2", False, False), ("m2", True, False),
+    ("m3", False, True), ("m3", True, True), ("m3", False, False), ("m3", True, False),
+]
+
+
+def pass_dataset():
     ds = synth_gaussian(
         SynthConfig(3, 30, dim=3, min_class_size=2, max_class_size=5, separation=5.0, seed=3)
     )
-    ds, _ = standardize(ds)
-    cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share, alpha_t=20.0,
+    return standardize(ds)[0]
+
+
+def assert_same_pass(a, b):
+    """The same indicators, rows and vectors, and the same draws consumed."""
+    for x, y in ((a.c, b.c), (a.d, b.d), (a.pubs.ids, b.pubs.ids), (a.pubs.vecs, b.pubs.vecs),
+                 (a.types.ids, b.types.ids), (a.types.vecs, b.types.vecs)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.rng.random() == b.rng.random()
+
+
+@pytest.mark.parametrize("variant,share,conditional", PASS_CASES)
+def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional):
+    ds = pass_dataset()
+    # alpha_t = 20: most items move, so the pass scans only when made to
+    # (its widest window, whatever its history); alpha_t = 2: few move, and
+    # the pass scans by its own rule.
+    for alpha_t, moves in ((20.0, 0), (2.0, None)):
+        cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share, alpha_t=alpha_t,
+                            resample_alphas=False, conditional_type_prior=conditional)
+        state = ChainState(ds, cfg, chain_rng(cfg, 0))
+        most_types = moved = opened = scanned = 0
+        for _ in range(12):
+            state.sweep()
+            batched, sequential = copy.deepcopy(state), copy.deepcopy(state)
+            if moves is not None:
+                batched.d_moves = moves
+            scanned += sampler._window(state.N, batched.d_moves) > 0
+            batched._d_pass()
+            _sequential_d_pass(sequential)
+            assert_same_pass(batched, sequential)
+            batched.check()
+            most_types = max(most_types, len(state.types), len(batched.types))
+            moved += int((batched.d != state.d).sum())
+            opened += batched.types.next_id - state.types.next_id
+            state = batched
+        assert scanned > 0 and moved > 0 and opened > 0
+        assert most_types > 10 or alpha_t < 20.0
+
+
+def _type_prior_change(state, phi):
+    """How much adding a center at phi raises the log density of the types
+    under the conditional prior, from a fresh pair sum."""
+    P = state.pubs.vecs
+    s_pair = pairwise_sq_diff_sum(P)
+    before = conditional_type_base(state.type_base, s_pair)
+    after = conditional_type_base(state.type_base, s_pair + ((P - phi) ** 2).sum(axis=0))
+    return sum(type_base_logpdf(t, after) - type_base_logpdf(t, before) for t in state.types.vecs)
+
+
+def _sequential_c_pass(state):
+    """The c pass as a plain sequential scan fed the batched pass's draws: for
+    m3, aux_samples base draws per test item, then one uniform per test item.
+    Per item: detach; weigh each candidate cluster by its count and
+    data_loglik; weigh a new cluster by alpha_p and
+    marginal_loglik_new_publication (m1/m2), or each auxiliary candidate by
+    alpha_p / aux_samples, data_loglik and, under the conditional prior, the
+    change its center makes to the types' log prior (a singleton's orphaned
+    center replaces the last candidate); pick by running sums; then join or
+    open."""
+    test, base, pubs = state.test_indices, state.pub_base, state.pubs
+    m, lo = state.config.aux_samples, state.first_candidate
+    if state.variant == "m3":
+        z = state.rng.standard_normal((len(test), m, state.F))
+        news = base.mean + math.sqrt(base.variance) * z
+    u = state.rng.random(len(test))
+    for i, n in enumerate(test.tolist()):
+        orphan = pubs.detach(n, int(state.c[n]))
+        r, t = state.X[n], state.types[int(state.d[n])]
+        logw = [math.log(k) + data_loglik(r, p, t) for k, p in zip(pubs.counts[lo:], pubs.vecs[lo:])]
+        if state.variant != "m3":
+            logw.append(math.log(state.alpha_p) + marginal_loglik_new_publication(r, t, base))
+        else:
+            cands = news[i] if orphan is None else np.vstack([news[i][:-1], orphan])
+            for phi in cands:
+                w = math.log(state.alpha_p / m) + data_loglik(r, phi, t)
+                logw.append(w + _type_prior_change(state, phi) if state.conditional else w)
+        acc = np.cumsum(np.exp(np.array(logw) - max(logw)))
+        sel = int(np.searchsorted(acc, u[i] * acc[-1], side="right"))
+        k = len(pubs) - lo
+        if sel < k:
+            state.c[n] = pubs.join(n, lo + sel)
+        elif state.variant == "m3":
+            state.c[n] = pubs.open(n, cands[sel - k])
+        else:
+            state.c[n] = pubs.open(n, posterior_sample_publication(r[None], t[None], base, state.rng))
+
+
+@pytest.mark.parametrize("variant,share,conditional", PASS_CASES)
+def test_batched_c_pass_matches_the_sequential_scan(variant, share, conditional):
+    ds = pass_dataset()
+    cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
                         resample_alphas=False, conditional_type_prior=conditional)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    most_types = moved = opened = 0
+    moved = opened = deleted = 0
     for _ in range(12):
         state.sweep()
-        batched, sequential = copy.deepcopy(state), copy.deepcopy(state)
-        batched._d_pass()
-        _sequential_d_pass(sequential)
-        for a, b in ((batched.c, sequential.c), (batched.d, sequential.d),
-                     (batched.types.ids, sequential.types.ids),
-                     (batched.types.vecs, sequential.types.vecs),
-                     (batched.pubs.vecs, sequential.pubs.vecs)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert batched.rng.random() == sequential.rng.random()  # the same draws consumed
-        batched.check()
-        most_types = max(most_types, len(state.types), len(batched.types))
-        moved += int((batched.d != state.d).sum())
-        opened += batched.types.next_id - state.types.next_id
+        sequential = copy.deepcopy(state)
+        _sequential_c_pass(sequential)
+        # The pass's own history, then its widest window: here most items
+        # move, so only the second scans.
+        for moves in (state.c_moves, 0):
+            batched = copy.deepcopy(state)
+            batched.c_moves = moves
+            batched._c_pass()
+            assert_same_pass(batched, copy.deepcopy(sequential))
+            batched.check()
+        moved += int((batched.c != state.c).sum())
+        opened += batched.pubs.next_id - state.pubs.next_id
+        deleted += len(state.pubs) + batched.pubs.next_id - state.pubs.next_id - len(batched.pubs)
         state = batched
-    assert most_types > 10 and moved > 0 and opened > 0
+    # Under m3's conditional prior a new center's tilt against this many
+    # centers is so low that none opens.
+    assert moved > 0 and deleted > 0 and (opened > 0 or conditional)
+
+
+@pytest.mark.parametrize("variant,conditional", [("m1", False), ("m3", True), ("m3", False)])
+def test_pass_window_does_not_change_the_result(variant, conditional):
+    # From one state, each pass with its stored move count at None (no
+    # history: no scan), 0 (the widest window), a middling count (a narrow
+    # window) and every item (no scan) gives the same bytes.
+    cfg = SamplerConfig(variant=variant, seed=6, alpha_t=2.0, resample_alphas=False,
+                        conditional_type_prior=conditional)
+    state = ChainState(pass_dataset(), cfg, chain_rng(cfg, 0))
+    windows = set()
+    for _ in range(8):
+        state.sweep()
+        for name, items in (("c", len(state.test_indices)), ("d", state.N)):
+            first = None
+            for moves in (None, 0, items // 8, items):
+                s = copy.deepcopy(state)
+                setattr(s, name + "_moves", moves)
+                getattr(s, "_" + name + "_pass")()
+                windows.add(sampler._window(items, moves))
+                if first is None:
+                    first = s
+                else:
+                    assert_same_pass(s, copy.deepcopy(first))
+    assert 0 in windows and sampler.TABLE_BLOCK in windows and len(windows) == 3
 
 
 def test_scalar_d_update_matches_per_item_formula():
