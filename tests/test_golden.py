@@ -28,6 +28,10 @@ data, ``tests/golden/large.csv``, was written by ``dpsc synth
 --separation 6 --seed 13``, and each case is run on it with the flags in
 ``LARGE_CASES`` plus ``COMMON``.
 
+``tests/golden/large-m1.kmeans.tsv`` pins the oracle-k k-means baseline:
+the ``large-m1`` run with ``KMEANS`` added, whose other outputs are the
+``large-m1`` goldens.
+
 ``tests/golden/score.csv`` pins `dpsc score` the same way: the gold
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
 are the ``*.pred.tsv`` files of the five ``CASES``, named relative to
@@ -57,6 +61,7 @@ LARGE_CASES = {
     "large-m1": ["--variant", "m1"],
     "large-m2": ["--variant", "m2"],
 }
+KMEANS = ["--baseline", "kmeans"]
 CDP = ["--variant", "m1", "--chains", "2", "--iters", "24", "--seed", "5", "--baseline", "cdp"]
 RUN_SUFFIXES = (".pred.tsv", ".chains.csv")
 
@@ -91,6 +96,15 @@ def test_cdp_baseline_outputs_match_golden_bytes(tmp_path, monkeypatch):
         assert got == (GOLDEN / f"cdp{suffix}").read_bytes(), f"cdp{suffix} differs"
 
 
+def test_kmeans_baseline_output_matches_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv("DPSC_THREADS", "1")
+    prefix = tmp_path / "large-m1"
+    assert main([*run_args("large-m1", prefix), *KMEANS]) == 0
+    for suffix in (*RUN_SUFFIXES, ".kmeans.tsv"):
+        got = Path(f"{prefix}{suffix}").read_bytes()
+        assert got == (GOLDEN / f"large-m1{suffix}").read_bytes(), f"large-m1{suffix} differs"
+
+
 def write_gold_partition(path):
     """The test rows of ``data.csv`` as an ``id<TAB>label`` partition file."""
     with open(GOLDEN / "data.csv", newline="") as fh, open(path, "w", newline="\n") as out:
@@ -116,11 +130,12 @@ def test_score_output_matches_golden_bytes(tmp_path, monkeypatch):
 
 
 def record():
-    """Rewrite every golden output: the run cases, cdp, then score.csv from
-    the new predictions."""
+    """Rewrite every golden output: the run cases (large-m1 with its k-means
+    baseline), cdp, then score.csv from the new predictions."""
     os.environ["DPSC_THREADS"] = "1"
     for case in [*sorted(CASES), *sorted(LARGE_CASES), "cdp"]:
-        if main(run_args(case, GOLDEN / case)) != 0:
+        extra = KMEANS if case == "large-m1" else []
+        if main([*run_args(case, GOLDEN / case), *extra]) != 0:
             raise SystemExit(f"dpsc run failed for {case}")
     with tempfile.TemporaryDirectory() as tmp:
         gold = Path(tmp) / "gold.tsv"
