@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .partition import Partition
+from .sampler import SamplerConfig, _row_sums
 
 
 def coarse(ids) -> Partition:
@@ -41,6 +42,43 @@ class KMeansConfig:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
 
 
+def _sq_dists(X, centers):
+    """Squared distances of every point to every center, (n, k), added one
+    feature at a time: for under 8 features that is the order numpy's
+    ``.sum(axis=-1)`` adds them in, so the bits are the same."""
+    d2 = X[:, :1] - centers[:, 0]
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for f in range(1, X.shape[1]):
+        np.subtract(X[:, f:f + 1], centers[:, f], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _reseed(d2, labels, sizes):
+    """Reseed the clusters that no point is nearest to, in ascending order
+    (``labels`` and ``sizes`` updated in place).  Each takes the point
+    farthest from its assigned center under the labels as reseeded so far.
+    That point's distance to any other center is no smaller, so it stays the
+    farthest: every reseeded cluster takes the same point, which ends in the
+    last of them.  The cluster it first leaves drops it from its mean if
+    numbered above the first reseeded one, and is reseeded in turn if that
+    empties it; if numbered below, it keeps the mean it had.  Returns (the
+    reseeded clusters, their point, each point's cluster for the means)."""
+    starved = np.flatnonzero(sizes == 0)
+    if not starved.size:
+        return starved, 0, labels
+    far = int(d2[np.arange(len(labels)), labels].argmax())
+    means_of, loser = labels.copy(), labels[far]
+    if loser > starved[0]:
+        sizes[loser] -= 1
+        means_of[far] = starved[0]
+        starved = np.flatnonzero(sizes == 0)
+    labels[far] = starved[-1]
+    return starved, far, means_of
+
+
 def _lloyd(X, k, first, max_iters):
     """One Lloyd run; returns (labels, final wcss)."""
     n = X.shape[0]
@@ -54,21 +92,17 @@ def _lloyd(X, k, first, max_iters):
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(X, centers)
         new_labels = d2.argmin(axis=1)
-        for j in range(k):
-            members = new_labels == j
-            if members.any():
-                centers[j] = X[members].mean(axis=0)
-            else:
-                # Reseed a starved cluster to the point farthest from its center.
-                far = int(d2[np.arange(n), new_labels].argmax())
-                centers[j] = X[far]
-                new_labels[far] = j
+        sizes = np.bincount(new_labels, minlength=k)
+        starved, far, means_of = _reseed(d2, new_labels, sizes)
+        # A reseeded cluster has size 0 here, and its center is its point.
+        centers = _row_sums(means_of, X, k) / np.maximum(sizes, 1)[:, None]
+        centers[starved] = X[far]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(X, centers)
     labels = d2.argmin(axis=1)
     wcss = float(d2[np.arange(n), labels].sum())
     return labels, wcss
@@ -95,8 +129,6 @@ def kmeans(X, config: KMeansConfig, ids=None) -> Partition:
 def cdp_preset():
     """Unsupervised DP clustering: fixed alpha 1, one frozen identity type,
     gold labels ignored."""
-    from .sampler import SamplerConfig
-
     return SamplerConfig(
         variant="m1",
         alpha_p=1.0,

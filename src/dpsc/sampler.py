@@ -641,7 +641,9 @@ class ChainState:
         self._table = None  # a _ClusterTable during the c pass
         self._type_table = None  # a _TypeTable during the d pass
         # The items each pass moved in the last sweep; they size its scan.
-        self.c_moves = self.d_moves = None
+        # Every item starts in one type, so the first d pass scans as if
+        # none had moved.
+        self.c_moves, self.d_moves = None, 0
 
         self.pub_base = PublicationBase.standard(self.F)
         self._set_type_base(TypeBase.standard(self.F))

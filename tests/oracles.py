@@ -3,7 +3,8 @@
 Nothing in here may call the production code paths it checks: pair
 classification is literal enumeration, edit distance is BFS over
 operation sequences, entropies come straight from the definitions, and
-marginals are numeric quadrature.  The one harness, chain_partition_tv,
+marginals are numeric quadrature, and k-means is Lloyd's algorithm a
+cluster at a time, as it was first written.  The one harness, chain_partition_tv,
 only sweeps a chain it is given and compares what it visits with an
 oracle.
 """
@@ -296,3 +297,38 @@ def precision_mixture_enumeration(pairs, shape, rate):
     top = max(max(v) for v in log_terms.values())
     weights = np.array([sum(math.exp(x - top) for x in log_terms[s]) for s in range(m + 1)])
     return weights / weights.sum()
+
+
+def lloyd(X, k, first, max_iters):
+    """One Lloyd run as written first, a cluster at a time; returns (labels,
+    final wcss).  Seeding is farthest-point from X[first]; the distances are
+    one broadcast sum; every cluster's mean is X[members].mean, and a starved
+    cluster, visited in turn, takes the point farthest from its assigned
+    center under the labels as reseeded so far."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[first]
+    mind2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = X[int(mind2.argmax())]
+        mind2 = np.minimum(mind2, ((X - centers[j]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    for _ in range(max_iters):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for j in range(k):
+            members = new_labels == j
+            if members.any():
+                centers[j] = X[members].mean(axis=0)
+            else:
+                far = int(d2[np.arange(n), new_labels].argmax())
+                centers[j] = X[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    wcss = float(d2[np.arange(n), labels].sum())
+    return labels, wcss
