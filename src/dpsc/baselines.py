@@ -60,12 +60,13 @@ def _reseed(d2, labels, sizes):
     """Reseed the clusters that no point is nearest to, in ascending order
     (``labels`` and ``sizes`` updated in place).  Each takes the point
     farthest from its assigned center under the labels as reseeded so far.
-    That point's distance to any other center is no smaller, so it stays the
-    farthest: every reseeded cluster takes the same point, which ends in the
-    last of them.  The cluster it first leaves drops it from its mean if
-    numbered above the first reseeded one, and is reseeded in turn if that
-    empties it; if numbered below, it keeps the mean it had.  Returns (the
-    reseeded clusters, their point, each point's cluster for the means)."""
+    That point's distance to any other center is no smaller than to its
+    nearest, so it stays the farthest: every reseeded cluster takes the same
+    point, which ends in the last of them.  The cluster it first leaves drops
+    it from its mean if numbered above the first reseeded one, and is
+    reseeded in turn if that empties it; if numbered below, it keeps the mean
+    it had.  Returns (the reseeded clusters, their point, each point's
+    cluster for the means)."""
     starved = np.flatnonzero(sizes == 0)
     if not starved.size:
         return starved, 0, labels
