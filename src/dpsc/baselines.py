@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import DomainError
 from .partition import Partition
-from .sampler import SamplerConfig, _row_sums
 
 
 def coarse(ids) -> Partition:
@@ -82,6 +81,10 @@ def _reseed(d2, labels, sizes):
 
 def _lloyd(X, k, first, max_iters):
     """One Lloyd run; returns (labels, final wcss)."""
+    # Imported here, as in cdp_preset, so that importing the baselines does
+    # not load the sampler.
+    from .sampler import _row_sums
+
     n = X.shape[0]
     # Farthest-point seeding from a given first center.
     centers = np.empty((k, X.shape[1]))
@@ -130,6 +133,8 @@ def kmeans(X, config: KMeansConfig, ids=None) -> Partition:
 def cdp_preset():
     """Unsupervised DP clustering: fixed alpha 1, one frozen identity type,
     gold labels ignored."""
+    from .sampler import SamplerConfig
+
     return SamplerConfig(
         variant="m1",
         alpha_p=1.0,
