@@ -2,11 +2,10 @@
 
 Nothing in here may call the production code paths it checks: pair
 classification is literal enumeration, edit distance is BFS over
-operation sequences, entropies come straight from the definitions, and
+operation sequences, entropies come straight from the definitions,
 marginals are numeric quadrature, and k-means is Lloyd's algorithm a
-cluster at a time, as it was first written.  The one harness, chain_partition_tv,
-only sweeps a chain it is given and compares what it visits with an
-oracle.
+cluster at a time.  The one harness, chain_partition_tv, only sweeps a
+chain it is given and compares what it visits with an oracle.
 """
 
 from __future__ import annotations
@@ -300,11 +299,11 @@ def precision_mixture_enumeration(pairs, shape, rate):
 
 
 def lloyd(X, k, first, max_iters):
-    """One Lloyd run as written first, a cluster at a time; returns (labels,
-    final wcss).  Seeding is farthest-point from X[first]; the distances are
-    one broadcast sum; every cluster's mean is X[members].mean, and a starved
-    cluster, visited in turn, takes the point farthest from its assigned
-    center under the labels as reseeded so far."""
+    """One Lloyd run, a cluster at a time; returns (labels, final wcss).
+    Seeding is farthest-point from X[first]; the distances are one broadcast
+    sum; every cluster's mean is X[members].mean, and a starved cluster,
+    visited in turn, takes the point farthest from its assigned center under
+    the labels as reseeded so far."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[first]
