@@ -47,6 +47,10 @@ class Dataset:
                     break
                 seen.add(i)
             raise DomainError(f"duplicate item id {dup!r}")
+        for i in self.ids:
+            # A partition file holds one item<TAB>cluster line per item.
+            if any(ch in str(i) for ch in "\t\n\r"):
+                raise DomainError(f"row {i!r}: item id must not contain a tab or a line break")
         finite = np.isfinite(self.X).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))

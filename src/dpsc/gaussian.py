@@ -88,16 +88,14 @@ def data_loglik(r, p, t):
 
 
 def loglik_const(t):
-    """The part of data_loglik that depends on the precisions t alone."""
-    return 0.5 * float((np.log(t) - LOG_2PI).sum())
+    """The part of data_loglik that depends on the precisions t alone, for
+    one precision vector or for each row of a matrix of them."""
+    return 0.5 * (np.log(t) - LOG_2PI).sum(axis=-1)
 
 
-def data_loglik_rows(r, P, t, const=None):
-    """data_loglik of one item against each row of P (K centers at once);
-    ``const`` is loglik_const(t), when the caller already has it."""
-    if const is None:
-        const = loglik_const(t)
-    return const - 0.5 * ((r - P) ** 2 @ t)
+def data_loglik_rows(r, P, t):
+    """data_loglik of one item against each row of P (K centers at once)."""
+    return loglik_const(t) - 0.5 * ((r - P) ** 2 @ t)
 
 
 def new_publication_terms(t, base: PublicationBase):
@@ -206,17 +204,21 @@ def posterior_sample_type(rs, ps, base: TypeBase, rng):
 
 
 def publication_base_logpdf(p, base: PublicationBase):
+    """log density of a center under the base, or of each row of a matrix
+    of centers."""
     p = np.asarray(p, float)
     _check_dims(p, base.mean)
     v = base.variance
-    return float((-0.5 * (LOG_2PI + math.log(v)) - 0.5 * (p - base.mean) ** 2 / v).sum())
+    return (-0.5 * (LOG_2PI + math.log(v)) - 0.5 * (p - base.mean) ** 2 / v).sum(axis=-1)
 
 
 def type_base_logpdf(t, base: TypeBase):
+    """log density of a precision vector under the base, or of each row of
+    a matrix of them."""
     t = np.asarray(t, float)
     _check_dims(t, base.shape)
     a, b = base.shape, base.scale
-    return float(((a - 1.0) * np.log(t) - t / b - gammaln(a) - a * np.log(b)).sum())
+    return ((a - 1.0) * np.log(t) - t / b - gammaln(a) - a * np.log(b)).sum(axis=-1)
 
 
 VAR_FLOOR = 1e-8

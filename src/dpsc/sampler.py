@@ -26,20 +26,18 @@ subtraction.
 Chain state layout.  Each Dirichlet process keeps its bookkeeping in one
 row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
 the types): one matrix of parameter vectors, the id of each row, its
-member count as a float, the member set of each id and the next unused
-id.  The type store also caches, per row, the constant of
-data_loglik_rows and the per-dimension terms of the new-cluster marginal;
-the center store caches the centers' pairwise_sq_diff_sum and the
-conditional type prior it gives (m3).  Both caches are updated by one
-row's terms when a row is added or removed and recomputed after the
-vectors are written.  Both indicator updates run the same CRP step on
-their store (Neal 2000, Algorithms 2 and 8): ``detach`` takes the item out
-and drops a row that emptied, then the item ``join``s an existing row or
-``open``s a new one.  An update reads contiguous slices: the candidate
-clusters are the trailing rows (all rows when test items may join
-training clusters, which are never emptied and so stay in the leading
-rows), and the refreshes and the joint score map items to rows with one
-searchsorted.
+member count as a float and the next unused id.  Which items a row holds
+is read from the indicator arrays c and d.  The center store alone
+caches something: the centers' pairwise_sq_diff_sum, updated by one
+center's terms when a center is added or removed and recomputed after the
+vectors are written, and the conditional type prior it gives (m3).  Both
+indicator updates run the same CRP step on their store (Neal 2000,
+Algorithms 2 and 8): ``detach`` takes the item out and drops a row that
+emptied, then the item ``join``s an existing row or ``open``s a new one.
+An update reads contiguous slices: the candidate clusters are the
+trailing rows (all rows when test items may join training clusters,
+which are never emptied and so stay in the leading rows), and the
+refreshes and the joint score map items to rows with one searchsorted.
 
 Rows are kept in ascending id order: ids only grow, a new row is appended
 and a deleted one closes its gap.  Training cluster ids follow the first
@@ -240,20 +238,18 @@ def _pair_terms(cands, others):
 class _Rows(Mapping):
     """One Dirichlet process's active rows: parameter vectors keyed by id,
     as the rows of ``vecs`` in ascending id order, with each row's member
-    count (a float) in ``counts``, each id's member set in ``members`` and
-    the next unused id in ``next_id``.  The ids are kept both as an array
-    (``ids``) and as a list (``id_list``), which finds one row faster.
-    Reads as a read-only mapping from id to vector."""
+    count (a float) in ``counts`` and the next unused id in ``next_id``.
+    The ids are kept both as an array (``ids``) and as a list
+    (``id_list``), which finds one row faster.  Which items a row holds is
+    read from the indicator array, not kept here.  Reads as a read-only
+    mapping from id to vector."""
 
     def __init__(self, labels, vecs):
-        self.members = {int(k): set() for k in np.unique(labels)}
-        for i, k in enumerate(labels.tolist()):
-            self.members[k].add(i)
-        self.id_list = list(self.members)
-        self.ids = np.array(self.id_list, dtype=np.int64)
+        self.ids, counts = np.unique(labels, return_counts=True)
+        self.id_list = self.ids.tolist()
         self.vecs = np.array(vecs, dtype=float).reshape(len(self.ids), -1)
-        self.counts = np.array([len(m) for m in self.members.values()], dtype=float)
-        self.next_id = int(self.ids[-1]) + 1
+        self.counts = counts.astype(float)
+        self.next_id = self.id_list[-1] + 1
         self._changed()
 
     def _changed(self, row=None, removed=None):
@@ -271,16 +267,13 @@ class _Rows(Mapping):
         self.vecs[row] = vec
         self._changed()
 
-    def detach(self, n, key):
-        """Take item n out of row ``key``.  Returns the row's vector if that
-        emptied it (the row is deleted), else None."""
-        members = self.members[key]
-        members.discard(int(n))
+    def detach(self, key):
+        """Take one item out of row ``key``.  Returns the row's vector if
+        that emptied it (the row is deleted), else None."""
         row = self.row(key)
-        if members:
+        if self.counts[row] > 1.0:
             self.counts[row] -= 1.0
             return None
-        del self.members[key]
         del self.id_list[row]
         vec = self.vecs[row]
         self.ids = np.delete(self.ids, row)
@@ -289,19 +282,16 @@ class _Rows(Mapping):
         self._changed(row, vec)
         return vec
 
-    def join(self, n, row):
-        """Put item n in an existing row; returns the row's id."""
-        key = int(self.ids[row])
-        self.members[key].add(int(n))
+    def join(self, row):
+        """Put one item in an existing row; returns the row's id."""
         self.counts[row] += 1.0
-        return key
+        return self.id_list[row]
 
-    def open(self, n, vec):
-        """A new last row, under the next unused id, holding item n; returns
-        the id."""
+    def open(self, vec):
+        """A new last row, under the next unused id, holding one item;
+        returns the id."""
         key = self.next_id
         self.next_id += 1
-        self.members[key] = {int(n)}
         self.id_list.append(key)
         self.ids = np.append(self.ids, key)
         self.vecs = np.vstack([self.vecs, vec])
@@ -355,32 +345,15 @@ class _CenterRows(_Rows):
         return self._prior
 
 
-class _TypeRows(_Rows):
-    """Precision vectors plus per-row terms that depend on the vector and
-    the center base only: ``ll_const`` (loglik_const(t)) and
-    ``new_var``/``new_head`` (new_publication_terms(t, pub_base)).  A
-    written vector recomputes every row's terms; an added or removed row
-    adds or drops its own."""
+class _Members:
+    """The items under each id of an indicator array: ``[key]`` gives them
+    in ascending order."""
 
-    def __init__(self, labels, vecs, pub_base):
-        self.pub_base = pub_base
-        super().__init__(labels, vecs)
+    def __init__(self, labels):
+        self.labels = labels
 
-    def terms(self, t):
-        var, head = new_publication_terms(t, self.pub_base)
-        return loglik_const(t), var, head
-
-    def _changed(self, row=None, removed=None):
-        names = "ll_const", "new_var", "new_head"
-        if row is None:
-            fresh = [np.array(column) for column in zip(*map(self.terms, self.vecs))]
-        elif removed is None:
-            added = self.terms(self.vecs[row])
-            fresh = [np.append(getattr(self, k), [v], axis=0) for k, v in zip(names, added)]
-        else:
-            fresh = [np.delete(getattr(self, k), row, axis=0) for k in names]
-        for name, value in zip(names, fresh):
-            setattr(self, name, value)
+    def __getitem__(self, key):
+        return np.flatnonzero(self.labels == key)
 
 
 def _window(items, moves):
@@ -531,12 +504,13 @@ class _ClusterTable(_PassTable):
     def __init__(self, state, items):
         types = state.types
         k = types.rows(state.d[items])
-        self.R, self.k, self.const = state.X[items], k, types.ll_const[k]
+        self.R, self.k, self.const = state.X[items], k, loglik_const(types.vecs)[k]
         self.tvecs = types.vecs  # replaced, not written, when a type opens or goes
         self.state = state
         if state.variant != "m3":
+            var, head = new_publication_terms(types.vecs[k], state.pub_base)
             new = np.log(state.alpha_p) + new_publication_loglik_rows(
-                self.R, types.new_var[k], types.new_head[k], state.pub_base
+                self.R, var, head, state.pub_base
             )
         else:
             base, m = state.pub_base, state.config.aux_samples
@@ -613,8 +587,8 @@ class _TypeTable(_PassTable):
     def _loglik(self, i, row):
         """data_loglik_rows of the items from i on against the types from
         ``row`` on, from one product."""
-        types = self.store
-        return types.ll_const[row:] - 0.5 * (self.D2[i:] @ types.vecs[row:].T)
+        T = self.store.vecs[row:]
+        return loglik_const(T) - 0.5 * (self.D2[i:] @ T.T)
 
 
 class ChainState:
@@ -638,6 +612,7 @@ class ChainState:
         else:
             self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
+        self.test_ids = [self.ids[i] for i in self.test_indices]
         self._table = None  # a _ClusterTable during the c pass
         self._type_table = None  # a _TypeTable during the d pass
         # The items each pass moved in the last sweep; they size its scan.
@@ -672,7 +647,8 @@ class ChainState:
     # The benchmark's traced sampler (bench/workloads.py) reads these two.
     @property
     def c_members(self):
-        return self.pubs.members
+        """Read-only view: ``[key]`` gives the items of cluster ``key``."""
+        return _Members(self.c)
 
     @property
     def next_c(self):
@@ -699,7 +675,7 @@ class ChainState:
         else:
             base = self.type_base
             t0 = self.rng.gamma(base.shape, base.scale)
-        self.types = _TypeRows(self.d, [t0], self.pub_base)
+        self.types = _Rows(self.d, [t0])
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
@@ -781,8 +757,7 @@ class ChainState:
         news = table.news[table.pos[n]]
         if orphan is not None:
             news = np.vstack([news[:-1], orphan])
-            k = self.types.row(int(self.d[n]))
-            own = data_loglik_rows(self.X[n], orphan[None], self.types.vecs[k], self.types.ll_const[k])
+            own = data_loglik_rows(self.X[n], orphan[None], self.types[int(self.d[n])])
             logw[-1] = math.log(self.alpha_p / len(news)) + own[0]
             if self.conditional:
                 # Against the centers without the orphan, as the table's tilt.
@@ -803,31 +778,31 @@ class ChainState:
             finally:
                 self._table = None
         pubs = self.pubs
-        cand, logw, news = self._c_candidates(n, pubs.detach(n, int(self.c[n])))
+        cand, logw, news = self._c_candidates(n, pubs.detach(int(self.c[n])))
         sel = _pick(logw, table.uniform(n))
         if sel < len(cand):
             # The candidates are the trailing rows of the store.
-            self.c[n] = pubs.join(n, len(pubs.ids) - len(cand) + sel)
+            self.c[n] = pubs.join(len(pubs.ids) - len(cand) + sel)
         elif news is not None:
-            self.c[n] = pubs.open(n, news[sel - len(cand)])
+            self.c[n] = pubs.open(news[sel - len(cand)])
         else:
             r, t = self.X[n], self.types[int(self.d[n])]
             pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
-            self.c[n] = pubs.open(n, pub)
+            self.c[n] = pubs.open(pub)
 
     def sample_d(self, n):
         """Reassign item n's reference type (training items included), by
         the uniform the pass table holds for it."""
         types = self.types
-        types.detach(n, int(self.d[n]))
+        types.detach(int(self.d[n]))
         table = self._type_table or _TypeTable(self, [n])
         sel = _pick(table.weights(n), table.uniform(n))
         if sel < len(types):
-            self.d[n] = types.join(n, sel)
+            self.d[n] = types.join(sel)
         else:
             r, p = self.X[n], self.pubs[int(self.c[n])]
             base, _ = self._type_prior()
-            self.d[n] = types.open(n, posterior_sample_type(r[None, :], p[None, :], base, self.rng))
+            self.d[n] = types.open(posterior_sample_type(r[None, :], p[None, :], base, self.rng))
 
     def _c_pass(self):
         """sample_c of every test item in turn, from a pass table for each
@@ -877,18 +852,24 @@ class ChainState:
             self._resample_alphas()
 
     def _eppf(self, alpha, sizes):
+        """The log EPPF of rows of the given sizes (a float array).  The
+        gammaln terms are added one after another from the first, as a
+        running sum: the same bits as adding them in a loop."""
         lp = len(sizes) * np.log(alpha) + gammaln(alpha) - gammaln(alpha + self.N)
-        return float(lp + sum(gammaln(s) for s in sizes))
+        return float(lp + gammaln(sizes).cumsum()[-1])
 
     def joint_log_score(self):
-        """Unnormalized log posterior density at the current state."""
-        lp = self._eppf(self.alpha_p, self.pubs.counts.tolist())
-        lp += self._eppf(self.alpha_t, self.types.counts.tolist())
-        for pub in self.pubs.vecs:
-            lp += publication_base_logpdf(pub, self.pub_base)
+        """Unnormalized log posterior density at the current state.  The
+        base densities of the centers, then of the types, are added to the
+        running total one row at a time, in row order (a cumsum)."""
+        lp = self._eppf(self.alpha_p, self.pubs.counts)
+        lp += self._eppf(self.alpha_t, self.types.counts)
         type_prior, _ = self._type_prior()
-        for tvec in self.types.vecs:
-            lp += type_base_logpdf(tvec, type_prior)
+        rows = (
+            publication_base_logpdf(self.pubs.vecs, self.pub_base),
+            type_base_logpdf(self.types.vecs, type_prior),
+        )
+        lp = float(np.concatenate([[lp], *rows]).cumsum()[-1])
         p_items = self.pubs.vecs[self.pubs.rows(self.c)]
         t_items = self.types.vecs[self.types.rows(self.d)]
         lp += float(
@@ -897,27 +878,19 @@ class ChainState:
         return lp
 
     def test_partition(self) -> Partition:
-        return Partition({self.ids[i]: int(self.c[i]) for i in self.test_indices})
+        return Partition(zip(self.test_ids, self.c[self.test_indices].tolist()))
 
     def check(self):
         """Structural invariant audit (used by tests; cheap, not exhaustive)."""
         for store, labels in ((self.pubs, self.c), (self.types, self.d)):
-            members = store.members
-            # One row per member set, ids strictly ascending, counts exact.
-            assert store.ids.tolist() == store.id_list == list(members)
-            assert (np.diff(store.ids) > 0).all() and store.ids[-1] < store.next_id
-            assert store.vecs.shape == (len(members), self.F)
-            assert store.counts.tolist() == [float(len(m)) for m in members.values()]
-            assert all(members.values())
-            assert sum(len(m) for m in members.values()) == self.N
-            for key, m in members.items():
-                assert all(labels[i] == key for i in m)
+            # One row per label in use, in ascending id order, counts exact.
+            ids, counts = np.unique(labels, return_counts=True)
+            assert store.ids.tolist() == store.id_list == ids.tolist()
+            assert store.vecs.shape == (len(ids), self.F)
+            assert store.counts.tolist() == counts.tolist()
+            assert ids[-1] < store.next_id
         k_train = len(self.train_cluster_ids)
         assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
-        # The cached per-type terms, bit for bit against a recomputation.
-        fresh = zip(*(self.types.terms(t) for t in self.types.vecs))
-        cached = (self.types.ll_const, self.types.new_var, self.types.new_head)
-        assert all(c.tobytes() == np.array(f).tobytes() for c, f in zip(cached, fresh))
         # The running pair sum, to rounding, and the prior built from it.
         pubs = self.pubs
         if pubs._pair_sq is not None:

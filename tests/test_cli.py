@@ -159,6 +159,23 @@ def test_run_malformed_json_item_exit_2(tmp_path, capsys, bad, named):
     assert line.startswith("ERROR:2:") and named in line
 
 
+@pytest.mark.parametrize("name,text,bad", [
+    ("tab.csv", 'id,split,label,f1\na,train,x,0\nb,train,y,1\n"te\t0",test,,2\n', "'te\\t0'"),
+    ("nl.csv", 'id,split,label,f1\na,train,x,0\nb,train,y,1\n"te\n2",test,,2\n', "'te\\n2'"),
+    ("tab.json", json.dumps([{"id": i, "split": s, "label": i, "features": [k]}
+                             for k, (i, s) in enumerate([("a", "train"), ("b", "train"),
+                                                         ("te\t0", "test")])]), "'te\\t0'"),
+], ids=["csv-tab", "csv-newline", "json-tab"])
+def test_run_id_the_partition_format_cannot_hold_exit_2(tmp_path, capsys, name, text, bad):
+    (tmp_path / name).write_text(text)
+    code = main(["run", str(tmp_path / name), "--iters", "4", "--chains", "1",
+                 "-o", str(tmp_path / "out")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and bad in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 @pytest.mark.parametrize("name,text", [
     ("data.csv", "id,split,label\na,train,x\nb,train,y\nc,test,\n"),
     ("data.json", json.dumps([{"id": i, "split": "train", "label": i, "features": []}

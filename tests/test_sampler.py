@@ -121,14 +121,34 @@ def test_check_audits_the_parameter_store():
     for _ in range(3):
         state.sweep()
     state.check()
-    state.pubs.counts[-1] += 1.0  # count no longer the member-set size
+    state.pubs.counts[-1] += 1.0  # count no longer that of the items in c
     with pytest.raises(AssertionError):
         state.check()
     state.pubs.counts[-1] -= 1.0
     state.check()
-    state.types.vecs[0] *= 2.0  # written past the store: cached terms go stale
+    cfg = SamplerConfig(variant="m3", iterations=3, seed=0)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    state.check()
+    assert len(state.pubs) > 1
+    state.pubs.vecs[0] += 1.0  # written past the store: the running pair sum goes stale
     with pytest.raises(AssertionError):
         state.check()
+
+
+def test_c_members_gives_the_items_of_each_cluster():
+    # The benchmark's traced sampler reads a cluster's items from c_members.
+    ds = supervised_dataset()
+    cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    for _ in range(3):
+        state.sweep()
+    assert len(state.pubs) > 1
+    for k, count in zip(state.pubs.ids.tolist(), state.pubs.counts.tolist()):
+        items = state.c_members[k]
+        assert len(items) == count
+        assert items.tolist() == [i for i in range(state.N) if state.c[i] == k]
 
 
 def test_unsupervised_with_alpha_resampling_rejected():
@@ -313,7 +333,7 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     # Direct calls read current values: alpha_p changed after the pass.
     state.alpha_p *= 7.0
     n = int(ds.indices("test")[0])
-    state.pubs.detach(n, int(state.c[n]))
+    state.pubs.detach(int(state.c[n]))
     cand, logw, news = state._c_candidates(n, None)
     r, t = state.X[n], state.types[int(state.d[n])]
     want = [
@@ -335,16 +355,16 @@ def _sequential_d_pass(state):
     base, _ = state._type_prior()
     types = state.types
     for n in range(state.N):
-        types.detach(n, int(state.d[n]))
+        types.detach(int(state.d[n]))
         r, p = state.X[n], state.pubs[int(state.c[n])]
         logw = [math.log(k) + data_loglik(r, p, t) for k, t in zip(types.counts, types.vecs)]
         logw.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, base))
         acc = np.cumsum(np.exp(np.array(logw) - max(logw)))
         sel = int(np.searchsorted(acc, u[n] * acc[-1], side="right"))
         if sel < len(types):
-            state.d[n] = types.join(n, sel)
+            state.d[n] = types.join(sel)
         else:
-            state.d[n] = types.open(n, posterior_sample_type(r[None], p[None], base, state.rng))
+            state.d[n] = types.open(posterior_sample_type(r[None], p[None], base, state.rng))
 
 
 PASS_CASES = [
@@ -424,7 +444,7 @@ def _sequential_c_pass(state):
         news = base.mean + math.sqrt(base.variance) * z
     u = state.rng.random(len(test))
     for i, n in enumerate(test.tolist()):
-        orphan = pubs.detach(n, int(state.c[n]))
+        orphan = pubs.detach(int(state.c[n]))
         r, t = state.X[n], state.types[int(state.d[n])]
         logw = [math.log(k) + data_loglik(r, p, t) for k, p in zip(pubs.counts[lo:], pubs.vecs[lo:])]
         if state.variant != "m3":
@@ -438,11 +458,11 @@ def _sequential_c_pass(state):
         sel = int(np.searchsorted(acc, u[i] * acc[-1], side="right"))
         k = len(pubs) - lo
         if sel < k:
-            state.c[n] = pubs.join(n, lo + sel)
+            state.c[n] = pubs.join(lo + sel)
         elif state.variant == "m3":
-            state.c[n] = pubs.open(n, cands[sel - k])
+            state.c[n] = pubs.open(cands[sel - k])
         else:
-            state.c[n] = pubs.open(n, posterior_sample_publication(r[None], t[None], base, state.rng))
+            state.c[n] = pubs.open(posterior_sample_publication(r[None], t[None], base, state.rng))
 
 
 @pytest.mark.parametrize("variant,share,conditional", PASS_CASES)
@@ -506,17 +526,18 @@ def test_scalar_d_update_matches_per_item_formula():
         state.sweep()
     state.alpha_t *= 3.0
     for n in (0, int(ds.indices("test")[-1])):
-        state.types.detach(n, int(state.d[n]))
+        state.types.detach(int(state.d[n]))
         tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
         r, p = state.X[n], state.pubs[int(state.c[n])]
+        rest = np.delete(state.d, n)  # every item's type but the detached n's
         want = [
-            math.log(len(state.types.members[int(k)])) + data_loglik(r, p, state.types[int(k)])
+            math.log(np.count_nonzero(rest == k)) + data_loglik(r, p, state.types[int(k)])
             for k in tids
         ]
         want.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, state.type_base))
         assert len(tids) >= 1
         assert logw == pytest.approx(want, rel=1e-12)
-        state.types.join(n, state.types.row(int(tids[0])))
+        state.types.join(state.types.row(int(tids[0])))
         state.d[n] = int(tids[0])
     state.check()
 
@@ -610,14 +631,14 @@ def test_aux_candidate_counts_follow_singleton_rule():
     # Item 0 sits alone: its parameter is one of the M candidates, the last
     # (Neal 2000, Algorithm 8).
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
-    orphan = state.pubs.detach(0, int(state.c[0]))
+    orphan = state.pubs.detach(int(state.c[0]))
     assert orphan is not None
     cand, logw, news = state._c_candidates(0, orphan)
     assert len(news) == 8
     assert len(logw) == len(cand) + 8
     assert news[-1] == pytest.approx(orphan)
     # Item 1 shares its cluster: all candidates are fresh.
-    orphan = state.pubs.detach(1, int(state.c[1]))
+    orphan = state.pubs.detach(int(state.c[1]))
     assert orphan is None
     cand, logw, news = state._c_candidates(1, None)
     assert len(news) == 8
@@ -635,7 +656,7 @@ def test_conditional_c_weights_follow_the_joint_score():
         state.sweep()
     assert len(state.pubs) > 2
     n = int(ds.indices("test")[0])
-    cand, logw, news = state._c_candidates(n, state.pubs.detach(n, int(state.c[n])))
+    cand, logw, news = state._c_candidates(n, state.pubs.detach(int(state.c[n])))
     assert len(news) == cfg.aux_samples
 
     def score(move):
@@ -645,9 +666,9 @@ def test_conditional_c_weights_follow_the_joint_score():
 
     first = len(state.pubs) - len(cand)
     for j in range(len(cand)):
-        joined = score(lambda pubs: pubs.join(n, first + j))
+        joined = score(lambda pubs: pubs.join(first + j))
         for i, phi in enumerate(news):
-            opened = score(lambda pubs: pubs.open(n, phi))
+            opened = score(lambda pubs: pubs.open(phi))
             log_base = -0.5 * (state.F * math.log(2 * math.pi) + phi @ phi)
             want = opened - joined - log_base - math.log(cfg.aux_samples)
             assert logw[len(cand) + i] - logw[j] == pytest.approx(want, abs=1e-9)
@@ -666,16 +687,16 @@ def test_batched_refreshes_match_per_row_posteriors(variant):
     assert len(state.types) > 1 and len(state.pubs) > 2
     rng = copy.deepcopy(state.rng)
     want = []
-    for members in state.pubs.members.values():
-        idx = sorted(members)
+    for k in state.pubs.ids:
+        idx = np.flatnonzero(state.c == k)
         ts = state.types.vecs[state.types.rows(state.d[idx])]
         mean, prec = publication_posterior_params(state.X[idx], ts, state.pub_base)
         want.append(rng.normal(mean, np.sqrt(1.0 / prec)))
     state._resample_publications()
     np.testing.assert_allclose(state.pubs.vecs, want, rtol=1e-12, atol=1e-12)
     want = []
-    for members in state.types.members.values():
-        idx = sorted(members)
+    for k in state.types.ids:
+        idx = np.flatnonzero(state.d == k)
         ps = state.pubs.vecs[state.pubs.rows(state.c[idx])]
         shape, rate = type_posterior_params(state.X[idx], ps, state.type_base)
         want.append(rng.gamma(shape, 1.0 / rate))
@@ -697,7 +718,8 @@ def test_conditional_type_refresh_is_the_shifted_gamma_posterior():
     P = state.pubs.vecs
     s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
     params = []
-    for members in state.types.members.values():
+    for k in state.types.ids:
+        members = np.flatnonzero(state.d == k)
         q = sum((state.X[m] - state.pubs[int(state.c[m])]) ** 2 for m in members)
         params.append((1.0 + len(members) / 2, 1.0 + s + q / 2))
     draws = []
@@ -719,7 +741,7 @@ def test_aux_total_new_mass_converges_to_marginal():
     cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=256)
     state = ChainState(ds, cfg, np.random.default_rng(4))
     n = 0
-    orphan = state.pubs.detach(n, int(state.c[n]))
+    orphan = state.pubs.detach(int(state.c[n]))
     closed = state.alpha_p * math.exp(
         marginal_loglik_new_publication(state.X[n], state.types[0], state.pub_base)
     )
@@ -741,7 +763,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
     for _ in range(3):
         state.sweep()
     n = int(ds.indices("test")[0])
-    state.types.detach(n, int(state.d[n]))
+    state.types.detach(int(state.d[n]))
     logw = sampler._TypeTable(state, [n]).weights(n)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
         state.X[n], state.pubs[int(state.c[n])], state.type_base
@@ -761,13 +783,13 @@ def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
     s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
     shifted = TypeBase(shape=np.ones(state.F), scale=1.0 / (1.0 + s))
     for n in (0, int(ds.indices("test")[-1])):
-        state.types.detach(n, int(state.d[n]))
+        state.types.detach(int(state.d[n]))
         tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
         expected = math.log(state.alpha_t) + marginal_loglik_new_type(
             state.X[n], state.pubs[int(state.c[n])], shifted
         )
         assert logw[-1] == pytest.approx(expected, abs=1e-9)
-        state.types.join(n, 0)
+        state.types.join(0)
         state.d[n] = int(tids[0])
     state.check()
 
