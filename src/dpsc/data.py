@@ -47,10 +47,12 @@ class Dataset:
                     break
                 seen.add(i)
             raise DomainError(f"duplicate item id {dup!r}")
-        for i in self.ids:
-            # A partition file holds one item<TAB>cluster line per item.
-            if any(ch in str(i) for ch in "\t\n\r"):
-                raise DomainError(f"row {i!r}: item id must not contain a tab or a line break")
+        # A partition file holds one item<TAB>cluster line per item.  The ids
+        # are searched joined, which is much faster than one by one.
+        breaks, joined = ("\t", "\n", "\r"), "\0".join(map(str, self.ids))
+        if any(ch in joined for ch in breaks):
+            bad = next(i for i in self.ids if any(ch in str(i) for ch in breaks))
+            raise DomainError(f"row {bad!r}: item id must not contain a tab or a line break")
         finite = np.isfinite(self.X).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))

@@ -612,7 +612,7 @@ class ChainState:
         else:
             self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
-        self.test_ids = [self.ids[i] for i in self.test_indices]
+        self.test_ids = [self.ids[i] for i in self.test_indices.tolist()]
         self._table = None  # a _ClusterTable during the c pass
         self._type_table = None  # a _TypeTable during the d pass
         # The items each pass moved in the last sweep; they size its scan.
@@ -853,15 +853,15 @@ class ChainState:
 
     def _eppf(self, alpha, sizes):
         """The log EPPF of rows of the given sizes (a float array).  The
-        gammaln terms are added one after another from the first, as a
-        running sum: the same bits as adding them in a loop."""
+        gammaln terms are added in order by a running sum, not a pairwise
+        sum, which fixes the score's last bits."""
         lp = len(sizes) * np.log(alpha) + gammaln(alpha) - gammaln(alpha + self.N)
         return float(lp + gammaln(sizes).cumsum()[-1])
 
     def joint_log_score(self):
         """Unnormalized log posterior density at the current state.  The
-        base densities of the centers, then of the types, are added to the
-        running total one row at a time, in row order (a cumsum)."""
+        base densities of the centers, then of the types, join the total in
+        row order by a running sum, as in _eppf."""
         lp = self._eppf(self.alpha_p, self.pubs.counts)
         lp += self._eppf(self.alpha_t, self.types.counts)
         type_prior, _ = self._type_prior()
