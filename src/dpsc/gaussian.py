@@ -17,11 +17,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _lgamma(x):
+    """log|Gamma(x)|, +inf at the poles and past overflow."""
+    try:
+        return math.lgamma(x)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+def log_gamma(x):
+    """log|Gamma| of each entry of a 1-D float array, by ``math.lgamma``;
+    +inf at the poles 0, -1, -2, ... and past overflow."""
+    return np.fromiter(map(_lgamma, x.tolist()), float, len(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +141,7 @@ def new_type_terms(base: TypeBase):
     """Base-only pieces of the new-type marginal: the summed log-normalizer,
     the per-dimension shape + 1/2 and the rate."""
     a, rate = base.shape, base.rate
-    const = float((gammaln(a + 0.5) - gammaln(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum())
+    const = float((log_gamma(a + 0.5) - log_gamma(a) - 0.5 * LOG_2PI + a * np.log(rate)).sum())
     return const, a + 0.5, rate
 
 
@@ -218,7 +231,7 @@ def type_base_logpdf(t, base: TypeBase):
     t = np.asarray(t, float)
     _check_dims(t, base.shape)
     a, b = base.shape, base.scale
-    return ((a - 1.0) * np.log(t) - t / b - gammaln(a) - a * np.log(b)).sum(axis=-1)
+    return ((a - 1.0) * np.log(t) - t / b - log_gamma(a) - a * np.log(b)).sum(axis=-1)
 
 
 VAR_FLOOR = 1e-8

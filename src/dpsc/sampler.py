@@ -105,7 +105,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
 from .dp import GammaPrior, sample_precision_single
@@ -117,6 +116,7 @@ from .gaussian import (
     adapt_type_base,
     conditional_type_base,
     data_loglik_rows,
+    log_gamma,
     loglik_const,
     marginal_loglik_new_publication,  # unused; bench/workloads.py rebinds it here by name
     new_publication_loglik_rows,
@@ -665,7 +665,7 @@ class ChainState:
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
-        base-only terms (saves a gammaln pair per item update)."""
+        base-only terms (saves a log-gamma pair per item update)."""
         self.type_base = base
         self._new_type_terms = new_type_terms(base)
 
@@ -853,10 +853,11 @@ class ChainState:
 
     def _eppf(self, alpha, sizes):
         """The log EPPF of rows of the given sizes (a float array).  The
-        gammaln terms are added in order by a running sum, not a pairwise
-        sum, which fixes the score's last bits."""
-        lp = len(sizes) * np.log(alpha) + gammaln(alpha) - gammaln(alpha + self.N)
-        return float(lp + gammaln(sizes).cumsum()[-1])
+        log-gamma terms of the sizes, by ``math.lgamma``, are added in order
+        by a running sum, not a pairwise sum, which fixes the score's last
+        bits."""
+        lp = len(sizes) * np.log(alpha) + math.lgamma(alpha) - math.lgamma(alpha + self.N)
+        return float(lp + log_gamma(sizes).cumsum()[-1])
 
     def joint_log_score(self):
         """Unnormalized log posterior density at the current state.  The

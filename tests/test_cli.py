@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +532,31 @@ def test_dpfit_one_class_pool_at_default_prior(tmp_path, capsys):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [int(r["n"]) for r in rows] == list(range(1, 11))
     assert all(float(r["emp_mean"]) == 1.0 for r in rows)
+
+
+# ------------------------------------------------------------ import guard
+
+SCIPY_GUARD = """
+import json, sys
+from dpsc.cli import main
+data, prefix, pool, curve = sys.argv[1:]
+assert main(["run", data, "--chains", "1", "--iters", "4", "--seed", "1",
+             "--baseline", "kmeans,cdp", "-o", prefix]) == 0
+assert main(["dpfit", pool, "--points", "5", "--resamples", "5", "-o", curve]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_run_and_dpfit_load_no_scipy(tmp_path):
+    # Only `dpsc score` needs scipy (its edit distance, imported lazily); a
+    # top-level scipy import anywhere on the run or dpfit path shows here.
+    root = Path(__file__).resolve().parents[1]
+    write_partition_file(Partition({f"i{k}": k % 4 for k in range(30)}), tmp_path / "pool.tsv")
+    args = [str(root / "tests" / "golden" / "data.csv"), str(tmp_path / "run"),
+            str(tmp_path / "pool.tsv"), str(tmp_path / "curve.csv")]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "DPSC_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "run.kmeans.tsv").exists() and (tmp_path / "run.cdp.tsv").exists()

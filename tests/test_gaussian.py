@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from dpsc.errors import DomainError
 from dpsc.gaussian import (
@@ -10,9 +11,12 @@ from dpsc.gaussian import (
     TypeBase,
     adapt_type_base,
     conditional_type_base,
+    LOG_2PI,
     data_loglik,
+    log_gamma,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
+    new_type_terms,
     pairwise_sq_diff_sum,
     posterior_sample_publication,
     posterior_sample_type,
@@ -312,3 +316,54 @@ def test_pairwise_sq_diff_sum():
             expected += (pubs[j] - pubs[k]) ** 2
     assert got == pytest.approx(expected)
     assert pairwise_sq_diff_sum(pubs[:1]) == pytest.approx([0.0, 0.0])
+
+
+# ------------------------------------------------------------ log-gamma
+
+# Integer counts, half-integers and log-uniform values over nine decades.
+LGAMMA_ARGS = {
+    "integers": np.arange(1.0, 10_001.0),
+    "half-integers": np.arange(0.5, 5_000.5, 1.0),
+    "log-uniform": np.exp(np.random.default_rng(7).uniform(math.log(1e-3), math.log(1e6), 10_000)),
+}
+
+
+def assert_matches_terms(got, terms):
+    """``got`` equals the sum of scipy-evaluated ``terms`` to 1e-14 of the
+    terms' magnitude (of the value itself when there is one term)."""
+    terms = np.asarray(terms, float)
+    assert abs(got - terms.sum()) <= 1e-14 * max(1.0, np.abs(terms).sum())
+
+
+def test_log_gamma_is_inf_at_the_poles_and_past_overflow():
+    x = np.array([1e306, np.inf, 0.0, -1.0])
+    got = log_gamma(x)
+    assert np.all(got == np.inf)
+    assert np.array_equal(got, gammaln(x))
+
+
+@pytest.mark.parametrize("name", LGAMMA_ARGS)
+def test_log_gamma_matches_scipy_gammaln(name):
+    x = LGAMMA_ARGS[name]
+    got, want = log_gamma(x), gammaln(x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", LGAMMA_ARGS)
+def test_new_type_terms_and_base_logpdf_match_scipy_gammaln(name):
+    # The shape + 1/2 and shape log-gammas nearly cancel at large shapes, so
+    # the bound is taken on the magnitude of the terms summed.
+    a = LGAMMA_ARGS[name][::50]
+    scale = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, len(a)))
+    base = TypeBase(shape=a, scale=scale)
+    t = np.full(len(a), 0.5)
+    for k in range(len(a)):
+        one = TypeBase(shape=a[k : k + 1], scale=scale[k : k + 1])
+        const, _, _ = new_type_terms(one)
+        assert_matches_terms(
+            const, [gammaln(a[k] + 0.5), -gammaln(a[k]), -0.5 * LOG_2PI, a[k] * np.log(one.rate[0])]
+        )
+    terms = np.stack([
+        (a - 1.0) * np.log(t), -t / scale, -gammaln(a), -a * np.log(scale)
+    ])
+    assert_matches_terms(float(type_base_logpdf(t, base)), terms)

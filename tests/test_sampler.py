@@ -889,6 +889,30 @@ def test_joint_score_ratios_match_independent_formula():
     assert sa - sb == pytest.approx(ia - ib, abs=1e-9)
 
 
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        np.arange(1.0, 10_001.0),
+        np.arange(0.5, 5_000.5, 1.0),
+        np.exp(np.random.default_rng(7).uniform(math.log(1e-3), math.log(1e6), 10_000)),
+    ],
+    ids=["integers", "half-integers", "log-uniform"],
+)
+def test_eppf_matches_scipy_gammaln(sizes):
+    from scipy.special import gammaln
+
+    state = ChainState(supervised_dataset(), frozen_config(), np.random.default_rng(0))
+    for alpha in np.exp(np.random.default_rng(5).uniform(math.log(1e-3), math.log(1e6), 8)):
+        for s in (sizes, state.pubs.counts):
+            terms = np.concatenate([
+                [len(s) * np.log(alpha), gammaln(alpha), -gammaln(alpha + state.N)], gammaln(s)
+            ])
+            # to 1e-14 of the magnitude of the terms summed
+            got = state._eppf(alpha, s)
+            assert abs(got - terms.sum()) <= 1e-14 * max(1.0, np.abs(terms).sum())
+
+
 # ----------------------------------------------------------- chain runs
 
 
