@@ -180,7 +180,25 @@ def cmd_run(args):
     if errors:
         raise _ValidationFailure(errors)
 
-    per_chain = run_chains(std, config, workers)
+    test_idx = std.indices("test")
+    test_ids = [std.ids[i] for i in test_idx]
+    parts = {}
+
+    # Run by run_chains beside the chain workers; the files are written
+    # only once the chains have succeeded.
+    def in_process_baselines():
+        for name in wanted:
+            if name == "coarse":
+                parts[name] = baselines.coarse(test_ids)
+            elif name == "fine":
+                parts[name] = baselines.fine(test_ids)
+            elif name == "kmeans":
+                k = len({std.labels[i] for i in test_idx})
+                parts[name] = baselines.kmeans(
+                    std.X[test_idx], baselines.KMeansConfig(k=k, seed=args.seed), ids=test_ids
+                )
+
+    per_chain = run_chains(std, config, workers, meanwhile=in_process_baselines)
     prediction = extract_prediction(per_chain)
     write_partition_file(prediction, f"{args.out_prefix}.pred.tsv")
     with open(f"{args.out_prefix}.chains.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -193,34 +211,22 @@ def cmd_run(args):
                 )
     print(f"wrote {args.out_prefix}.pred.tsv ({prediction.n_clusters} clusters)")
 
-    if wanted:
-        test_idx = std.indices("test")
-        test_ids = [std.ids[i] for i in test_idx]
-        for name in wanted:
-            if name == "coarse":
-                part = baselines.coarse(test_ids)
-            elif name == "fine":
-                part = baselines.fine(test_ids)
-            elif name == "kmeans":
-                k = len({std.labels[i] for i in test_idx})
-                part = baselines.kmeans(
-                    std.X[test_idx], baselines.KMeansConfig(k=k, seed=args.seed), ids=test_ids
-                )
-            else:  # cdp: unsupervised DP over the test portion only
-                cdp_cfg = baselines.cdp_preset()
-                cdp_cfg.iterations = args.iters
-                cdp_cfg.burn_in = args.burn_in
-                cdp_cfg.n_chains = args.chains
-                cdp_cfg.seed = args.seed
-                test_ds = Dataset(
-                    ids=test_ids,
-                    X=std.X[test_idx],
-                    labels=[None] * len(test_ids),
-                    split=["test"] * len(test_ids),
-                )
-                part = extract_prediction(run_chains(test_ds, cdp_cfg, workers))
-            write_partition_file(part, f"{args.out_prefix}.{name}.tsv")
-            print(f"wrote {args.out_prefix}.{name}.tsv")
+    for name in wanted:
+        if name == "cdp":  # unsupervised DP over the test portion only
+            cdp_cfg = baselines.cdp_preset()
+            cdp_cfg.iterations = args.iters
+            cdp_cfg.burn_in = args.burn_in
+            cdp_cfg.n_chains = args.chains
+            cdp_cfg.seed = args.seed
+            test_ds = Dataset(
+                ids=test_ids,
+                X=std.X[test_idx],
+                labels=[None] * len(test_ids),
+                split=["test"] * len(test_ids),
+            )
+            parts[name] = extract_prediction(run_chains(test_ds, cdp_cfg, workers))
+        write_partition_file(parts[name], f"{args.out_prefix}.{name}.tsv")
+        print(f"wrote {args.out_prefix}.{name}.tsv")
     return EXIT_OK
 
 

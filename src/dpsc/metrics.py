@@ -19,8 +19,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .partition import Partition
 
@@ -75,7 +73,7 @@ class MetricReport:
 
 def comparison_problem(gold: Partition, hyp: Partition):
     """Why the two partitions cannot be compared, or None if they can."""
-    gi, hi = gold.items(), hyp.items()
+    gi, hi = gold.assignment.keys(), hyp.assignment.keys()
     if gi != hi:
         missing = sorted(map(str, gi - hi))[:5]
         extra = sorted(map(str, hi - gi))[:5]
@@ -94,11 +92,8 @@ def _contingency(gold, hyp):
     problem = comparison_problem(gold, hyp)
     if problem:
         raise DomainError(problem)
-    joint = Counter()
-    hyp_of = hyp.assignment
-    for item, gcid in gold.assignment.items():
-        joint[gcid, hyp_of[item]] += 1
-    return joint
+    gold_of = gold.assignment
+    return Counter(zip(gold_of.values(), map(hyp.assignment.__getitem__, gold_of)))
 
 
 def _margins(table):
@@ -124,18 +119,61 @@ def _pair_counts(table, margins, n):
 
 
 def _matching_size(cands):
-    """Maximum bipartite matching size; cands[u] lists u's right nodes."""
-    # Imported here: csgraph adds ~9 MB of RSS, and the CLI imports this module.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+    """Maximum bipartite matching size; cands[u] lists u's right nodes.
 
-    col = {}
-    indices = [col.setdefault(v, len(col)) for vs in cands for v in vs]
-    indptr = np.cumsum([0] + [len(vs) for vs in cands])
-    graph = csr_array(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(len(cands), len(col))
-    )
-    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+    Hopcroft-Karp: a greedy matching, then phases that each augment along
+    a maximal set of disjoint shortest augmenting paths, O(E sqrt(V)) in
+    all.  A phase labels the left nodes by BFS layer from the free ones and
+    searches the layered graph depth first; the search keeps its own stack,
+    so a long alternating path needs no recursion.
+    """
+    match_l = [None] * len(cands)  # left node -> its right node
+    match_r = {}  # right node -> its left node
+    for u, vs in enumerate(cands):
+        for v in vs:
+            if v not in match_r:
+                match_r[v] = u
+                match_l[u] = v
+                break
+    while True:
+        roots = [u for u, v in enumerate(match_l) if v is None]
+        layer = [-1] * len(cands)  # -1: not reached, or a dead end
+        for u in roots:
+            layer[u] = 0
+        queue, shortest = list(roots), None
+        for u in queue:  # BFS; grows while iterating
+            if shortest is not None and layer[u] >= shortest:
+                break
+            for v in cands[u]:
+                w = match_r.get(v)
+                if w is None:
+                    shortest = layer[u]
+                elif layer[w] < 0:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if shortest is None:
+            return len(match_r)
+        nxt = [0] * len(cands)  # next candidate to try, per left node
+        for root in roots:
+            path = [root]
+            while path:
+                u = path[-1]
+                vs = cands[u]
+                if nxt[u] == len(vs):
+                    layer[u] = -1
+                    path.pop()
+                    continue
+                v = vs[nxt[u]]
+                nxt[u] += 1
+                w = match_r.get(v)
+                if w is None:  # augment: each u on the path takes its last tried v
+                    for u in path:
+                        v = cands[u][nxt[u] - 1]
+                        match_l[u] = v
+                        match_r[v] = u
+                    break
+                if layer[u] < shortest and layer[w] == layer[u] + 1:
+                    path.append(w)
 
 
 def _edit_distance(cells, n):

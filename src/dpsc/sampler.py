@@ -957,19 +957,30 @@ def _in_chain_order(results):
     return out
 
 
-def run_chains(dataset: Dataset, config: SamplerConfig, max_workers=None):
-    """All chains, optionally in parallel; results identical either way."""
+def run_chains(dataset: Dataset, config: SamplerConfig, max_workers=None, meanwhile=None):
+    """All chains, optionally in parallel; results identical either way.
+
+    ``meanwhile``, if given, is called once in this process: while the
+    pool's workers run the chains (after every worker has started, so no
+    thread it might start is alive at a fork), or after the chains when
+    they run here.
+    """
     if max_workers is None:
         max_workers = default_workers()
     workers = max(1, min(max_workers, config.n_chains))
     if workers == 1:
-        return _in_chain_order(
+        per_chain = _in_chain_order(
             partial(run_chain, dataset, config, i) for i in range(config.n_chains)
         )
+        if meanwhile is not None:
+            meanwhile()
+        return per_chain
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(run_chain, dataset, config, i) for i in range(config.n_chains)
         ]
+        if meanwhile is not None:
+            meanwhile()
         return _in_chain_order(f.result for f in futures)
 
 

@@ -93,16 +93,22 @@ def test_run_deterministic_outputs(tmp_path):
         assert (tmp_path / f"r1{suffix}").read_bytes() == (tmp_path / f"r2{suffix}").read_bytes()
 
 
-def test_run_thread_count_does_not_change_results(tmp_path, monkeypatch):
+def test_run_thread_count_does_not_change_results(tmp_path, monkeypatch, capsys):
+    # With a pool the in-process baselines run beside the chains; the files
+    # and the lines that name them are the same as without one.
     data, _ = make_dataset_file(tmp_path, seed=1)
     flags = ["run", str(data), "--variant", "m1", "--chains", "4", "--iters", "20",
-             "--seed", "2", "-o"]
-    monkeypatch.setenv("DPSC_THREADS", "1")
-    assert main(flags + [str(tmp_path / "t1")]) == 0
-    monkeypatch.setenv("DPSC_THREADS", "4")
-    assert main(flags + [str(tmp_path / "t4")]) == 0
-    assert (tmp_path / "t1.pred.tsv").read_bytes() == (tmp_path / "t4.pred.tsv").read_bytes()
-    assert (tmp_path / "t1.chains.csv").read_bytes() == (tmp_path / "t4.chains.csv").read_bytes()
+             "--seed", "2", "--baseline", "kmeans,coarse,fine", "-o"]
+    stdout = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("DPSC_THREADS", threads)
+        assert main(flags + [str(tmp_path / f"t{threads}")]) == 0
+        stdout[threads] = capsys.readouterr().out.replace(f"t{threads}.", "t.")
+    assert stdout["1"] == stdout["4"]
+    assert [line.split()[1].rsplit(".", 2)[1] for line in stdout["1"].splitlines()] == [
+        "pred", "kmeans", "coarse", "fine"]
+    for suffix in (".pred.tsv", ".chains.csv", ".kmeans.tsv", ".coarse.tsv", ".fine.tsv"):
+        assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t4{suffix}").read_bytes()
 
 
 def test_run_m3_and_baselines(tmp_path):

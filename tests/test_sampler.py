@@ -931,11 +931,36 @@ def test_run_chain_deterministic_and_counts():
 def test_run_chains_parallel_matches_serial():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m1", iterations=12, burn_in=4, seed=5, n_chains=3)
-    serial = run_chains(ds, cfg, max_workers=1)
-    parallel = run_chains(ds, cfg, max_workers=3)
+    calls = []
+    serial = run_chains(ds, cfg, max_workers=1, meanwhile=lambda: calls.append("serial"))
+    parallel = run_chains(ds, cfg, max_workers=3, meanwhile=lambda: calls.append("pool"))
     assert [[r.joint_log_score for r in ch] for ch in serial] == [
         [r.joint_log_score for r in ch] for ch in parallel
     ]
+    assert calls == ["serial", "pool"]
+
+
+def test_run_chains_without_pool_calls_meanwhile_after_the_chains(monkeypatch):
+    events = []
+
+    def chain(dataset, config, i):
+        events.append(i)
+        if i == config.n_chains:
+            raise ValueError("boom")
+        return []
+
+    monkeypatch.setattr("dpsc.sampler.run_chain", chain)
+    ds = supervised_dataset()
+    assert run_chains(ds, SamplerConfig(n_chains=2), max_workers=1,
+                      meanwhile=lambda: events.append("meanwhile")) == [[], []]
+    assert events == [0, 1, "meanwhile"]
+    # A failed chain ends the run before ``meanwhile``.
+    events.clear()
+    monkeypatch.setattr("dpsc.sampler.run_chain", lambda d, c, i: chain(d, c, i + 1))
+    with pytest.raises(RuntimeError, match="^chain 1: boom"):
+        run_chains(ds, SamplerConfig(n_chains=2), max_workers=1,
+                   meanwhile=lambda: events.append("meanwhile"))
+    assert events == [1, 2]
 
 
 def test_run_chains_pool_names_the_failed_chain():
