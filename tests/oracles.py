@@ -2,10 +2,11 @@
 
 Nothing in here may call the production code paths it checks: pair
 classification is literal enumeration, edit distance is BFS over
-operation sequences, entropies come straight from the definitions,
-marginals are numeric quadrature, and k-means is Lloyd's algorithm a
-cluster at a time.  The one harness, chain_partition_tv, only sweeps a
-chain it is given and compares what it visits with an oracle.
+operation sequences, a maximum bipartite matching is scipy's, entropies
+come straight from the definitions, marginals are numeric quadrature, and
+k-means is Lloyd's algorithm a cluster at a time.  The one harness,
+chain_partition_tv, only sweeps a chain it is given and compares what it
+visits with an oracle.
 """
 
 from __future__ import annotations
@@ -105,6 +106,23 @@ def bfs_edit_distance(gold: Partition, hyp: Partition):
                 seen.add(nxt)
                 queue.append((nxt, depth + 1))
     raise RuntimeError("edit-distance BFS exhausted the state space")
+
+
+def matching_size_scipy(cands):
+    """Maximum bipartite matching size by scipy's csgraph; cands[u] lists
+    the (hashable) right nodes of left node u, repeats allowed."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    col = {}
+    indices = [col.setdefault(v, len(col)) for vs in cands for v in vs]
+    if not indices:
+        return 0
+    indptr = np.cumsum([0] + [len(vs) for vs in cands])
+    graph = csr_array(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(len(cands), len(col))
+    )
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
 
 
 def vi_direct(gold: Partition, hyp: Partition):

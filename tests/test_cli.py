@@ -1,14 +1,19 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpsc.cli import main
+from dpsc.cli import SCORE_COLUMNS, main
 from dpsc.data import Dataset, SynthConfig, load_dataset, save_dataset, standardize, synth_gaussian
 from dpsc.metrics import full_report
 from dpsc.partition import Partition, read_partition_file, write_partition_file
@@ -437,6 +442,69 @@ def test_score_lists_every_problem_before_scoring(tmp_path, capsys, monkeypatch)
     assert calls == []
 
 
+@st.composite
+def partition_files(draw, ids):
+    """The bytes of a partition file over ``ids``, valid or (about one in
+    four) spoilt by one or two drawn faults, and whether it was left valid."""
+    lines = [f"{item}\t{draw(st.integers(0, 3))}".encode() for item in ids]
+    faults = draw(st.lists(st.sampled_from(
+        ["drop", "extra", "duplicate", "malformed", "not-utf8", "empty"]), min_size=1,
+        max_size=2)) if draw(st.integers(0, 3)) == 0 else []
+    for fault in faults:
+        if fault == "drop" and lines:
+            lines.pop(draw(st.integers(0, len(lines) - 1)))
+        elif fault == "extra":
+            lines.append(b"zz\t0")
+        elif fault == "duplicate" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif fault == "malformed":
+            lines.append(draw(st.sampled_from([b"a", b"a\tb\tc", b"\t\t"])))
+        elif fault == "not-utf8":
+            lines.append(b"\xff\xfe\t0")
+        elif fault == "empty":
+            lines = []
+    lines = draw(st.permutations(lines)) + [b""] * draw(st.integers(0, 1))
+    return b"".join(line + b"\n" for line in lines), not faults
+
+
+@st.composite
+def score_cases(draw):
+    """A gold file and one to three hypothesis files over up to 6 ids."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "\u00e9", "10", "2"]),
+                        unique=True, max_size=6))
+    return len(ids), draw(st.lists(partition_files(ids), min_size=2, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(score_cases())
+def test_score_exit_codes_and_rows_on_drawn_files(case):
+    n_ids, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"p{j}.tsv") for j in range(len(files))]
+        for path, (data, _) in zip(paths, files):
+            Path(path).write_bytes(data)
+        out = os.path.join(tmp, "scores.csv")
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["score", "--gold", *paths, "-o", out])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("ERROR:2:") for line in lines)
+            assert not os.path.exists(out)
+            assert n_ids < 2 or not all(valid for _, valid in files)
+            return
+        gold = read_partition_file(paths[0])
+        n = gold.n_items
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
+        assert [row["name"] for row in rows] == paths[1:]
+        for row, path in zip(rows, paths[1:]):
+            rep = full_report(gold, read_partition_file(path))
+            expected = [rep.rand_index, rep.precision, rep.recall, rep.f_score, rep.ced_gh / n,
+                        rep.nes, rep.vi, rep.nvi, rep.ced_hg / n]
+            assert [float(row[c]) for c in SCORE_COLUMNS[1:]] == expected
+
+
 def test_score_repeatable(tmp_path, capsys):
     write_parts(tmp_path)
     args = ["score", "--gold", str(tmp_path / "gold.tsv"), str(tmp_path / "fine.tsv")]
@@ -549,13 +617,15 @@ data, prefix, pool, curve = sys.argv[1:]
 assert main(["run", data, "--chains", "1", "--iters", "4", "--seed", "1",
              "--baseline", "kmeans,cdp", "-o", prefix]) == 0
 assert main(["dpfit", pool, "--points", "5", "--resamples", "5", "-o", curve]) == 0
+assert main(["score", "--gold", prefix + ".kmeans.tsv", prefix + ".pred.tsv",
+             prefix + ".cdp.tsv", "-o", prefix + ".scores.csv"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
 def test_run_and_dpfit_load_no_scipy(tmp_path):
-    # Only `dpsc score` needs scipy (its edit distance, imported lazily); a
-    # top-level scipy import anywhere on the run or dpfit path shows here.
+    # No command needs scipy; an import of it anywhere on the run, dpfit or
+    # score path shows here.
     root = Path(__file__).resolve().parents[1]
     write_partition_file(Partition({f"i{k}": k % 4 for k in range(30)}), tmp_path / "pool.tsv")
     args = [str(root / "tests" / "golden" / "data.csv"), str(tmp_path / "run"),
@@ -566,3 +636,4 @@ def test_run_and_dpfit_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert (tmp_path / "run.kmeans.tsv").exists() and (tmp_path / "run.cdp.tsv").exists()
+    assert len((tmp_path / "run.scores.csv").read_text().splitlines()) == 3

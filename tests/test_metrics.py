@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dpsc.errors import DomainError
 from dpsc.metrics import (
+    _matching_size,
     cluster_edit_distance,
     full_report,
     normalized_edit_score,
@@ -22,6 +23,7 @@ from dpsc.partition import Partition
 from oracles import (
     bfs_edit_distance,
     enumerate_partitions,
+    matching_size_scipy,
     pair_counts_enumeration,
     vi_direct,
 )
@@ -317,3 +319,30 @@ def test_ced_leaves_recursion_limit_alone():
     h = Partition({i: (i + 1) // 2 % 600 for i in range(1200)})
     assert cluster_edit_distance(g, h) == 600
     assert sys.getrecursionlimit() == before
+
+
+@st.composite
+def random_bipartite(draw):
+    """Up to 12 left nodes with up to 6 right nodes each, drawn from a
+    small pool, so lists repeat nodes and many lists are empty."""
+    n_right = draw(st.integers(1, 12))
+    return draw(st.lists(st.lists(st.integers(0, n_right - 1), max_size=6), max_size=12))
+
+
+@st.composite
+def alternating_chains(draw):
+    """A path v0 - u0 - v1 - u1 - ... closed into a cycle or left open,
+    with the left nodes in a drawn order and each list in a drawn order.
+    The greedy start can take every edge one way round, leaving a single
+    augmenting path through the whole chain."""
+    m = draw(st.integers(1, 150))
+    cands = [[i, i + 1] for i in range(m - 1)]
+    cands.append([0] if draw(st.booleans()) else [m - 1, 0])
+    cands = [vs[::-1] if draw(st.booleans()) else vs for vs in cands]
+    return draw(st.permutations(cands))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(random_bipartite(), alternating_chains()))
+def test_matching_size_matches_scipy(cands):
+    assert _matching_size(cands) == matching_size_scipy(cands)

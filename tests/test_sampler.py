@@ -941,26 +941,17 @@ def test_run_chains_parallel_matches_serial():
 
 
 def test_run_chains_without_pool_calls_meanwhile_after_the_chains(monkeypatch):
-    events = []
-
-    def chain(dataset, config, i):
-        events.append(i)
-        if i == config.n_chains:
-            raise ValueError("boom")
-        return []
-
-    monkeypatch.setattr("dpsc.sampler.run_chain", chain)
     ds = supervised_dataset()
+    events = []
+    # A failed chain ends the run before ``meanwhile``.
+    with pytest.raises(RuntimeError, match="^chain 0: variant must be one of"):
+        run_chains(ds, SamplerConfig(variant="m9", iterations=2, n_chains=2), max_workers=1,
+                   meanwhile=lambda: events.append("meanwhile"))
+    assert events == []
+    monkeypatch.setattr("dpsc.sampler.run_chain", lambda d, c, i: events.append(i) or [])
     assert run_chains(ds, SamplerConfig(n_chains=2), max_workers=1,
                       meanwhile=lambda: events.append("meanwhile")) == [[], []]
     assert events == [0, 1, "meanwhile"]
-    # A failed chain ends the run before ``meanwhile``.
-    events.clear()
-    monkeypatch.setattr("dpsc.sampler.run_chain", lambda d, c, i: chain(d, c, i + 1))
-    with pytest.raises(RuntimeError, match="^chain 1: boom"):
-        run_chains(ds, SamplerConfig(n_chains=2), max_workers=1,
-                   meanwhile=lambda: events.append("meanwhile"))
-    assert events == [1, 2]
 
 
 def test_run_chains_pool_names_the_failed_chain():
