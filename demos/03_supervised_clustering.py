@@ -31,7 +31,7 @@ dataset = synth_gaussian(
 std, _ = standardize(dataset)
 test_idx = std.indices("test")
 test_ids = [std.ids[i] for i in test_idx]
-gold = std.gold_partition("test")
+gold = std.gold_partition()
 print(f"{len(std.indices('train'))} training items in 4 classes; "
       f"{len(test_idx)} test items in {gold.n_clusters} unseen classes")
 

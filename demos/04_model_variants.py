@@ -29,7 +29,7 @@ dataset = synth_gaussian(
     )
 )
 std, _ = standardize(dataset)
-gold = std.gold_partition("test")
+gold = std.gold_partition()
 print(f"test portion: {gold.n_items} items, {gold.n_clusters} classes")
 
 print(f"{'variant':<8} {'F':>6} {'NES':>6} {'NVI':>6} {'clusters':>9}")

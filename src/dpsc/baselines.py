@@ -27,18 +27,18 @@ def fine(ids) -> Partition:
     return Partition({item: j for j, item in enumerate(ids)})
 
 
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITERS = 100
+
+
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
-    restarts: int = 10
-    max_iters: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.restarts < 1:
-            raise DomainError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def _sq_dists(X, centers):
@@ -123,16 +123,17 @@ def kmeans(X, config: KMeansConfig, ids=None) -> Partition:
         ids = list(range(n))
     rng = np.random.default_rng(config.seed)
     best_labels, best_wcss = None, np.inf
-    for _ in range(config.restarts):
-        labels, wcss = _lloyd(X, config.k, int(rng.integers(n)), config.max_iters)
+    for _ in range(KMEANS_RESTARTS):
+        labels, wcss = _lloyd(X, config.k, int(rng.integers(n)), KMEANS_MAX_ITERS)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition({ids[i]: int(best_labels[i]) for i in range(n)})
 
 
 def cdp_preset():
-    """Unsupervised DP clustering: fixed alpha 1, one frozen identity type,
-    gold labels ignored."""
+    """Unsupervised DP clustering: fixed alpha 1, one frozen identity type.
+    Run it on a dataset of test items only; training items would be pinned
+    to their gold classes as in any other run."""
     from .sampler import SamplerConfig
 
     return SamplerConfig(
@@ -140,5 +141,4 @@ def cdp_preset():
         alpha_p=1.0,
         resample_alphas=False,
         freeze_types=True,
-        ignore_labels=True,
     )

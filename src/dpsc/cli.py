@@ -72,7 +72,8 @@ def build_parser():
     p.add_argument("--max-size", type=int, default=300)
     p.add_argument("--separation", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True, help="dataset CSV path")
+    p.add_argument("-o", "--output", required=True,
+                   help="dataset path: JSON if it ends in .json, else CSV")
 
     p = sub.add_parser("run", help="run MCMC chains and write the predicted partition")
     p.add_argument("dataset", help="dataset CSV/JSON path")
@@ -118,7 +119,7 @@ def cmd_synth(args):
     if errors:
         raise _ValidationFailure(errors)
     dataset = synth_gaussian(cfg)
-    save_dataset(dataset, args.output, fmt="csv")
+    save_dataset(dataset, args.output)
     counts = {}
     for lab in dataset.labels:
         counts[lab] = counts.get(lab, 0) + 1
@@ -168,9 +169,8 @@ def cmd_run(args):
     errors.extend(flag_errors)
     errors.extend(config.validate(dataset))
     if dataset is not None:
-        has_train = any(s == "train" for s in dataset.split)
         try:
-            std, _ = standardize(dataset, stats_over="train" if has_train else "all")
+            std, _ = standardize(dataset)
         except DomainError as exc:
             errors.append(str(exc))
     try:
@@ -295,6 +295,8 @@ def cmd_dpfit(args):
         errors.append(f"--points must be >= 1, got {args.points}")
     if args.resamples < 1:
         errors.append(f"--resamples must be >= 1, got {args.resamples}")
+    if args.seed < 0:
+        errors.append(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         prior = GammaPrior(shape=args.prior_shape, scale=args.prior_scale)
     except DomainError as exc:

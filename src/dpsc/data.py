@@ -76,10 +76,11 @@ class Dataset:
     def indices(self, split):
         return np.array([i for i, s in enumerate(self.split) if s == split], dtype=int)
 
-    def gold_partition(self, split="test") -> Partition:
-        idx = self.indices(split)
+    def gold_partition(self) -> Partition:
+        """The test items grouped by their gold labels."""
+        idx = self.indices("test")
         if any(not self.labels[i] for i in idx):
-            raise DomainError(f"{split} items are not fully labeled")
+            raise DomainError("test items are not fully labeled")
         return Partition({self.ids[i]: self.labels[i] for i in idx})
 
     def __eq__(self, other):
@@ -104,17 +105,18 @@ class Standardizer:
         return (np.asarray(X, float) - self.mean) / self.std
 
 
-def standardize(dataset: Dataset, stats_over="train"):
-    """Center and spherize all features using per-dimension train statistics.
+def standardize(dataset: Dataset):
+    """Center and spherize all features using per-dimension statistics of
+    the training items, or of every item when there are none (a fully
+    unsupervised run).
 
     Returns the transformed dataset and the fitted transform.  Standard
     deviations are floored at a small constant so constant dimensions
-    stay finite.  ``stats_over="all"`` fits on every item instead, for
-    fully unsupervised runs with no training portion.
+    stay finite.
     """
-    if stats_over not in ("train", "all"):
-        raise DomainError(f"stats_over must be 'train' or 'all', got {stats_over!r}")
-    idx = dataset.indices("train") if stats_over == "train" else np.arange(dataset.n_items)
+    idx = dataset.indices("train")
+    if len(idx) == 0:
+        idx = np.arange(dataset.n_items)
     if len(idx) < 2:
         raise DomainError(f"need at least 2 items to fit statistics, got {len(idx)}")
     mean = dataset.X[idx].mean(axis=0)
@@ -139,20 +141,15 @@ def standardize(dataset: Dataset, stats_over="train"):
     return out, tf
 
 
-def _infer_format(path, fmt):
-    if fmt is not None:
-        return fmt
-    return "json" if str(path).endswith(".json") else "csv"
+def _is_json(path):
+    """A dataset path names a JSON file if it ends in .json, else CSV."""
+    return str(path).endswith(".json")
 
 
-def load_dataset(path, fmt=None) -> Dataset:
-    """Read a dataset from CSV (header: id,split,label,f1..fF) or JSON."""
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "json":
-        return _load_json(path)
-    raise DomainError(f"unknown dataset format {fmt!r}")
+def load_dataset(path) -> Dataset:
+    """Read a dataset from JSON (a ``.json`` path) or else CSV (header:
+    id,split,label,f1..fF)."""
+    return _load_json(path) if _is_json(path) else _load_csv(path)
 
 
 def _load_csv(path) -> Dataset:
@@ -231,9 +228,9 @@ def _load_json(path) -> Dataset:
     return Dataset(ids=ids, X=np.array(rows), labels=labels, split=split)
 
 
-def save_dataset(dataset: Dataset, path, fmt=None):
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
+def save_dataset(dataset: Dataset, path):
+    """Write a dataset as JSON (a ``.json`` path) or else CSV."""
+    if not _is_json(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "split", "label"] + [f"f{j+1}" for j in range(dataset.dim)])
@@ -242,7 +239,7 @@ def save_dataset(dataset: Dataset, path, fmt=None):
                     [dataset.ids[i], dataset.split[i], dataset.labels[i] or ""]
                     + [repr(float(v)) for v in dataset.X[i]]
                 )
-    elif fmt == "json":
+    else:
         items = [
             {
                 "id": dataset.ids[i],
@@ -255,8 +252,6 @@ def save_dataset(dataset: Dataset, path, fmt=None):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(items, fh, indent=1)
             fh.write("\n")
-    else:
-        raise DomainError(f"unknown dataset format {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -282,8 +277,10 @@ class SynthConfig:
             errors.append("class sizes must satisfy 1 <= min <= max")
         if self.dim < 1:
             errors.append(f"dim must be >= 1, got {self.dim}")
-        if self.separation < 0:
-            errors.append("separation must be >= 0")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            errors.append(f"separation must be a finite number >= 0, got {self.separation}")
+        if self.seed < 0:
+            errors.append(f"seed must be a non-negative integer, got {self.seed}")
         return errors
 
 

@@ -25,8 +25,11 @@ class GammaPrior:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise DomainError(f"gamma prior needs positive shape/scale, got {self}")
+        if not (self.shape > 0 and self.scale > 0
+                and math.isfinite(self.mean) and math.isfinite(self.rate)):
+            raise DomainError(
+                f"gamma prior needs positive shape/scale with a finite mean and rate, got {self}"
+            )
 
     @property
     def rate(self):
@@ -176,15 +179,18 @@ def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
     return float(rng.gamma(shapes[s], 1.0 / bhat))
 
 
-def estimate_precision(pairs, prior: GammaPrior, rng, draws=2000):
+ESTIMATE_DRAWS = 2000
+
+
+def estimate_precision(pairs, prior: GammaPrior, rng):
     """Posterior-mean estimate of alpha: mean of the post-burn-in half of a
-    chain of precision refreshes."""
+    chain of ESTIMATE_DRAWS precision refreshes."""
     alpha = prior.mean
-    trace = np.empty(draws)
-    for t in range(draws):
+    trace = np.empty(ESTIMATE_DRAWS)
+    for t in range(ESTIMATE_DRAWS):
         alpha = sample_precision_multi(alpha, pairs, prior, rng)
         trace[t] = alpha
-    return float(trace[draws // 2 :].mean())
+    return float(trace[ESTIMATE_DRAWS // 2 :].mean())
 
 
 def appropriateness_curve(labeled_pools, ns, resamples, prior: GammaPrior, rng):

@@ -185,11 +185,10 @@ def publication_posterior_params(rs, ts, base: PublicationBase):
     return publication_posterior_from_sums(ts.sum(axis=0), (ts * rs).sum(axis=0), base)
 
 
-def posterior_sample_publication(rs, ts, base: PublicationBase, rng, size=None):
-    """Exact conjugate draw of a cluster center; prior draw if no data.
-    ``size`` (for example (m, dim)) gives m independent draws as rows."""
+def posterior_sample_publication(rs, ts, base: PublicationBase, rng):
+    """Exact conjugate draw of a cluster center; prior draw if no data."""
     mean, prec = publication_posterior_params(rs, ts, base)
-    return rng.normal(mean, np.sqrt(1.0 / prec), size)
+    return rng.normal(mean, np.sqrt(1.0 / prec))
 
 
 def type_posterior_from_sums(count, sq_sum, base: TypeBase):

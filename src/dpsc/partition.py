@@ -65,9 +65,6 @@ class Partition:
         blocks = [tuple(sorted(m)) for m in self.clusters().values()]
         return tuple(sorted(blocks, key=lambda b: b[0]))
 
-    def equivalent(self, other):
-        return self.canonical() == other.canonical()
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.assignment == other.assignment
 

@@ -151,7 +151,6 @@ class SamplerConfig:
     n_chains: int = 2
     seed: int = 0
     freeze_types: bool = False  # keep a single identity type, skip d updates
-    ignore_labels: bool = False  # treat every item as test (unsupervised)
     conditional_type_prior: bool = True  # m3 only: tie precisions to center distances
 
     def resolved_burn_in(self):
@@ -182,7 +181,7 @@ class SamplerConfig:
         if self.alpha_p <= 0 or self.alpha_t <= 0:
             errors.append("initial alpha values must be positive")
         if dataset is not None and self.resample_alphas:
-            has_train = not self.ignore_labels and any(s == "train" for s in dataset.split)
+            has_train = any(s == "train" for s in dataset.split)
             if not has_train:
                 errors.append(
                     "resample_alphas needs labeled training data to form an (n, k) "
@@ -607,10 +606,7 @@ class ChainState:
         self.frozen_types = config.freeze_types
         self.conditional = config.variant == "m3" and config.conditional_type_prior
 
-        if config.ignore_labels:
-            self.is_test = np.ones(self.N, dtype=bool)
-        else:
-            self.is_test = np.array([s == "test" for s in dataset.split])
+        self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
         self.test_ids = [self.ids[i] for i in self.test_indices.tolist()]
         self._table = None  # a _ClusterTable during the c pass

@@ -320,7 +320,7 @@ def test_criterion_7_end_to_end_synthetic_recovery():
         )
         chains = [run_chain(std, cfg, i) for i in range(cfg.n_chains)]
         pred = extract_prediction(chains)
-        gold = std.gold_partition("test")
+        gold = std.gold_partition()
         _, _, f = precision_recall_f(gold, pred)
         test_idx = std.indices("test")
         k = len({std.labels[i] for i in test_idx})

@@ -1,13 +1,16 @@
-"""What the benchmark scripts under ``bench/`` use of dpsc still exists.
+"""What the benchmark scripts under ``bench/`` and the demos under
+``demos/`` use of dpsc still exists.
 
-The scripts are parsed, not imported, as they import one another by bare
-module name from ``bench/``.  Without these checks, a rename in dpsc that
-one of them depends on shows only when ``bench/run.py --trace 1`` runs.
+The scripts are parsed, not imported, as the benchmark scripts import one
+another by bare module name from ``bench/`` and the demos run their whole
+walkthrough on import.  Without these checks, a rename in dpsc that one of
+them depends on shows only when ``bench/run.py --trace 1`` or the demo runs.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -15,8 +18,10 @@ import pytest
 import dpsc.sampler
 from dpsc.sampler import ChainState, SampleRecord
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SCRIPTS = sorted(BENCH.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _parse(path):
@@ -26,14 +31,15 @@ def _parse(path):
 def _dpsc_uses(tree):
     """(module, name) for every name a ``from dpsc... import`` takes, and
     for every attribute read off a dpsc module: ``dpsc.dp.x``, or ``x`` of
-    a module bound by ``from dpsc import gaussian``."""
+    a module bound by ``from dpsc import gaussian`` (not a class such as
+    ``from dpsc import Partition``)."""
     modules = {}  # local name -> dpsc module path
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dpsc":
             for alias in node.names:
                 uses.append((node.module, alias.name))
-                if node.module == "dpsc":
+                if node.module == "dpsc" and importlib.util.find_spec(f"dpsc.{alias.name}"):
                     modules[alias.asname or alias.name] = f"dpsc.{alias.name}"
     for node in ast.walk(tree):
         if not isinstance(node, ast.Attribute):
@@ -49,9 +55,10 @@ def _dpsc_uses(tree):
 
 def test_bench_scripts_are_found():
     assert {p.name for p in SCRIPTS} >= {"run.py", "workloads.py", "micro.py"}
+    assert DEMOS
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCRIPTS + DEMOS, ids=lambda p: p.name)
 def test_bench_names_from_dpsc_exist(path):
     for module, name in _dpsc_uses(_parse(path)):
         assert hasattr(importlib.import_module(module), name), f"{path.name}: {module}.{name}"

@@ -83,6 +83,85 @@ def test_synth_lists_every_problem_before_generating(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf"])
+def test_synth_non_finite_separation_listed_with_output_error(tmp_path, capsys, separation):
+    code = main(["synth", "--train-classes", "1", "--test-classes", "1", "--dim", "1",
+                 "--separation", separation, "-o", str(tmp_path / "nodir" / "x.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("ERROR:2:") for line in lines)
+    assert "separation" in lines[0] and "does not exist" in lines[1]
+
+
+@pytest.mark.parametrize("command", ["synth", "dpfit"])
+def test_negative_seed_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr("dpsc.cli.synth_gaussian", lambda *a: calls.append(a))
+    monkeypatch.setattr("dpsc.cli.appropriateness_curve", lambda *a: calls.append(a))
+    write_partition_file(Partition({f"i{k}": k % 3 for k in range(12)}), tmp_path / "pool.tsv")
+    head = {"synth": ["synth", "--train-classes", "1", "--test-classes", "1", "--dim", "1"],
+            "dpfit": ["dpfit", str(tmp_path / "pool.tsv")]}[command]
+    out = tmp_path / "out.csv"
+    assert main(head + ["--seed", "-1", "-o", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and "seed must be a non-negative integer" in line
+    assert calls == [] and not out.exists()
+
+
+def test_synth_json_output_runs(tmp_path):
+    data = tmp_path / "d.json"
+    assert main(["synth", "--train-classes", "2", "--test-classes", "2", "--dim", "2",
+                 "--min-size", "5", "--max-size", "8", "-o", str(data)]) == 0
+    assert load_dataset(data) == synth_gaussian(
+        SynthConfig(2, 2, dim=2, min_class_size=5, max_class_size=8))
+    assert main(["run", str(data), "--iters", "4", "-o", str(tmp_path / "r")]) == 0
+
+
+def _exit_0_or_2(args, out):
+    """main(args + ["-o", out]), which must exit 0, or 2 with every stderr
+    line an ERROR:2: one and nothing written to ``out``."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(args + ["-o", out])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert lines and all(line.startswith("ERROR:2:") for line in lines)
+        assert not os.path.exists(out)
+    return code
+
+
+@st.composite
+def flag_args(draw, valid, invalid):
+    """``--flag=value`` arguments drawn from the ``valid`` strategies, with
+    (about one in three) one or two of them drawn from ``invalid``'s."""
+    flags = {k: draw(v) for k, v in valid.items()}
+    if draw(st.integers(0, 2)) == 0:
+        for k in draw(st.lists(st.sampled_from(sorted(invalid)), min_size=1, max_size=2,
+                               unique=True)):
+            flags[k] = draw(invalid[k])
+    return [f"{k}={v}" for k, v in flags.items()]
+
+
+SYNTH_FLAGS = flag_args(
+    {"--train-classes": st.integers(1, 2), "--test-classes": st.integers(1, 2),
+     "--dim": st.integers(1, 3), "--min-size": st.integers(1, 3), "--max-size": st.integers(3, 5),
+     "--separation": st.sampled_from(["0", "2.5", "1e300", "1e308"]), "--seed": st.integers(0, 3)},
+    {"--train-classes": st.integers(-1, 0), "--test-classes": st.integers(-1, 0),
+     "--dim": st.integers(-1, 0), "--min-size": st.sampled_from([-1, 0, 6]),
+     "--separation": st.sampled_from(["nan", "inf", "-inf", "-1"]), "--seed": st.integers(-2, -1)},
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(SYNTH_FLAGS, st.sampled_from(["d.csv", "d.json", "nodir/d.csv"]))
+def test_synth_exit_codes_on_drawn_flags(flags, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, name)
+        if _exit_0_or_2(["synth", *flags], out) == 0:
+            load_dataset(out)
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -581,6 +660,48 @@ def test_dpfit_lists_every_problem_before_fitting(tmp_path, capsys, monkeypatch)
         assert sum(expected in line for line in lines) == 1, expected
     assert len(lines) == 5
     assert calls == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--prior-shape", "inf"], ["--prior-scale", "inf"],
+    ["--prior-shape", "1e308", "--prior-scale", "1e308"], ["--prior-scale", "1e-320"],
+], ids=["shape", "scale", "mean", "rate"])
+def test_dpfit_non_finite_prior_exit_2(tmp_path, capsys, flags):
+    write_partition_file(Partition({f"i{k}": k % 3 for k in range(12)}), tmp_path / "pool.tsv")
+    out = tmp_path / "c.csv"
+    assert main(["dpfit", str(tmp_path / "pool.tsv"), *flags, "--resamples", "5",
+                 "-o", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:2:") and "gamma prior" in line
+    assert not out.exists()
+
+
+DPFIT_FLAGS = flag_args(
+    {"--points": st.integers(1, 4), "--resamples": st.integers(1, 3),
+     "--prior-shape": st.sampled_from(["1e-300", "0.5", "2", "1e300"]),
+     "--prior-scale": st.sampled_from(["1e-300", "1", "3", "1e300"]),
+     "--seed": st.integers(0, 3)},
+    {"--points": st.integers(-1, 0), "--resamples": st.integers(-1, 0),
+     "--prior-shape": st.sampled_from(["nan", "inf", "-1", "0"]),
+     "--prior-scale": st.sampled_from(["nan", "inf", "-1", "0", "1e-320"]),
+     "--seed": st.integers(-2, -1)},
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(partition_files(["a", "b", "c", "d"]), min_size=1, max_size=2), DPFIT_FLAGS,
+       st.sampled_from(["c.csv", "c.json", "nodir/c.csv"]))
+def test_dpfit_exit_codes_on_drawn_pools_and_flags(pools, flags, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"p{j}.tsv") for j in range(len(pools))]
+        for path, (data, _) in zip(paths, pools):
+            Path(path).write_bytes(data)
+        out = os.path.join(tmp, name)
+        if _exit_0_or_2(["dpfit", *paths, *flags], out) == 0:
+            rows = list(csv.DictReader(Path(out).read_text().splitlines()))
+            assert rows and all(len(row) == 7 for row in rows)
+            for row in rows:
+                [float(v) for v in row.values()]
 
 
 def test_dpfit_missing_output_dir_fails_before_fitting(tmp_path, capsys, monkeypatch):

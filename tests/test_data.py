@@ -108,6 +108,15 @@ def test_standardize_constant_dimension_clamped():
     assert np.isfinite(out.X).all()
 
 
+def test_standardize_without_train_items_fits_on_every_item():
+    ds = toy_dataset()
+    ds.split = ["test"] * 4
+    out, tf = standardize(ds)
+    assert tf.mean == pytest.approx([3.0, 4.0])
+    assert out.X.mean(axis=0) == pytest.approx([0.0, 0.0], abs=1e-10)
+    assert out.X.std(axis=0) == pytest.approx([1.0, 1.0], abs=1e-10)
+
+
 def test_standardize_needs_two_train_items():
     ds = Dataset(ids=["a"], X=np.zeros((1, 1)), labels=["x"], split=["train"])
     with pytest.raises(DomainError, match="at least 2"):

@@ -246,5 +246,5 @@ def test_estimate_precision_tracks_truth():
     rng = np.random.default_rng(4)
     pools = [crp_sample(2.0, 500, rng) for _ in range(4)]
     pairs = [ObservationPair(p.n_items, p.n_clusters) for p in pools]
-    est = estimate_precision(pairs, GammaPrior(shape=2.0, scale=1.0), rng, draws=1500)
+    est = estimate_precision(pairs, GammaPrior(shape=2.0, scale=1.0), rng)
     assert 1.0 < est < 4.0

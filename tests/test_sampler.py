@@ -1030,19 +1030,20 @@ def test_map_recovery_on_three_points():
 # ------------------------------------------------------------------ CDP
 
 
-def test_cdp_runs_ignore_labels_and_types():
+def test_cdp_runs_on_test_items_with_one_frozen_type():
     from dpsc.baselines import cdp_preset
 
     ds = synth_gaussian(SynthConfig(2, 2, dim=2, min_class_size=6, max_class_size=6, seed=11))
-    cfg = cdp_preset()
-    cfg.iterations, cfg.burn_in, cfg.n_chains, cfg.seed = 40, 10, 1, 3
-    labeled = run_chain(ds, cfg, 0)
-    stripped = Dataset(
+    # As dpsc run does: every item a test item, and no labels.
+    ds = Dataset(
         ids=list(ds.ids), X=ds.X.copy(), labels=[None] * ds.n_items, split=["test"] * ds.n_items
     )
-    unlabeled = run_chain(stripped, cfg, 0)
-    assert [r.joint_log_score for r in labeled] == [r.joint_log_score for r in unlabeled]
-    assert all(r.n_types == 1 for r in labeled)
+    cfg = cdp_preset()
+    cfg.iterations, cfg.burn_in, cfg.n_chains, cfg.seed = 40, 10, 1, 3
+    records = run_chain(ds, cfg, 0)
+    assert len(records) == 30
+    assert all(r.test_partition.items() == frozenset(ds.ids) for r in records)
+    assert all(r.n_types == 1 for r in records)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     for _ in range(10):
         state.sweep()
