@@ -19,7 +19,7 @@ from . import baselines
 from .data import Dataset, SynthConfig, load_dataset, save_dataset, standardize, synth_gaussian
 from .dp import GammaPrior, appropriateness_curve
 from .errors import ConfigError, DomainError
-from .metrics import comparison_problem, full_report
+from .metrics import aligned_codes, comparison_problem, label_codes, report_from_codes
 from .partition import read_partition_file, write_partition_file
 from .sampler import SamplerConfig, default_workers, extract_prediction, run_chains
 
@@ -60,8 +60,16 @@ def _read(reader, path, errors):
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (a missing value, a bad choice) as one
+    ``ERROR:2:`` line, like every other invalid input."""
+
+    def error(self, message):
+        raise _ValidationFailure([f"{self.prog}: {message}"])
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="dpsc", description=__doc__)
+    parser = _Parser(prog="dpsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic Gaussian dataset")
@@ -235,29 +243,29 @@ SCORE_COLUMNS = [
 ]
 
 
-def _check_hypothesis(gold, path, errors):
-    """Read one hypothesis file and append its problems to ``errors``; the
-    partition is dropped on return, so only one is held at a time."""
-    hyp = _read(read_partition_file, path, errors)
-    problem = None if gold is None or hyp is None else comparison_problem(gold, hyp)
-    if problem:
-        errors.append(f"{path}: {problem}")
-
-
 def cmd_score(args):
     errors = []
     gold = _read(read_partition_file, args.gold, errors)
+    coded = []  # (path, the hypothesis's code array in gold-item order)
     for path in args.hypotheses:
-        _check_hypothesis(gold, path, errors)
+        hyp = _read(read_partition_file, path, errors)
+        if gold is not None and hyp is not None:
+            problem = comparison_problem(gold, hyp)
+            if problem:
+                errors.append(f"{path}: {problem}")
+            else:
+                coded.append((path, aligned_codes(gold, hyp)))
+        del hyp  # only one partition besides the gold one is held at a time
     if args.output:
         errors += _output_problems("output", args.output)
     if errors:
         raise _ValidationFailure(errors)
-    n = gold.n_items
+    gold_codes = label_codes(gold.assignment.values())
+    del gold
+    n = len(gold_codes)
     rows = []
-    for path in args.hypotheses:
-        hyp = read_partition_file(path)
-        rep = full_report(gold, hyp)
+    for path, codes in coded:
+        rep = report_from_codes(gold_codes, codes)
         # The tabulated CED convention is the gold<-hyp count normalized by N.
         rows.append(
             {
@@ -333,14 +341,11 @@ COMMANDS = {"synth": cmd_synth, "run": cmd_run, "score": cmd_score, "dpfit": cmd
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; normalize the exit code
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help, which printed its text
+        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     except _ValidationFailure as exc:
         for msg in exc.messages:
             print(f"ERROR:{EXIT_VALIDATION}:{msg}", file=sys.stderr)

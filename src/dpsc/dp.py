@@ -99,10 +99,10 @@ def expected_clusters(alpha, n):
         raise DomainError(f"alpha must be positive, got {alpha}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    i = np.arange(1, n + 1, dtype=float)
-    p = alpha / (alpha + i - 1.0)
+    before = np.arange(n, dtype=float)  # i - 1, so alpha + (i - 1) > 0 at any alpha > 0
+    p = alpha / (alpha + before)
     mean = float(p.sum())
-    var = float((p * (i - 1.0) / (alpha + i - 1.0)).sum())
+    var = float((p * before / (alpha + before)).sum())
     return mean, math.sqrt(var)
 
 
@@ -137,7 +137,7 @@ def precision_mixture(pairs, prior: GammaPrior, rate):
     symmetric sums of the pool sizes (see sample_precision_multi).
     """
     m = len(pairs)
-    s0 = prior.shape - m + sum(p.k for p in pairs)
+    s0 = prior.shape + (sum(p.k for p in pairs) - m)  # exact, so a tiny shape is kept
     log_e = np.full(m + 1, -np.inf)
     log_e[0] = 0.0
     for p in pairs:
@@ -165,6 +165,8 @@ def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
     (precision_mixture).  S is drawn from those M + 1 weights with one
     uniform, then alpha.  Every k_m >= 1, so s0 >= a > 0 for any prior
     shape; for M = 1 this is sample_precision_single's two-gamma mixture.
+    A draw that underflows to 0 (a tiny prior shape over one-class pools)
+    raises FloatingPointError.
     """
     pairs = list(pairs)
     if not pairs:
@@ -176,7 +178,13 @@ def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
     shapes, weights = precision_mixture(pairs, prior, bhat)
     cdf = np.cumsum(weights)
     s = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
-    return float(rng.gamma(shapes[s], 1.0 / bhat))
+    alpha = float(rng.gamma(shapes[s], 1.0 / bhat))
+    if alpha == 0.0:
+        raise FloatingPointError(
+            f"the DP precision draw underflowed to 0 under gamma prior shape {prior.shape!r}; "
+            "a larger shape keeps it positive"
+        )
+    return alpha
 
 
 ESTIMATE_DRAWS = 2000
@@ -226,12 +234,15 @@ def appropriateness_curve(labeled_pools, ns, resamples, prior: GammaPrior, rng):
     dp_std = np.empty(len(ns))
     emp_mean = np.empty(len(ns))
     emp_std = np.empty(len(ns))
+    seen = np.zeros(len(code_of), dtype=bool)  # cleared after each subsample
     for j, n in enumerate(ns):
         dp_mean[j], dp_std[j] = expected_clusters(alpha, int(n))
         counts = np.empty(resamples)
         for r in range(resamples):
-            idx = rng.choice(total, size=int(n), replace=False)
-            counts[r] = len(np.unique(coded[idx]))
+            classes = coded[rng.choice(total, size=int(n), replace=False)]
+            seen[classes] = True
+            counts[r] = np.count_nonzero(seen)
+            seen[classes] = False
         emp_mean[j] = counts.mean()
         emp_std[j] = counts.std()
     return ClusterCountCurve(

@@ -5,19 +5,30 @@ G over the same item set: pair-counting metrics (Rand index, precision,
 recall, F), the asymmetric cluster edit distance and its symmetric
 normalized edit score, and the entropy-based variation of information.
 
-Every score is read from one contingency table: the number of items in
-each (gold cluster, hypothesis cluster) cell.  Pair counts and VI use its
-cells and margins; each direction of the edit distance groups the cells by
-the partition being edited.  ``full_report`` builds the table and its
-margins once; the single-metric functions build them for themselves.  All
-scores are invariant to cluster relabeling and item order.
+Both partitions are first coded as int64 arrays in G's item order, each
+numbering its clusters 0, 1, ... by first appearance (``label_codes``,
+``aligned_codes``).  Every score is read from one contingency table of
+those codes: the number of items in each (gold cluster, hypothesis
+cluster) cell, built by one ``np.unique`` and kept in order of first
+appearance, with the cluster sizes (``np.bincount``) as its margins.  Pair
+counts and VI use the cells and margins.  Each direction of the edit
+distance matches the clusters of the partition being edited to their tied
+plurality targets: the Karp-Sipser degree-1 rule settles every cluster
+with one such target, then every target that only one cluster ties to,
+and Hopcroft-Karp sizes the matching of what is left.
+``report_from_codes`` computes every metric from two code arrays, so a
+caller that holds the codes (``dpsc score``) can drop the partitions; the
+functions taking Partitions code them and read the same table.  All scores
+are invariant to cluster relabeling and item order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import count
+
+import numpy as np
 
 from .errors import DomainError
 from .partition import Partition
@@ -86,36 +97,85 @@ def comparison_problem(gold: Partition, hyp: Partition):
     return None
 
 
-def _contingency(gold, hyp):
-    """Check that the partitions are comparable and count their joint
-    membership: (gold cid, hyp cid) -> n items, filled in gold-item order."""
+def label_codes(labels):
+    """Int64 codes of a collection of cluster ids, numbered 0, 1, ... in
+    order of first appearance."""
+    index = dict(zip(dict.fromkeys(labels), count()))
+    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+
+
+def aligned_codes(gold: Partition, hyp: Partition):
+    """H's cluster ids coded in G's item order; the items must be G's."""
+    return label_codes(list(map(hyp.assignment.__getitem__, gold.assignment)))
+
+
+def _coded(gold, hyp):
+    """Check that the partitions are comparable and code both."""
     problem = comparison_problem(gold, hyp)
     if problem:
         raise DomainError(problem)
-    gold_of = gold.assignment
-    return Counter(zip(gold_of.values(), map(hyp.assignment.__getitem__, gold_of)))
+    return label_codes(gold.assignment.values()), aligned_codes(gold, hyp)
 
 
-def _margins(table):
-    """Cluster sizes of G and of H, in order of first appearance in the table."""
-    sizes_g, sizes_h = Counter(), Counter()
-    for (g, h), c in table.items():
-        sizes_g[g] += c
-        sizes_h[h] += c
-    return sizes_g, sizes_h
+class _Table:
+    """The contingency table of two code arrays over the same items: the
+    cells as parallel arrays ``g``, ``h`` (cluster codes) and ``c`` (item
+    counts), in order of first appearance, and the margins ``sizes_g`` and
+    ``sizes_h``, in code order."""
+
+    def __init__(self, g, h):
+        self.n = len(g)
+        self.sizes_g, self.sizes_h = np.bincount(g), np.bincount(h)
+        kh = len(self.sizes_h)
+        keys, first, counts = np.unique(g * kh + h, return_index=True, return_counts=True)
+        order = first.argsort()
+        self.g, self.h = np.divmod(keys[order], kh)
+        self.c = counts[order]
+
+    def pair_counts(self):
+        n = self.n
+        n11 = _same_pairs(self.c)
+        n10 = _same_pairs(self.sizes_g) - n11
+        n01 = _same_pairs(self.sizes_h) - n11
+        n00 = n * (n - 1) // 2 - n11 - n10 - n01
+        return PairCounts(n11=n11, n00=n00, n10=n10, n01=n01)
+
+    def ced_gh(self):
+        """CED(G, H): H edited into G."""
+        return _edit_distance(self.g, self.h, self.c, len(self.sizes_g), len(self.sizes_h), self.n)
+
+    def ced_hg(self):
+        """CED(H, G): G edited into H."""
+        return _edit_distance(self.h, self.g, self.c, len(self.sizes_h), len(self.sizes_g), self.n)
+
+    def vi(self):
+        """(VI, NVI).  Each term is ``c/n * math.log(...)``, added one at a
+        time in cell or margin order, so no bit depends on numpy's pairwise
+        summation.  The log ratios are products of item counts, exact while
+        n^2 < 2^53."""
+        n, g, h, c = self.n, self.g, self.h, self.c
+        pg, ph = self.sizes_g / n, self.sizes_h / n
+        h_g = -_running_sum(pg * _logs(pg))
+        h_h = -_running_sum(ph * _logs(ph))
+        mi = _running_sum(c / n * _logs(c * n / (self.sizes_g[g] * self.sizes_h[h])))
+        vi = max(0.0, h_g + h_h - 2.0 * mi)
+        return vi, 1.0 - vi / math.log(n)
 
 
 def _same_pairs(sizes):
-    return sum(c * (c - 1) // 2 for c in sizes)
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
-def _pair_counts(table, margins, n):
-    sizes_g, sizes_h = margins
-    n11 = _same_pairs(table.values())
-    n10 = _same_pairs(sizes_g.values()) - n11
-    n01 = _same_pairs(sizes_h.values()) - n11
-    n00 = n * (n - 1) // 2 - n11 - n10 - n01
-    return PairCounts(n11=n11, n00=n00, n10=n10, n01=n01)
+def _logs(x):
+    """``math.log`` of every entry, taken once per distinct value (cluster
+    sizes repeat, so there are few)."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))[where]
+
+
+def _running_sum(x):
+    """Left-to-right float sum, one rounding per term."""
+    return float(x.cumsum()[-1])
 
 
 def _matching_size(cands):
@@ -176,47 +236,70 @@ def _matching_size(cands):
                     path.append(w)
 
 
-def _edit_distance(cells, n):
-    """CED from contingency cells ((target cid, source cid), count), where
-    the source partition is the one being edited into the target."""
-    best = {}  # source cid -> [largest overlap, target cids that reach it]
-    for (t, s), c in cells:
-        top = best.get(s)
-        if top is None or c > top[0]:
-            best[s] = [c, [t]]
-        elif c == top[0]:
-            top[1].append(t)
-    moves = n - sum(c for c, _ in best.values())
-    merges = len(best) - _matching_size([ties for _, ties in best.values()])
-    return moves + merges
+def _edit_distance(target, source, c, k_target, k_source, n):
+    """CED from the contingency cells (target code, source code, count),
+    where the source partition, with k_source clusters, is the one edited
+    into the target, with k_target.  The tied plurality cells are the edges
+    of the matching; the degree-1 rule settles them from the source side,
+    then from the target side, and Hopcroft-Karp sizes the rest."""
+    best = np.zeros(k_source, dtype=np.int64)
+    np.maximum.at(best, source, c)
+    tied = c == best[source]
+    t, s = target[tied], source[tied]
+    from_sources, keep = _degree_one(s, t, k_source, k_target)
+    t, s = t[keep], s[keep]
+    from_targets, keep = _degree_one(t, s, k_target, k_source)
+    matched = from_sources + from_targets + _matching_size(_grouped(s[keep], t[keep]))
+    return (n - int(best.sum())) + (k_source - matched)
 
 
-def _edit_distances(table, n):
-    """(CED(G, H), CED(H, G))."""
-    flipped = (((h, g), c) for (g, h), c in table.items())
-    return _edit_distance(table.items(), n), _edit_distance(flipped, n)
+def _degree_one(a, b, ka, kb):
+    """Karp-Sipser's degree-1 rule on the bipartite edges (a[i], b[i]): an
+    a-node with one edge keeps it in some maximum matching, so every b-node
+    that such an a-node reaches is matched (to one of them).  Returns how
+    many b-nodes that matches and the mask of the edges that avoid them."""
+    taken = np.zeros(kb, dtype=bool)
+    taken[b[np.bincount(a, minlength=ka)[a] == 1]] = True
+    return int(np.count_nonzero(taken)), ~taken[b]
+
+
+def _grouped(keys, values):
+    """The values as one list per distinct key."""
+    order = keys.argsort(kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    values = values[order].tolist()
+    return [values[a:b] for a, b in zip(starts, starts[1:] + [len(values)])]
 
 
 def _nes(ced_gh, ced_hg, n):
     return 1.0 - (ced_gh + ced_hg) / (2.0 * n)
 
 
-def _vi(table, margins, n):
-    sizes_g, sizes_h = margins
-    h_g = -sum(c / n * math.log(c / n) for c in sizes_g.values())
-    h_h = -sum(c / n * math.log(c / n) for c in sizes_h.values())
-    mi = sum(
-        c / n * math.log(c * n / (sizes_g[g] * sizes_h[h]))
-        for (g, h), c in table.items()
+def report_from_codes(g, h) -> MetricReport:
+    """All metrics for G and H given as code arrays over the same items
+    (``label_codes``/``aligned_codes``), at least 2 of them."""
+    table = _Table(g, h)
+    n = table.n
+    pc = table.pair_counts()
+    p, r, f = pc.precision_recall_f()
+    ced_gh, ced_hg = table.ced_gh(), table.ced_hg()
+    vi, nvi = table.vi()
+    return MetricReport(
+        rand_index=pc.rand_index,
+        precision=p,
+        recall=r,
+        f_score=f,
+        ced_gh=ced_gh,
+        ced_hg=ced_hg,
+        nes=_nes(ced_gh, ced_hg, n),
+        vi=vi,
+        nvi=nvi,
     )
-    vi = max(0.0, h_g + h_h - 2.0 * mi)
-    return vi, 1.0 - vi / math.log(n)
 
 
 def pair_counts(gold: Partition, hyp: Partition) -> PairCounts:
     """Classify every unordered item pair by agreement between G and H."""
-    table = _contingency(gold, hyp)
-    return _pair_counts(table, _margins(table), gold.n_items)
+    return _Table(*_coded(gold, hyp)).pair_counts()
 
 
 def rand_index(gold: Partition, hyp: Partition) -> float:
@@ -239,41 +322,20 @@ def cluster_edit_distance(gold: Partition, hyp: Partition) -> int:
     moving a cluster off its plurality class can never do better, since a
     move costs at least the one merge it could save.
     """
-    return _edit_distance(_contingency(gold, hyp).items(), gold.n_items)
+    return _Table(*_coded(gold, hyp)).ced_gh()
 
 
 def normalized_edit_score(gold: Partition, hyp: Partition) -> float:
     """1 - [CED(G,H) + CED(H,G)] / 2N; symmetric, in [0, 1]."""
-    n = gold.n_items
-    return _nes(*_edit_distances(_contingency(gold, hyp), n), n)
+    table = _Table(*_coded(gold, hyp))
+    return _nes(table.ced_gh(), table.ced_hg(), table.n)
 
 
 def variation_of_information(gold: Partition, hyp: Partition):
     """(VI, NVI): H(G) + H(H) - 2 I(G,H) in nats, and 1 - VI/log N."""
-    table = _contingency(gold, hyp)
-    return _vi(table, _margins(table), gold.n_items)
+    return _Table(*_coded(gold, hyp)).vi()
 
 
 def full_report(gold: Partition, hyp: Partition) -> MetricReport:
-    """All metrics for one (gold, hypothesis) pair, from one table and its
-    margins."""
-    n = gold.n_items
-    table = _contingency(gold, hyp)
-    # The edit distances run before the margins exist, so their temporaries
-    # and the margins are never held at once (both grow with N).
-    ced_gh, ced_hg = _edit_distances(table, n)
-    margins = _margins(table)
-    pc = _pair_counts(table, margins, n)
-    p, r, f = pc.precision_recall_f()
-    vi, nvi = _vi(table, margins, n)
-    return MetricReport(
-        rand_index=pc.rand_index,
-        precision=p,
-        recall=r,
-        f_score=f,
-        ced_gh=ced_gh,
-        ced_hg=ced_hg,
-        nes=_nes(ced_gh, ced_hg, n),
-        vi=vi,
-        nvi=nvi,
-    )
+    """All metrics for one (gold, hypothesis) pair, from one table."""
+    return report_from_codes(*_coded(gold, hyp))

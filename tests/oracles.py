@@ -349,3 +349,67 @@ def lloyd(X, k, first, max_iters):
     labels = d2.argmin(axis=1)
     wcss = float(d2[np.arange(n), labels].sum())
     return labels, wcss
+
+
+def _left_sum(terms):
+    """Float sum one term at a time (``sum`` on Python 3.11; later versions
+    compensate)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def full_report_counter(gold: Partition, hyp: Partition):
+    """Every MetricReport field as a dict, from a ``Counter`` contingency
+    table filled in gold-item order and scalar Python loops over its cells
+    and margins in order of first appearance (the VI terms, added in that
+    order, fix its last bits); the edit distance's matching is scipy's."""
+    n = gold.n_items
+    table = Counter(zip(gold.assignment.values(), map(hyp.assignment.__getitem__, gold.assignment)))
+    sizes_g, sizes_h = Counter(), Counter()
+    for (g, h), c in table.items():
+        sizes_g[g] += c
+        sizes_h[h] += c
+
+    def same_pairs(sizes):
+        return sum(c * (c - 1) // 2 for c in sizes)
+
+    n11 = same_pairs(table.values())
+    n10 = same_pairs(sizes_g.values()) - n11
+    n01 = same_pairs(sizes_h.values()) - n11
+    n00 = n * (n - 1) // 2 - n11 - n10 - n01
+    p = n11 / (n11 + n01) if n11 + n01 > 0 else 1.0
+    r = n11 / (n11 + n10) if n11 + n10 > 0 else 1.0
+    f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+
+    def edit_distance(cells):  # ((target, source), count) -> CED
+        best = {}
+        for (t, s), c in cells:
+            top = best.get(s)
+            if top is None or c > top[0]:
+                best[s] = [c, [t]]
+            elif c == top[0]:
+                top[1].append(t)
+        moves = n - sum(c for c, _ in best.values())
+        return moves + len(best) - matching_size_scipy([ties for _, ties in best.values()])
+
+    ced_gh = edit_distance(table.items())
+    ced_hg = edit_distance(((h, g), c) for (g, h), c in table.items())
+    h_g = -_left_sum(c / n * math.log(c / n) for c in sizes_g.values())
+    h_h = -_left_sum(c / n * math.log(c / n) for c in sizes_h.values())
+    mi = _left_sum(
+        c / n * math.log(c * n / (sizes_g[g] * sizes_h[h])) for (g, h), c in table.items()
+    )
+    vi = max(0.0, h_g + h_h - 2.0 * mi)
+    return {
+        "rand_index": (n11 + n00) / (n11 + n00 + n10 + n01),
+        "precision": p,
+        "recall": r,
+        "f_score": f,
+        "ced_gh": ced_gh,
+        "ced_hg": ced_hg,
+        "nes": 1.0 - (ced_gh + ced_hg) / (2.0 * n),
+        "vi": vi,
+        "nvi": 1.0 - vi / math.log(n),
+    }

@@ -33,6 +33,31 @@ def _subset(ds, keep):
                    labels=[ds.labels[i] for i in keep], split=[ds.split[i] for i in keep])
 
 
+# ------------------------------------------------------------------ usage
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--train-classes", "1", "--test-classes", "1", "--dim", "1",
+     "--separation", "-inf", "-o", "d.csv"],
+    ["synth", "--train-classes", "1", "--test-classes", "1", "--dim", "x", "-o", "d.csv"],
+    ["run", "data.csv", "-o"],
+    ["run", "data.csv", "--variant", "m9", "-o", "out"],
+    ["score", "--gold"],
+    ["score", "--gold", "gold.tsv", "h.tsv", "--format", "xml"],
+    ["dpfit", "pool.tsv", "--points"],
+    ["dpfit", "pool.tsv", "--points", "x", "-o", "c.csv"],
+    ["bogus"],
+    [],
+], ids=["synth-missing-value", "synth-bad-value", "run-missing-value", "run-bad-choice",
+        "score-missing-value", "score-bad-choice", "dpfit-missing-value", "dpfit-bad-value",
+        "bad-command", "no-command"])
+def test_usage_errors_are_one_error_2_line(args, capsys):
+    assert main(args) == 2
+    cap = capsys.readouterr()
+    (line,) = cap.err.splitlines()
+    assert line.startswith("ERROR:2:dpsc") and cap.out == ""
+
+
 # ------------------------------------------------------------------ synth
 
 
@@ -117,16 +142,18 @@ def test_synth_json_output_runs(tmp_path):
     assert main(["run", str(data), "--iters", "4", "-o", str(tmp_path / "r")]) == 0
 
 
-def _exit_0_or_2(args, out):
+def _exit_0_or_2(args, out, runtime=None):
     """main(args + ["-o", out]), which must exit 0, or 2 with every stderr
-    line an ERROR:2: one and nothing written to ``out``."""
+    line an ERROR:2: one and nothing written to ``out``.  Given ``runtime``,
+    it may also exit 1 with one ERROR:1: line that holds ``runtime``."""
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         code = main(args + ["-o", out])
-    assert code in (0, 2)
-    if code == 2:
+    assert code in (0, 2) or (runtime is not None and code == 1)
+    if code:
         lines = err.getvalue().splitlines()
-        assert lines and all(line.startswith("ERROR:2:") for line in lines)
+        assert lines and all(line.startswith(f"ERROR:{code}:") for line in lines)
+        assert code == 2 or (len(lines) == 1 and runtime in lines[0])
         assert not os.path.exists(out)
     return code
 
@@ -507,7 +534,7 @@ def test_score_lists_every_problem_before_scoring(tmp_path, capsys, monkeypatch)
     write_parts(tmp_path)
     write_partition_file(Partition({"a": 0, "b": 0, "z": 1}), tmp_path / "bad.tsv")
     calls = []
-    monkeypatch.setattr("dpsc.cli.full_report", lambda *a: calls.append(a))
+    monkeypatch.setattr("dpsc.cli.report_from_codes", lambda *a: calls.append(a))
     code = main(["score", "--gold", str(tmp_path / "gold.tsv"), str(tmp_path / "fine.tsv"),
                  str(tmp_path / "missing.tsv"), str(tmp_path / "bad.tsv"),
                  "-o", str(tmp_path / "nodir" / "s.csv")])
@@ -519,6 +546,22 @@ def test_score_lists_every_problem_before_scoring(tmp_path, capsys, monkeypatch)
         assert sum(expected in line for line in lines) == 1, expected
     assert len(lines) == 3
     assert calls == []
+
+
+def test_score_reads_each_input_once(tmp_path, capsys, monkeypatch):
+    write_parts(tmp_path)
+    inputs = [str(tmp_path / name) for name in ("gold.tsv", "same.tsv", "fine.tsv")]
+    out = str(tmp_path / "s.csv")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(["score", "--gold", *inputs, "-o", out]) == 0
+    assert sorted(opened) == sorted(inputs + [out])
 
 
 @st.composite
@@ -697,7 +740,10 @@ def test_dpfit_exit_codes_on_drawn_pools_and_flags(pools, flags, name):
         for path, (data, _) in zip(paths, pools):
             Path(path).write_bytes(data)
         out = os.path.join(tmp, name)
-        if _exit_0_or_2(["dpfit", *paths, *flags], out) == 0:
+        # Under this shape, pools of one class each underflow the precision
+        # draw (test_dpfit_underflowed_precision_draw_exit_1).
+        runtime = "prior shape 1e-300" if "--prior-shape=1e-300" in flags else None
+        if _exit_0_or_2(["dpfit", *paths, *flags], out, runtime) == 0:
             rows = list(csv.DictReader(Path(out).read_text().splitlines()))
             assert rows and all(len(row) == 7 for row in rows)
             for row in rows:
@@ -727,6 +773,31 @@ def test_dpfit_one_class_pool_at_default_prior(tmp_path, capsys):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [int(r["n"]) for r in rows] == list(range(1, 11))
     assert all(float(r["emp_mean"]) == 1.0 for r in rows)
+
+
+def test_dpfit_tiny_alpha_writes_finite_curve(tmp_path, capsys):
+    # The prior mean 1e-300 puts alpha near 2e-300, where the DP's
+    # expected cluster count is 1 at every N.
+    (tmp_path / "p.tsv").write_text("a\t0\nb\t1\nc\t1\n")
+    out = tmp_path / "c.csv"
+    assert main(["dpfit", str(tmp_path / "p.tsv"), "--prior-scale", "1e-300", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 3
+    assert all(np.isfinite([float(v) for v in row.values()]).all() for row in rows)
+    assert all(float(row["dp_mean"]) == pytest.approx(1.0) for row in rows)
+
+
+def test_dpfit_underflowed_precision_draw_exit_1(tmp_path, capsys):
+    # A one-class pool under prior shape 1e-300: the gamma draw of alpha
+    # underflows to 0, a runtime failure after every input was valid.
+    (tmp_path / "one.tsv").write_text("a\t0\nb\t0\nc\t0\n")
+    out = tmp_path / "c.csv"
+    assert main(["dpfit", str(tmp_path / "one.tsv"), "--prior-shape", "1e-300",
+                 "-o", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR:1:") and "prior shape 1e-300" in line
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ import guard

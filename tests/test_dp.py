@@ -48,6 +48,13 @@ def test_expected_clusters_exact_values():
     assert mean == pytest.approx(11 / 6)
 
 
+def test_expected_clusters_finite_at_tiny_alpha():
+    # alpha + (i - 1) is alpha, not 0, at i = 1 however small alpha is.
+    mean, std = expected_clusters(2e-300, 3)
+    assert math.isfinite(mean) and math.isfinite(std)
+    assert mean == pytest.approx(1.0)
+
+
 def test_expected_clusters_monotone():
     last = 0.0
     for n in (1, 2, 5, 20, 100):

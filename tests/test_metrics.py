@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -23,6 +24,7 @@ from dpsc.partition import Partition
 from oracles import (
     bfs_edit_distance,
     enumerate_partitions,
+    full_report_counter,
     matching_size_scipy,
     pair_counts_enumeration,
     vi_direct,
@@ -256,6 +258,39 @@ def partition_pairs(draw, max_items=300):
         return Partition(dict(zip(items, labels)))
 
     return side(), side()
+
+
+@st.composite
+def oracle_pairs(draw, max_items=200):
+    """Two partitions of the same items, each with its own item order: int
+    or str item ids, and per side int or str cluster ids drawn as one
+    cluster, all singletons, or labels from 1..k values (many tied
+    plurality overlaps when k is small)."""
+    n = draw(st.integers(2, max_items))
+    items = list(range(n)) if draw(st.booleans()) else [f"i{j}" for j in range(n)]
+
+    def side():
+        kind = draw(st.sampled_from(["one", "singletons", "drawn"]))
+        if kind == "one":
+            labels = [7] * n
+        elif kind == "singletons":
+            labels = list(range(n))
+        else:
+            k = draw(st.integers(1, n))
+            labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            labels = [f"c{lab}" for lab in labels]
+        return Partition(dict(zip(draw(st.permutations(items)), labels)))
+
+    return side(), side()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(oracle_pairs())
+def test_full_report_bits_equal_the_counter_oracle(pair):
+    g, h = pair
+    got = {k: repr(v) for k, v in dataclasses.asdict(full_report(g, h)).items()}
+    assert got == {k: repr(v) for k, v in full_report_counter(g, h).items()}
 
 
 def relabeled_and_reordered(p, order, tag):
