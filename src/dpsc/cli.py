@@ -57,6 +57,8 @@ def _read(reader, path, errors):
     except UnicodeDecodeError as exc:
         errors.append(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                       f"at offset {exc.start})")
+    except csv.Error as exc:  # a dataset field past the csv module's size limit
+        errors.append(f"{path}: {exc}")
     return None
 
 

@@ -119,18 +119,18 @@ def standardize(dataset: Dataset):
         idx = np.arange(dataset.n_items)
     if len(idx) < 2:
         raise DomainError(f"need at least 2 items to fit statistics, got {len(idx)}")
-    mean = dataset.X[idx].mean(axis=0)
-    std = np.maximum(dataset.X[idx].std(axis=0), STD_FLOOR)
-    tf = Standardizer(mean=mean, std=std)
-    X = tf.apply(dataset.X)
-    # The samplers sum squared standardized values over the items, so those
-    # sums must be finite.
-    with np.errstate(over="ignore"):
-        too_large = np.flatnonzero(~np.isfinite((X * X).sum(axis=0)))
+    # The statistics, and the samplers' sums of squared standardized values
+    # over the items, must be finite floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.X[idx].mean(axis=0)
+        std = np.maximum(dataset.X[idx].std(axis=0), STD_FLOOR)
+        tf = Standardizer(mean=mean, std=std)
+        X = tf.apply(dataset.X)
+        too_large = np.flatnonzero(~np.isfinite(std + (X * X).sum(axis=0)))
     if len(too_large):
         raise DomainError(
-            f"features {(too_large + 1).tolist()} are too large after standardization: "
-            "the sum of their squares over the items is not a finite float"
+            f"features {(too_large + 1).tolist()} are too large to standardize: their spread, "
+            "or the sum of their standardized squares over the items, is not a finite float"
         )
     out = Dataset(
         ids=list(dataset.ids),
@@ -221,9 +221,10 @@ def _load_json(path) -> Dataset:
         labels.append(None if label is None else str(label))
         try:
             rows.append([float(v) for v in feats])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # overflow: a huge integer
             raise DomainError(
-                f"{path}: item {rec['id']!r}: features must be numbers, got {feats!r}"
+                f"{path}: item {rec['id']!r}: features must be numbers in the float range, "
+                f"got {feats!r}"
             ) from None
     return Dataset(ids=ids, X=np.array(rows), labels=labels, split=split)
 
@@ -296,19 +297,20 @@ def _sample_centers(rng, group_counts, dim, scale, separation):
     candidate closer than CENTER_FLOOR_FRAC * separation to an earlier
     center of the same split is redrawn (bounded retries keep the best
     attempt).  Cross-split distances are left unconstrained: train and
-    test items are never clustered against each other.
+    test items are never clustered against each other.  Distances are in
+    units of the scale, applied last, so no huge number is squared.
     """
     total = sum(group_counts)
     if scale <= 0:
         return np.zeros((total, dim))
-    floor = CENTER_FLOOR_FRAC * separation
+    floor = CENTER_FLOOR_FRAC * separation / scale
     out = []
     for count in group_counts:
         centers = np.zeros((count, dim))
         for k in range(count):
             best, best_min = None, -np.inf
             for _ in range(CENTER_RETRIES):
-                cand = rng.normal(0.0, scale, dim)
+                cand = rng.standard_normal(dim)
                 dmin = (
                     np.inf
                     if k == 0
@@ -321,7 +323,8 @@ def _sample_centers(rng, group_counts, dim, scale, separation):
                     best, best_min = cand, dmin
             centers[k] = best
         out.append(centers)
-    return np.vstack(out)
+    with np.errstate(over="ignore"):
+        return np.vstack(out) * scale
 
 
 def synth_gaussian(config: SynthConfig) -> Dataset:
@@ -349,6 +352,8 @@ def synth_gaussian(config: SynthConfig) -> Dataset:
     centers = _sample_centers(
         rng, (config.n_train_classes, config.n_test_classes), d, s, config.separation
     )
+    if not np.isfinite(centers).all():
+        raise DomainError(f"separation {config.separation} puts a center past the float range")
 
     ids, labels, split, rows = [], [], [], []
     for (label, part), size, center in zip(classes, sizes, centers):

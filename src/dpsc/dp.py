@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .metrics import label_codes
 from .partition import Partition
 
 
@@ -218,12 +219,9 @@ def appropriateness_curve(labeled_pools, ns, resamples, prior: GammaPrior, rng):
     alpha = estimate_precision(pairs, prior, rng)
 
     # Pool item class labels, kept distinct across pools.
-    labels = []
-    for pidx, pool in enumerate(pools):
-        for cid in pool.assignment.values():
-            labels.append((pidx, cid))
-    code_of = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    coded = np.array([code_of[lab] for lab in labels])
+    coded = label_codes(
+        [(pidx, cid) for pidx, pool in enumerate(pools) for cid in pool.assignment.values()]
+    )
     total = len(coded)
 
     ns = np.asarray(list(ns), dtype=int)
@@ -234,7 +232,7 @@ def appropriateness_curve(labeled_pools, ns, resamples, prior: GammaPrior, rng):
     dp_std = np.empty(len(ns))
     emp_mean = np.empty(len(ns))
     emp_std = np.empty(len(ns))
-    seen = np.zeros(len(code_of), dtype=bool)  # cleared after each subsample
+    seen = np.zeros(coded.max() + 1, dtype=bool)  # cleared after each subsample
     for j, n in enumerate(ns):
         dp_mean[j], dp_std[j] = expected_clusters(alpha, int(n))
         counts = np.empty(resamples)

@@ -269,18 +269,35 @@ def adapt_type_base(X, assignments, publications) -> TypeBase:
     return TypeBase(shape=shape, scale=scale)
 
 
+def center_moments(publications):
+    """The count K of some centers (rows) and, per dimension, their mean, the
+    mean's rounding residue and their scatter: the squared deviations from
+    the mean, summed.  Zeros for no centers."""
+    P = np.atleast_2d(np.asarray(publications, float))
+    mean = P.sum(axis=0) / max(len(P), 1)
+    D = P - mean
+    return len(P), mean, D.sum(axis=0) / max(len(P), 1), (D * D).sum(axis=0)
+
+
+def center_shares(points, moments):
+    """sum_j (x - p_j)^2 per dimension for each row x of ``points``, over the
+    centers with center_moments ``moments``: K (x - mean - residue)^2 +
+    scatter, in O(F) a point.  The residue keeps it exact to rounding far
+    from the origin."""
+    k, mean, residue, scatter = moments
+    E = points - mean - residue
+    return k * (E * E) + scatter
+
+
 def pairwise_sq_diff_sum(publications):
-    """Per-dimension sum of squared differences over all center pairs.
+    """Per-dimension sum of squared differences over all center pairs: K
+    times the centers' scatter (center_moments), in O(K F).
 
     This is the only part of the conditional type prior that depends on
     the precision vector, and it is ordering-free.
     """
-    P = np.atleast_2d(np.asarray(publications, float))
-    if P.shape[0] < 2:
-        return np.zeros(P.shape[1])
-    diffs = P[:, None, :] - P[None, :, :]
-    iu = np.triu_indices(P.shape[0], k=1)
-    return (diffs[iu] ** 2).sum(axis=0)
+    k, _, _, scatter = center_moments(publications)
+    return k * scatter
 
 
 def conditional_type_base(base: TypeBase, pair_sq_sum) -> TypeBase:

@@ -15,10 +15,11 @@ variants:
 - m3: auxiliary-candidate c updates (Neal 2000, Algorithm 8) and, by
   default, the conditional type prior that ties precisions to the
   distances between centers: a gamma whose rate is shifted by the centers'
-  pairwise squared-difference sums.  Types are exact conjugate draws under
-  it, and the d update is m1's with it as the new-type prior; a center
-  takes one retained-candidate step among conjugate draws under it, and is
-  an exact draw when it is off.
+  pairwise squared-difference sums, K times their scatter about their
+  mean.  Types are exact conjugate draws under it, and the d update is
+  m1's with it as the new-type prior; a center takes one
+  retained-candidate step among conjugate draws under it, and is an exact
+  draw when it is off.
 
 All choice probabilities are computed in log space and normalized by max
 subtraction.
@@ -28,9 +29,8 @@ row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
 the types): one matrix of parameter vectors, the id of each row, its
 member count as a float and the next unused id.  Which items a row holds
 is read from the indicator arrays c and d.  The center store alone
-caches something: the centers' pairwise_sq_diff_sum, updated by one
-center's terms when a center is added or removed and recomputed after the
-vectors are written, and the conditional type prior it gives (m3).  Both
+caches something (m3): the centers' center_moments and the conditional
+type prior, both dropped on any change and rebuilt on first use.  Both
 indicator updates run the same CRP step on their store (Neal 2000,
 Algorithms 2 and 8): ``detach`` takes the item out and drops a row that
 emptied, then the item ``join``s an existing row or ``open``s a new one.
@@ -60,13 +60,13 @@ when the table is next read, and a deleted one drops out of the lookup.
 A c table (``_ClusterTable``), one for each block of test items, holds
 the candidate centers and m1/m2's closed-form new-cluster weight, or m3's
 auxiliary candidates: aux_samples fresh base draws per item, drawn up
-front because they do not depend on the state.  This is exact because nothing those numbers read changes
-during the c pass: no center or type vector is written (rows are only
-opened and deleted), no d changes, and alpha_p and both bases stay fixed.
-Under the conditional prior, an auxiliary candidate's weight also carries
-the tilt of the center it would add, which reads the centers; it is
-recomputed, for the items read from there on, after a cluster opens or
-closes.  Once the c pass is done, every item's cluster, every center,
+front because they do not depend on the state.  This is exact because
+nothing those numbers read changes during the c pass: no center or type
+vector is written (rows are only opened and deleted), no d changes, and
+alpha_p and both bases stay fixed.  Under the conditional prior, an
+auxiliary candidate's weight also carries the tilt of the center it would
+add, which reads the centers, so every read adds it under the current
+ones.  Once the c pass is done, every item's cluster, every center,
 alpha_t and the types' prior are fixed for the d pass, so its table
 (``_TypeTable``) holds every item's log-likelihood against each type from
 one product.
@@ -114,6 +114,8 @@ from .gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
+    center_moments,
+    center_shares,
     conditional_type_base,
     data_loglik_rows,
     log_gamma,
@@ -228,10 +230,10 @@ def _row_sums(rows, values, k):
     return np.bincount(flat, weights=values.ravel(), minlength=k * F).reshape(k, F)
 
 
-def _pair_terms(cands, others):
-    """Per-dimension squared differences of each candidate row to all the
-    rows of ``others``, summed: a center's share of pairwise_sq_diff_sum."""
-    return ((cands[:, None, :] - others[None, :, :]) ** 2).sum(axis=1)
+def _same_bits(got, want):
+    """Whether two sequences of numbers or arrays hold the same bits."""
+    pairs = zip(got, want, strict=True)
+    return all(np.array(a).tobytes() == np.array(b).tobytes() for a, b in pairs)
 
 
 class _Rows(Mapping):
@@ -251,9 +253,8 @@ class _Rows(Mapping):
         self.next_id = self.id_list[-1] + 1
         self._changed()
 
-    def _changed(self, row=None, removed=None):
-        """Called after vectors are written (no arguments), after row
-        ``row`` is added, or after it is removed, ``removed`` its vector."""
+    def _changed(self):
+        """Called after a vector is written or a row is added or removed."""
 
     def row(self, key):
         return bisect_left(self.id_list, key)
@@ -278,7 +279,7 @@ class _Rows(Mapping):
         self.ids = np.delete(self.ids, row)
         self.vecs = np.delete(self.vecs, row, axis=0)
         self.counts = np.delete(self.counts, row)
-        self._changed(row, vec)
+        self._changed()
         return vec
 
     def join(self, row):
@@ -295,7 +296,7 @@ class _Rows(Mapping):
         self.ids = np.append(self.ids, key)
         self.vecs = np.vstack([self.vecs, vec])
         self.counts = np.append(self.counts, 1.0)
-        self._changed(len(self.ids) - 1)
+        self._changed()
         return key
 
     def __getitem__(self, key):
@@ -312,34 +313,27 @@ class _Rows(Mapping):
 
 
 class _CenterRows(_Rows):
-    """Cluster centers, plus their pairwise_sq_diff_sum and m3's conditional
-    type prior.  The sum is computed on first use after a center is
-    written; adding or removing a center adds or subtracts that center's
-    pair terms (O(K F) instead of O(K^2 F); an added center's pair with
-    itself is 0).  The prior, conditional_type_base of ``type_base``
-    (fixed: m3 never refits it) with its new_type_terms, is rebuilt on
-    first use after the centers change."""
+    """Cluster centers, plus their center_moments and m3's conditional type
+    prior (conditional_type_base of ``type_base``, which m3 never refits,
+    and of their pairwise_sq_diff_sum, with its new_type_terms); both are
+    dropped on any change to the centers and rebuilt from them on first
+    use."""
 
     def __init__(self, labels, vecs, type_base):
         self.type_base = type_base
         super().__init__(labels, vecs)
 
-    def _changed(self, row=None, removed=None):
-        self._prior = None
-        if row is None:
-            self._pair_sq = None
-        elif self._pair_sq is not None:
-            vec, sign = (self.vecs[row], 1.0) if removed is None else (removed, -1.0)
-            self._pair_sq = self._pair_sq + sign * _pair_terms(vec[None, :], self.vecs)[0]
+    def _changed(self):
+        self._moments = self._prior = None
 
-    def pair_sq(self):
-        if self._pair_sq is None:
-            self._pair_sq = pairwise_sq_diff_sum(self.vecs)
-        return self._pair_sq
+    def moments(self):
+        if self._moments is None:
+            self._moments = center_moments(self.vecs)
+        return self._moments
 
     def type_prior(self):
         if self._prior is None:
-            prior = conditional_type_base(self.type_base, self.pair_sq())
+            prior = conditional_type_base(self.type_base, pairwise_sq_diff_sum(self.vecs))
             self._prior = prior, new_type_terms(prior)
         return self._prior
 
@@ -491,14 +485,12 @@ class _ClusterTable(_PassTable):
     new-row columns m1/m2's log alpha_p + new-cluster marginal, or m3's
     auxiliary candidates (Neal 2000, Algorithm 8): for each item,
     aux_samples fresh base draws (``news``), each weighted alpha_p /
-    aux_samples times its likelihood and, under the conditional prior, the
-    tilt of the center it would add.
+    aux_samples times its likelihood.
 
-    Nothing they read changes during the pass but the tilt: no center or
-    type vector is written, no d changes (the d pass comes after), and
-    alpha_p and both bases are fixed.  The tilt reads the centers, which
-    change when a cluster opens or closes; it is recomputed at the next
-    read, for the items read from there on."""
+    Nothing they read changes during the pass: no center or type vector is
+    written, no d changes (the d pass comes after), and alpha_p and both
+    bases are fixed.  Under the conditional prior each read adds the tilt
+    of the center a candidate would add, under the current centers."""
 
     def __init__(self, state, items):
         types = state.types
@@ -517,35 +509,18 @@ class _ClusterTable(_PassTable):
             self.news = base.mean + math.sqrt(base.variance) * z
             D = self.R[:, None, :] - self.news
             D *= D
-            self.untilted = math.log(state.alpha_p / m) + self.const[:, None] - 0.5 * (
+            new = math.log(state.alpha_p / m) + self.const[:, None] - 0.5 * (
                 D * self.tvecs[k][:, None, :]
             ).sum(axis=2)
-            new = self.untilted
         super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng)
-        if state.conditional:
-            # The running pair sum, computed before any update deletes a center,
-            # so that every read sees the same sums whichever items it covers.
-            state.pubs.pair_sq()
-            self.tilted, self.tilt_ids = 0, state.pubs.ids
-
-    def _tilt(self, i, j):
-        """Make the new-candidate weights of table rows i to j - 1 carry the
-        tilt under the current centers, recomputing from i on if the
-        centers changed since the last tilt."""
-        pubs = self.store
-        if pubs.ids is not self.tilt_ids:
-            self.tilted, self.tilt_ids = i, pubs.ids
-        a = self.tilted
-        if a < j:
-            news = self.news[a:j].reshape(-1, self.state.F)
-            tilt = self.state._center_tilt(_pair_terms(news, pubs.vecs), pubs.pair_sq())
-            self.buf[a:j, :self.m] = self.untilted[a:j] + tilt.reshape(j - a, self.m)
-            self.tilted = j
 
     def _read(self, i, j):
+        logw = super()._read(i, j)
         if self.state.conditional:
-            self._tilt(i, j)
-        return super()._read(i, j)
+            news = self.news[i:j].reshape(-1, self.state.F)
+            tilt = self.state._center_tilt(news, self.store.moments())
+            logw[:, -self.m:] += tilt.reshape(j - i, self.m)
+        return logw
 
     def _loglik(self, i, row):
         """data_loglik_rows of the table's items from i on against the
@@ -687,15 +662,18 @@ class ChainState:
             return self.pubs.type_prior()
         return self.type_base, self._new_type_terms
 
-    def _center_tilt(self, d_sq, s_base):
+    def _center_tilt(self, cands, moments):
         """Log factor by which adding a center multiplies the product of the
-        types' conditional priors, for each row of ``d_sq``: that center's
-        squared differences to the centers whose pair sum is ``s_base``."""
+        types' conditional priors, for each row of ``cands``, given the
+        present centers' center_moments: the row's center_shares add to
+        their pair sum K * scatter."""
+        k, _, _, scatter = moments
+        share = center_shares(cands, moments)
         base = self.type_base
         # Sums over each row rather than products, so that a row's bits do not
         # depend on how many rows are computed with it.
-        lift = (np.log1p(d_sq / (base.rate + s_base)) * base.shape).sum(axis=1)
-        return len(self.types) * lift - (d_sq * self.types.vecs.sum(axis=0)).sum(axis=1)
+        lift = (np.log1p(share / (base.rate + k * scatter)) * base.shape).sum(axis=1)
+        return len(self.types) * lift - (share * self.types.vecs.sum(axis=0)).sum(axis=1)
 
     def _resample_publications(self):
         """Exact conjugate draw of every center, all in one call.  Under the
@@ -715,14 +693,11 @@ class ChainState:
         if not (self.conditional and k > 1):
             pubs.set(slice(None), self.rng.normal(mean, sd))
             return
-        s_pair = pubs.pair_sq()
         size = (self.config.candidate_count - 1, self.F)
         for row in range(k):
             cands = np.vstack([pubs.vecs[row], self.rng.normal(mean[row], sd[row], size)])
-            d_sq = _pair_terms(cands, np.delete(pubs.vecs, row, axis=0))
-            s_rest = s_pair - d_sq[0]  # the running pair sum without this center
-            sel = _pick(self._center_tilt(d_sq, s_rest), self.rng.random())
-            s_pair = s_rest + d_sq[sel]
+            others = center_moments(np.delete(pubs.vecs, row, axis=0))
+            sel = _pick(self._center_tilt(cands, others), self.rng.random())
             pubs.set(row, cands[sel])
 
     def _resample_types(self):
@@ -757,8 +732,7 @@ class ChainState:
             logw[-1] = math.log(self.alpha_p / len(news)) + own[0]
             if self.conditional:
                 # Against the centers without the orphan, as the table's tilt.
-                d_sq = _pair_terms(orphan[None], self.pubs.vecs)
-                logw[-1] += self._center_tilt(d_sq, self.pubs.pair_sq())[0]
+                logw[-1] += self._center_tilt(orphan[None], self.pubs.moments())[0]
         return cand, logw, news
 
     def sample_c(self, n):
@@ -888,16 +862,16 @@ class ChainState:
             assert ids[-1] < store.next_id
         k_train = len(self.train_cluster_ids)
         assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
-        # The running pair sum, to rounding, and the prior built from it.
+        # The cached moments and prior, bit for bit those of the centers.
         pubs = self.pubs
-        if pubs._pair_sq is not None:
-            fresh = pairwise_sq_diff_sum(pubs.vecs)
-            assert np.allclose(pubs._pair_sq, fresh, rtol=1e-9, atol=1e-9 * (1.0 + fresh.max()))
+        if pubs._moments is not None:
+            assert _same_bits(pubs._moments, center_moments(pubs.vecs))
         if pubs._prior is not None:
-            want = conditional_type_base(self.type_base, pubs._pair_sq)
-            assert pubs._prior[0].scale.tobytes() == want.scale.tobytes()
-            terms = zip(pubs._prior[1], new_type_terms(want))
-            assert all(np.array(c).tobytes() == np.array(f).tobytes() for c, f in terms)
+            prior, terms = pubs._prior
+            want = conditional_type_base(self.type_base, pairwise_sq_diff_sum(pubs.vecs))
+            assert _same_bits((prior.shape, prior.scale, *terms),
+                              (want.shape, want.scale, *new_type_terms(want)))
+
         assert self.alpha_p > 0 and self.alpha_t > 0
         assert np.isfinite(self.pubs.vecs).all()
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()

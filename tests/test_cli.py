@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -116,6 +118,24 @@ def test_synth_non_finite_separation_listed_with_output_error(tmp_path, capsys, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("ERROR:2:") for line in lines)
     assert "separation" in lines[0] and "does not exist" in lines[1]
+
+
+def test_synth_separation_near_the_float_limit_warns_nothing(tmp_path):
+    # Center distances are compared in units of the center scale, so no
+    # square overflows; a center drawn past the float range is an ERROR:2:
+    # exit with nothing written (seed 2 here), never a numpy warning.
+    codes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(6):
+            out = str(tmp_path / f"d{seed}.csv")
+            code = _exit_0_or_2(["synth", "--train-classes", "2", "--test-classes", "2", "--dim",
+                                 "1", "--min-size", "1", "--max-size", "3", "--separation=1e308",
+                                 "--seed", str(seed)], out)
+            if code == 0:
+                assert np.isfinite(load_dataset(out).X).all()
+            codes.add(code)
+    assert codes == {0, 2}
 
 
 @pytest.mark.parametrize("command", ["synth", "dpfit"])
@@ -449,12 +469,17 @@ def test_unreadable_input_exit_2(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("value,code", [("1e160", 2), ("1e200", 2), ("1e12", 0)])
-def test_run_feature_too_large_to_square_exit_2(tmp_path, capsys, value, code):
+@pytest.mark.parametrize("train,value,code", [
+    ((0, 1), "1e160", 2), ((0, 1), "1e200", 2), ((0, 1), "1e12", 0),
+    ((-1e200, 1e200), "0", 2), ((1.7e308, 1.7e308), "0", 2),
+], ids=["1e160-2", "1e200-2", "1e12-0", "spread-2", "mean-2"])
+def test_run_feature_too_large_to_square_exit_2(tmp_path, capsys, train, value, code):
     # Standardized by the training values 0 and 1, the test value doubles;
-    # from about 1e154 its square is not a finite float.
+    # from about 1e154 its square is not a finite float.  A training spread
+    # or mean past the float range is the same error, with no numpy warning.
     path = tmp_path / "big.csv"
-    path.write_text(f"id,split,label,f1\na,train,x,0\nb,train,y,1\nc,test,,{value}\n")
+    path.write_text(f"id,split,label,f1\na,train,x,{train[0]}\nb,train,y,{train[1]}\n"
+                    f"c,test,,{value}\n")
     assert main(["run", str(path), "--iters", "60", "-o", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert (tmp_path / "o.pred.tsv").exists() == (code == 0)
@@ -484,6 +509,115 @@ def test_commands_leave_process_state_alone(tmp_path, capsys):
         err, env = np.geterr(), dict(os.environ)
         assert step() not in (1, 2)
         assert np.geterr() == err and dict(os.environ) == env
+
+
+DATASET_FAULTS = ["duplicate-id", "id-break", "bad-split", "unlabeled-train", "long-label",
+                  "missing-column", "short-row", "bad-number", "not-utf8", "non-finite", "huge",
+                  "huge-int", "empty"]
+
+
+@st.composite
+def dataset_files(draw, suffix):
+    """The bytes of a ``suffix`` (.csv or .json) dataset of a few items with
+    one or two features, valid or (about one time in three) spoilt by one or
+    two drawn faults."""
+    dim = draw(st.integers(1, 2))
+    items = []
+    for k in range(draw(st.integers(2, 7))):
+        split = draw(st.sampled_from(["train", "test"]))
+        labels = ["A", "B", 0] if split == "train" else [None, "A", "C"]
+        items.append({"id": f"i{k}", "split": split, "label": draw(st.sampled_from(labels)),
+                      "features": [draw(st.floats(-3, 3)) for _ in range(dim)]})
+    faults = draw(st.lists(st.sampled_from(DATASET_FAULTS), min_size=1, max_size=2)) \
+        if draw(st.integers(0, 2)) == 0 else []
+    item = draw(st.sampled_from(items))
+    columns = ["id", "split", "label"]
+    for fault in faults:
+        if fault == "duplicate-id":
+            item["id"] = items[0]["id"] if item is not items[0] else items[-1]["id"]
+        elif fault == "id-break":
+            item["id"] = draw(st.sampled_from(["a\tb", "c\nd", "e\r"]))
+        elif fault == "bad-split":
+            item["split"] = draw(st.sampled_from(["dev", "", "TEST"]))
+        elif fault == "unlabeled-train":
+            item["split"], item["label"] = "train", draw(st.sampled_from([None, ""]))
+        elif fault == "long-label":  # past the csv module's field size limit
+            item["label"] = "x" * 140_000
+        elif fault == "missing-column":
+            columns.remove(draw(st.sampled_from(columns)))
+        elif fault == "short-row":
+            del item["features"][-1:]
+        elif fault == "bad-number":
+            item["features"][:1] = ["x"]
+        elif fault == "not-utf8":
+            item["id"] = b"\xff"
+        elif fault == "non-finite":
+            item["features"][:1] = [draw(st.sampled_from([math.nan, math.inf, -math.inf]))]
+        elif fault == "huge":
+            item["features"][:1] = [draw(st.sampled_from([1e154, -1e200, 1e308, -1.7e308]))]
+        elif fault == "huge-int":
+            item["features"][:1] = [10**400]
+        elif fault == "empty":
+            items = []
+
+    def text(v):
+        return v.decode("latin-1") if isinstance(v, bytes) else str(v)
+
+    if suffix == ".json":
+        records = [{k: text(v) if k == "id" else v for k, v in it.items() if k in columns
+                    or k == "features"} for it in items]
+        return json.dumps(records, ensure_ascii=False).encode(
+            "latin-1" if "not-utf8" in faults else "utf-8")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*columns, *(f"f{j + 1}" for j in range(dim))])
+    for it in items:
+        cells = ["" if it[k] is None else text(it[k]) for k in columns]
+        writer.writerow(cells + [str(v) for v in it["features"]])
+    return out.getvalue().encode("latin-1" if "not-utf8" in faults else "utf-8")
+
+
+RUN_FLAGS = flag_args(
+    {"--variant": st.sampled_from(["m1", "m2", "m3"]), "--chains": st.just(1),
+     "--iters": st.just(2), "--burn-in": st.integers(0, 1), "--seed": st.integers(0, 3),
+     "--aux-samples": st.integers(1, 3),
+     "--baseline": st.sampled_from(["", "coarse", "fine,kmeans", "cdp"])},
+    {"--chains": st.integers(-1, 0), "--iters": st.integers(-1, 0),
+     "--burn-in": st.sampled_from([-1, 2]), "--seed": st.integers(-2, -1),
+     "--aux-samples": st.integers(-1, 0), "--baseline": st.sampled_from(["bogus", "cdp,none"])},
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.sampled_from([".csv", ".json"]).flatmap(
+           lambda suffix: st.tuples(st.just(suffix), dataset_files(suffix))),
+       RUN_FLAGS, st.lists(st.sampled_from(["--share-train-test", "--resample-alpha"]),
+                           unique=True), st.sampled_from(["o", "o", "o", "nodir/o"]))
+def test_run_exit_codes_on_drawn_datasets_and_flags(data, flags, switches, prefix):
+    suffix, raw = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data" + suffix)
+        Path(path).write_bytes(raw)
+        out = os.path.join(tmp, prefix)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["run", path, *flags, *switches, "-o", out])
+        assert code in (0, 2), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("ERROR:2:") for line in lines)
+            assert os.listdir(tmp) == ["data" + suffix]
+            return
+        ds = load_dataset(path)
+        test_ids = {ds.ids[i] for i in ds.indices("test")}
+        wanted = next(f for f in flags if f.startswith("--baseline=")).split("=")[1]
+        baselines = [b for b in wanted.split(",") if b]
+        for name in ["pred", *baselines]:
+            assert set(read_partition_file(f"{out}.{name}.tsv").assignment) == test_ids
+        with open(f"{out}.chains.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(math.isfinite(float(row["joint_log_score"])) for row in rows)
+        assert all(min(int(row["n_publications"]), int(row["n_types"])) >= 1 for row in rows)
 
 
 # ------------------------------------------------------------------ score

@@ -75,6 +75,13 @@ def test_json_dimension_mismatch(tmp_path):
         load_dataset(path)
 
 
+def test_json_integer_past_the_float_range(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('[{"id":"a","split":"test","features":[1%s]}]' % ("0" * 400))
+    with pytest.raises(DomainError, match="float range"):
+        load_dataset(path)
+
+
 # ------------------------------------------------------------ standardize
 
 

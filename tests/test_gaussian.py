@@ -10,6 +10,8 @@ from dpsc.gaussian import (
     PublicationBase,
     TypeBase,
     adapt_type_base,
+    center_moments,
+    center_shares,
     conditional_type_base,
     LOG_2PI,
     data_loglik,
@@ -316,6 +318,30 @@ def test_pairwise_sq_diff_sum():
             expected += (pubs[j] - pubs[k]) ** 2
     assert got == pytest.approx(expected)
     assert pairwise_sq_diff_sum(pubs[:1]) == pytest.approx([0.0, 0.0])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("k", [1, 2, 40, 300])
+def test_pair_sums_and_center_shares_match_pair_loops(k, offset):
+    # Unit-spread centers and points far from the origin: the shares read
+    # from the moments stay within rounding because they carry the mean's
+    # rounding residue.
+    rng = np.random.default_rng(k)
+    P = rng.normal(size=(k, 3)) + offset
+    X = rng.normal(size=(25, 3)) + offset
+    loops = np.array([math.fsum((P[i, f] - P[j, f]) ** 2 for i in range(k)
+                                for j in range(i + 1, k)) for f in range(3)])
+    got = pairwise_sq_diff_sum(P)
+    if k == 1:
+        assert got.tolist() == [0.0, 0.0, 0.0]
+    else:
+        assert np.abs(got - loops).max() <= 1e-12 * loops.min()
+    loops = np.array([[math.fsum((x[f] - p[f]) ** 2 for p in P) for f in range(3)] for x in X])
+    got = center_shares(X, center_moments(P))
+    assert (np.abs(got - loops) <= 1e-12 * loops).all()
+    # No centers: every share, and the pair sum, is zero.
+    assert not center_shares(X, center_moments(P[:0])).any()
+    assert not pairwise_sq_diff_sum(P[:0]).any()
 
 
 # ------------------------------------------------------------ log-gamma

@@ -18,6 +18,10 @@ random stream).  The ``*.chains.csv`` files were last re-recorded when the
 log-gamma terms of the score went from ``scipy.special.gammaln`` to
 ``math.lgamma``: their ``joint_log_score`` column moved in its last bits
 (at most 3.8e-16 relative); every other column and file stayed the same.
+``m3.chains.csv`` and ``m3-shared.chains.csv`` were re-recorded again when
+m3's conditional type prior took the centers' pair sum as K times their
+scatter about their mean, not as a sum over pairs: ``joint_log_score``
+moved by at most 3.1e-16 relative, and nothing else changed.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling

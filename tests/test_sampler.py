@@ -131,10 +131,17 @@ def test_check_audits_the_parameter_store():
     for _ in range(3):
         state.sweep()
     state.check()
-    assert len(state.pubs) > 1
-    state.pubs.vecs[0] += 1.0  # written past the store: the running pair sum goes stale
-    with pytest.raises(AssertionError):
+    pubs = state.pubs
+    assert len(pubs) > 1
+    # Each cache alone, built after a write through the store drops both:
+    # a vector written past the store leaves it stale, and check() sees it.
+    for build in (pubs.moments, pubs.type_prior):
+        pubs.set(slice(None), pubs.vecs)
+        build()
         state.check()
+        pubs.vecs[0] += 1.0
+        with pytest.raises(AssertionError):
+            state.check()
 
 
 def test_c_members_gives_the_items_of_each_cluster():
