@@ -138,7 +138,6 @@ def cdp_preset():
 
     return SamplerConfig(
         variant="m1",
-        alpha_p=1.0,
         resample_alphas=False,
         freeze_types=True,
     )

@@ -21,6 +21,12 @@ variants:
   retained-candidate step among conjugate draws under it, and is an exact
   draw when it is off.
 
+Both DP precisions start at ALPHA_START.  With resample_alphas, alpha_t
+is refreshed from (N, T) and alpha_p from the training pair (n_train,
+k_train) alone: alpha_p is a cut (Plummer 2015), as the sampled test
+partition never feeds back into it, while the joint score rates it by
+one EPPF over all N items.
+
 All choice probabilities are computed in log space and normalized by max
 subtraction.
 
@@ -86,12 +92,11 @@ pass, because evaluating a window costs about as much as a few
 single-item updates.  Every draw, of one row of weights or of many, takes
 the first index whose running sum exceeds the uniform times the last
 running sum (``_pick``, ``_pick_rows``).  The tables live for one pass
-only and are dropped when it ends, also when it ends in an exception; an
-update called outside a sweep fills a table of its own from the current
-state.  The tables give the weights of the per-item formulas, which may
-differ from them in the last bit (a batched product can round
-differently), so a uniform picks the same candidate unless it falls
-within those few ulps of a boundary.
+only and are dropped when it ends, also when it ends in an exception, so
+the single-item updates run only inside their pass.  The tables give the
+weights of the per-item formulas, which may differ from them in the last
+bit (a batched product can round differently), so a uniform picks the
+same candidate unless it falls within those few ulps of a boundary.
 """
 
 from __future__ import annotations
@@ -137,6 +142,8 @@ from .partition import Partition
 
 VARIANTS = ("m1", "m2", "m3")
 ALPHA_PRIOR = GammaPrior()  # gamma prior on both DP precisions
+ALPHA_START = 1.0  # both DP precisions before the first refresh
+CANDIDATE_COUNT = 32  # m3 conditional centers: retained center + conjugate draws
 
 
 @dataclass
@@ -145,11 +152,8 @@ class SamplerConfig:
     iterations: int = 2000
     burn_in: int | None = None  # default: iterations // 2
     aux_samples: int = 8  # m3 new-parameter candidates, a singleton's own among them
-    candidate_count: int = 32  # m3 conditional centers: retained center + conjugate draws
     share_train_test: bool = False
     resample_alphas: bool = True
-    alpha_p: float = 1.0  # initial DP precision over clusters
-    alpha_t: float = 1.0  # initial DP precision over types
     n_chains: int = 2
     seed: int = 0
     freeze_types: bool = False  # keep a single identity type, skip d updates
@@ -171,17 +175,10 @@ class SamplerConfig:
             )
         if self.aux_samples < 1:
             errors.append(f"aux_samples must be >= 1, got {self.aux_samples}")
-        # A conditional m3 center's candidates are itself and candidate_count - 1
-        # draws, so it needs at least one draw to move.
-        least = 2 if self.variant == "m3" and self.conditional_type_prior else 1
-        if self.candidate_count < least:
-            errors.append(f"candidate_count must be >= {least}, got {self.candidate_count}")
         if self.n_chains < 1:
             errors.append(f"n_chains must be >= 1, got {self.n_chains}")
         if self.seed < 0:
             errors.append(f"seed must be a non-negative integer, got {self.seed}")
-        if self.alpha_p <= 0 or self.alpha_t <= 0:
-            errors.append("initial alpha values must be positive")
         if dataset is not None and self.resample_alphas:
             has_train = any(s == "train" for s in dataset.split)
             if not has_train:
@@ -584,8 +581,7 @@ class ChainState:
         self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
         self.test_ids = [self.ids[i] for i in self.test_indices.tolist()]
-        self._table = None  # a _ClusterTable during the c pass
-        self._type_table = None  # a _TypeTable during the d pass
+        self._table = None  # a _ClusterTable during the c pass, a _TypeTable during the d pass
         # The items each pass moved in the last sweep; they size its scan.
         # Every item starts in one type, so the first d pass scans as if
         # none had moved.
@@ -610,8 +606,7 @@ class ChainState:
         self._install_clusters(c, np.tile(self.pub_base.mean, (k, 1)))
         self.d = np.zeros(self.N, dtype=np.int64)
 
-        self.alpha_p = config.alpha_p
-        self.alpha_t = config.alpha_t
+        self.alpha_p = self.alpha_t = ALPHA_START
         self.train_pair = (len(train_idx), k_train)
         self._init_params()
 
@@ -679,7 +674,7 @@ class ChainState:
         """Exact conjugate draw of every center, all in one call.  Under the
         conditional type prior, with other centers present, each center
         instead takes one retained-candidate step in turn: its current value
-        and candidate_count - 1 conjugate draws, one picked by the tilt (the
+        and CANDIDATE_COUNT - 1 conjugate draws, one picked by the tilt (the
         conditional's ratio to the conjugate posterior), which leaves the
         conditional invariant (Tjelmeland 2004; Andrieu, Doucet & Holenstein
         2010)."""
@@ -693,7 +688,7 @@ class ChainState:
         if not (self.conditional and k > 1):
             pubs.set(slice(None), self.rng.normal(mean, sd))
             return
-        size = (self.config.candidate_count - 1, self.F)
+        size = (CANDIDATE_COUNT - 1, self.F)
         for row in range(k):
             cands = np.vstack([pubs.vecs[row], self.rng.normal(mean[row], sd[row], size)])
             others = center_moments(np.delete(pubs.vecs, row, axis=0))
@@ -717,11 +712,11 @@ class ChainState:
         """Existing-cluster ids plus log weights for resampling c_n; the
         trailing entries belong to new-cluster candidates.  The existing
         candidates are the trailing rows of the center store, weighted by
-        their log counts plus the pass table's log-likelihoods (a table of
-        its own outside a sweep).  m1/m2 take the table's new-cluster
-        weight, m3 its auxiliary candidates, of which a singleton's orphaned
-        center takes the last one's place (Neal 2000, Algorithm 8)."""
-        table = self._table or _ClusterTable(self, [n])
+        their log counts plus the pass table's log-likelihoods.  m1/m2 take
+        the table's new-cluster weight, m3 its auxiliary candidates, of which
+        a singleton's orphaned center takes the last one's place (Neal 2000,
+        Algorithm 8)."""
+        table = self._table
         cand, logw = self.pubs.ids[self.first_candidate:], table.weights(n)
         if self.variant != "m3":
             return cand, logw, None
@@ -738,16 +733,7 @@ class ChainState:
     def sample_c(self, n):
         """Reassign test item n to an existing cluster or a fresh one, by the
         uniform the pass table holds for it."""
-        if not self.is_test[n]:
-            raise DomainError(f"item {n} is a training item; its cluster is pinned")
-        table = self._table
-        if table is None:  # outside a sweep: a table of its own
-            self._table = _ClusterTable(self, [n])
-            try:
-                return self.sample_c(n)
-            finally:
-                self._table = None
-        pubs = self.pubs
+        table, pubs = self._table, self.pubs
         cand, logw, news = self._c_candidates(n, pubs.detach(int(self.c[n])))
         sel = _pick(logw, table.uniform(n))
         if sel < len(cand):
@@ -765,7 +751,7 @@ class ChainState:
         the uniform the pass table holds for it."""
         types = self.types
         types.detach(int(self.d[n]))
-        table = self._type_table or _TypeTable(self, [n])
+        table = self._table
         sel = _pick(table.weights(n), table.uniform(n))
         if sel < len(types):
             self.d[n] = types.join(sel)
@@ -791,16 +777,20 @@ class ChainState:
 
     def _d_pass(self):
         """sample_d of every item in turn, from one pass table."""
-        self._type_table = _TypeTable(self, np.arange(self.N))
+        self._table = _TypeTable(self, np.arange(self.N))
         try:
-            self.d_moves = self._type_table.run(self.sample_d, _window(self.N, self.d_moves))
+            self.d_moves = self._table.run(self.sample_d, _window(self.N, self.d_moves))
         finally:
-            self._type_table = None
+            self._table = None
 
     # ------------------------------------------------------------------
     # sweeps and scoring
 
     def _resample_alphas(self):
+        """Refresh alpha_p from the training pair (n_train, k_train) alone, a
+        cut: the sampled test partition does not feed back into it, though
+        joint_log_score rates it by the EPPF over all N items.  Refresh
+        alpha_t from (N, T)."""
         n_tr, k_tr = self.train_pair
         self.alpha_p = sample_precision_single(self.alpha_p, n_tr, k_tr, ALPHA_PRIOR, self.rng)
         if not self.frozen_types:

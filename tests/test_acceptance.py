@@ -286,14 +286,13 @@ def test_criterion_6_exact_posterior_chain_check():
     oracle = three_point_posterior(values, alpha=1.0)
     sweeps = 100_000
     m1 = SamplerConfig(
-        variant="m1", iterations=1, freeze_types=True, resample_alphas=False,
-        alpha_p=1.0, seed=0,
+        variant="m1", iterations=1, freeze_types=True, resample_alphas=False, seed=0,
     )
     tv1 = chain_partition_tv(ChainState(tiny_dataset(values), m1, np.random.default_rng(10)), sweeps, oracle)
     assert tv1 < 0.05
     m3 = SamplerConfig(
         variant="m3", iterations=1, freeze_types=True, resample_alphas=False,
-        alpha_p=1.0, seed=0, conditional_type_prior=False, candidate_count=64,
+        seed=0, conditional_type_prior=False,
     )
     tv3 = chain_partition_tv(ChainState(tiny_dataset(values), m3, np.random.default_rng(11)), sweeps, oracle)
     assert tv3 < 0.07

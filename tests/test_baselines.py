@@ -8,6 +8,7 @@ from dpsc.baselines import KMeansConfig, cdp_preset, coarse, fine, kmeans
 from dpsc.errors import DomainError
 from dpsc.metrics import precision_recall_f
 from dpsc.partition import Partition
+from dpsc.sampler import ALPHA_START
 from oracles import lloyd
 
 
@@ -150,6 +151,6 @@ def test_lloyd_matches_the_oracle_outside_the_exact_range(features):
 def test_cdp_preset_shape():
     cfg = cdp_preset()
     assert cfg.variant == "m1"
-    assert cfg.alpha_p == 1.0
+    assert ALPHA_START == 1.0
     assert not cfg.resample_alphas
     assert cfg.freeze_types

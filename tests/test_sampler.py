@@ -38,6 +38,7 @@ from oracles import (
     three_point_posterior,
     type_partition_posterior,
 )
+from test_dp import precision_posterior_grid
 
 
 def tiny_dataset(values, split="test"):
@@ -64,7 +65,6 @@ def frozen_config(**kw):
         iterations=50,
         freeze_types=True,
         resample_alphas=False,
-        alpha_p=1.0,
         seed=0,
     )
     base.update(kw)
@@ -192,15 +192,6 @@ def test_config_validation_collects_everything():
 # ------------------------------------------------------------- indicators
 
 
-def test_sample_c_rejects_training_items():
-    ds = supervised_dataset()
-    cfg = SamplerConfig(variant="m1", iterations=5, seed=0)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    train_item = int(ds.indices("train")[0])
-    with pytest.raises(DomainError, match="pinned"):
-        state.sample_c(train_item)
-
-
 def test_training_assignments_never_change():
     ds = supervised_dataset()
     cfg = SamplerConfig(variant="m2", iterations=5, seed=1, share_train_test=True)
@@ -214,8 +205,8 @@ def test_training_assignments_never_change():
 
 def test_tiny_alpha_always_joins_existing_cluster():
     ds = tiny_dataset([0.0, 0.1, -0.1, 0.05])
-    cfg = frozen_config(alpha_p=1e-12)
-    state = ChainState(ds, cfg, np.random.default_rng(0))
+    state = ChainState(ds, frozen_config(), np.random.default_rng(0))
+    state.alpha_p = 1e-12
     for _ in range(30):
         state.sweep()
     assert len(state.pubs) == 1
@@ -240,12 +231,35 @@ def test_share_train_test_controls_candidates():
 
 def test_tiny_alpha_t_keeps_single_type():
     ds = supervised_dataset(seed=4)
-    cfg = SamplerConfig(variant="m1", iterations=10, seed=0, resample_alphas=False,
-                        alpha_t=1e-12)
+    cfg = SamplerConfig(variant="m1", iterations=10, seed=0, resample_alphas=False)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    state.alpha_t = 1e-12
     for _ in range(10):
         state.sweep()
     assert len(state.types) == 1
+
+
+def test_alpha_refreshes_condition_alpha_p_on_the_training_pair_and_alpha_t_on_n_t():
+    # With c and d held fixed, repeated refreshes average to the grid
+    # posterior mean of alpha_p given (n_train, k_train) alone (a cut) and of
+    # alpha_t given (N, T).  The pairs of the other pool, (N, K) for alpha_p
+    # and (n_train, T) for alpha_t, give means far outside the tolerance.
+    state = ChainState(supervised_dataset(), SamplerConfig(seed=0), np.random.default_rng(3))
+    state.d = np.arange(state.N) % 6
+    state.types = sampler._Rows(state.d, np.ones((6, state.F)))
+    state.check()
+    n_train, k_train = state.train_pair
+    draws = []
+    for _ in range(20_000):
+        state._resample_alphas()
+        draws.append((state.alpha_p, state.alpha_t))
+    cases = zip(np.mean(draws, axis=0), [(n_train, k_train), (state.N, 6)],
+                [(state.N, len(state.pubs)), (n_train, 6)])
+    for mean, pair, other in cases:
+        want, _, _ = precision_posterior_grid(sampler.ALPHA_PRIOR, [pair])
+        wrong, _, _ = precision_posterior_grid(sampler.ALPHA_PRIOR, [other])
+        assert abs(wrong / want - 1.0) > 0.1
+        assert mean == pytest.approx(want, rel=0.05)
 
 
 def test_pick_and_pick_rows_draw_the_same_index():
@@ -322,7 +336,7 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     state.sweep()
-    assert state._table is None and state._type_table is None
+    assert state._table is None
 
     class Boom(RuntimeError):
         pass
@@ -341,6 +355,7 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     state.alpha_p *= 7.0
     n = int(ds.indices("test")[0])
     state.pubs.detach(int(state.c[n]))
+    state._table = sampler._ClusterTable(state, [n])
     cand, logw, news = state._c_candidates(n, None)
     r, t = state.X[n], state.types[int(state.d[n])]
     want = [
@@ -402,9 +417,10 @@ def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional)
     # (its widest window, whatever its history); alpha_t = 2: few move, and
     # the pass scans by its own rule.
     for alpha_t, moves in ((20.0, 0), (2.0, None)):
-        cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share, alpha_t=alpha_t,
+        cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
                             resample_alphas=False, conditional_type_prior=conditional)
         state = ChainState(ds, cfg, chain_rng(cfg, 0))
+        state.alpha_t = alpha_t
         most_types = moved = opened = scanned = 0
         for _ in range(12):
             state.sweep()
@@ -505,9 +521,10 @@ def test_pass_window_does_not_change_the_result(variant, conditional):
     # From one state, each pass with its stored move count at None (no
     # history: no scan), 0 (the widest window), a middling count (a narrow
     # window) and every item (no scan) gives the same bytes.
-    cfg = SamplerConfig(variant=variant, seed=6, alpha_t=2.0, resample_alphas=False,
+    cfg = SamplerConfig(variant=variant, seed=6, resample_alphas=False,
                         conditional_type_prior=conditional)
     state = ChainState(pass_dataset(), cfg, chain_rng(cfg, 0))
+    state.alpha_t = 2.0
     windows = set()
     for _ in range(8):
         state.sweep()
@@ -527,8 +544,9 @@ def test_pass_window_does_not_change_the_result(variant, conditional):
 
 def test_scalar_d_update_matches_per_item_formula():
     ds = supervised_dataset(seed=6)
-    cfg = SamplerConfig(variant="m1", iterations=4, seed=1, alpha_t=5.0)
+    cfg = SamplerConfig(variant="m1", iterations=4, seed=1)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    state.alpha_t = 5.0
     for _ in range(4):
         state.sweep()
     state.alpha_t *= 3.0
@@ -562,7 +580,7 @@ def test_m1_matches_enumeration_posterior():
 
 def test_m3_matches_enumeration_posterior_with_plain_densities():
     values = [-1.2, 0.1, 0.9]
-    cfg = frozen_config(variant="m3", conditional_type_prior=False, candidate_count=64)
+    cfg = frozen_config(variant="m3", conditional_type_prior=False)
     state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(2))
     oracle = three_point_posterior(values, alpha=1.0)
     tv = chain_partition_tv(state, 20_000, oracle)
@@ -597,11 +615,13 @@ def test_conditional_oracle_without_tilt_is_the_plain_posterior():
     "settings",
     [{}, dict(candidate_count=2, aux_samples=1), dict(candidate_count=2, values=[2.5, 2.9, -2.6])],
 )
-def test_conditional_m3_matches_tilted_joint(settings):
+def test_conditional_m3_matches_tilted_joint(settings, monkeypatch):
     # The frozen type is the identity, so its conditional prior density,
     # Gamma(1; 1, 1 + S), is all that ties the partition to the tilt.
     settings = dict(settings)
     values = settings.pop("values", [-1.2, 0.1, 0.9])
+    if "candidate_count" in settings:
+        monkeypatch.setattr(sampler, "CANDIDATE_COUNT", settings.pop("candidate_count"))
     cfg = frozen_config(variant="m3", conditional_type_prior=True, **settings)
     state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
     tv = chain_partition_tv(state, 30_000, conditional_three_point_posterior(values, alpha=1.0))
@@ -621,8 +641,7 @@ def test_conditional_m3_type_partition_matches_enumeration():
 
     def step(s):
         s._resample_types()
-        for n in range(s.N):
-            s.sample_d(n)
+        s._d_pass()
 
     tv = chain_partition_tv(state, 30_000, oracle, step=step, labels=lambda s: s.d.tolist())
     assert tv < 0.02
@@ -640,6 +659,7 @@ def test_aux_candidate_counts_follow_singleton_rule():
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
     orphan = state.pubs.detach(int(state.c[0]))
     assert orphan is not None
+    state._table = sampler._ClusterTable(state, [0])
     cand, logw, news = state._c_candidates(0, orphan)
     assert len(news) == 8
     assert len(logw) == len(cand) + 8
@@ -647,6 +667,7 @@ def test_aux_candidate_counts_follow_singleton_rule():
     # Item 1 shares its cluster: all candidates are fresh.
     orphan = state.pubs.detach(int(state.c[1]))
     assert orphan is None
+    state._table = sampler._ClusterTable(state, [1])
     cand, logw, news = state._c_candidates(1, None)
     assert len(news) == 8
 
@@ -663,7 +684,9 @@ def test_conditional_c_weights_follow_the_joint_score():
         state.sweep()
     assert len(state.pubs) > 2
     n = int(ds.indices("test")[0])
-    cand, logw, news = state._c_candidates(n, state.pubs.detach(int(state.c[n])))
+    orphan = state.pubs.detach(int(state.c[n]))
+    state._table = sampler._ClusterTable(state, [n])
+    cand, logw, news = state._c_candidates(n, orphan)
     assert len(news) == cfg.aux_samples
 
     def score(move):
@@ -686,9 +709,10 @@ def test_batched_refreshes_match_per_row_posteriors(variant):
     # One draw for all rows equals per-row conjugate draws from the same
     # stream; the posterior sums are added in another order, so to rounding.
     ds = supervised_dataset(seed=8)
-    cfg = SamplerConfig(variant=variant, seed=2, alpha_t=20.0, resample_alphas=False,
+    cfg = SamplerConfig(variant=variant, seed=2, resample_alphas=False,
                         conditional_type_prior=False)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
+    state.alpha_t = 20.0
     for _ in range(3):
         state.sweep()
     assert len(state.types) > 1 and len(state.pubs) > 2
@@ -754,6 +778,7 @@ def test_aux_total_new_mass_converges_to_marginal():
     )
     masses = []
     for _ in range(600):
+        state._table = sampler._ClusterTable(state, [n])
         _, logw, news = state._c_candidates(n, None)
         masses.append(np.exp(logw[-len(news):]).sum())
     assert np.mean(masses) == pytest.approx(closed, rel=0.02)
@@ -801,12 +826,12 @@ def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
     state.check()
 
 
-def test_conditional_m3_centers_need_a_drawn_candidate():
-    # A conditional center's candidates are itself and candidate_count - 1
-    # conjugate draws, so with one candidate no center could move.
-    ds = supervised_dataset()
-    with pytest.raises(ConfigError, match="candidate_count must be >= 2"):
-        ChainState(ds, SamplerConfig(variant="m3", candidate_count=1), np.random.default_rng(0))
+def test_conditional_m3_centers_need_a_drawn_candidate(monkeypatch):
+    # A conditional center's candidates are itself and CANDIDATE_COUNT - 1
+    # conjugate draws, so with one candidate no center could move; with two,
+    # every center does.
+    assert sampler.CANDIDATE_COUNT >= 2
+    monkeypatch.setattr(sampler, "CANDIDATE_COUNT", 2)
     # Two training clusters a short way apart, so the tilt is mild.
     ds = Dataset(
         ids=["a0", "a1", "b0", "b1"],
@@ -814,21 +839,12 @@ def test_conditional_m3_centers_need_a_drawn_candidate():
         labels=["a", "a", "b", "b"],
         split=["train"] * 4,
     )
-    state = ChainState(ds, frozen_config(variant="m3", candidate_count=2), np.random.default_rng(0))
+    state = ChainState(ds, frozen_config(variant="m3"), np.random.default_rng(0))
     before = state.pubs.vecs.copy()
     for _ in range(20):
         state.sweep()
     assert (state.pubs.vecs != before).all()
     state.check()
-
-
-def test_m3_candidate_count_one_still_valid():
-    ds = tiny_dataset([0.0, 1.0, 2.0])
-    cfg = frozen_config(variant="m3", conditional_type_prior=False, candidate_count=1)
-    state = ChainState(ds, cfg, np.random.default_rng(5))
-    for _ in range(20):
-        state.sweep()
-        state.check()
 
 
 # ------------------------------------------------------------- scoring
