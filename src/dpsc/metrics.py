@@ -241,7 +241,8 @@ def _edit_distance(target, source, c, k_target, k_source, n):
     where the source partition, with k_source clusters, is the one edited
     into the target, with k_target.  The tied plurality cells are the edges
     of the matching; the degree-1 rule settles them from the source side,
-    then from the target side, and Hopcroft-Karp sizes the rest."""
+    then from the target side, the components that are paths or cycles
+    are sized in closed form, and Hopcroft-Karp sizes the rest."""
     best = np.zeros(k_source, dtype=np.int64)
     np.maximum.at(best, source, c)
     tied = c == best[source]
@@ -249,7 +250,10 @@ def _edit_distance(target, source, c, k_target, k_source, n):
     from_sources, keep = _degree_one(s, t, k_source, k_target)
     t, s = t[keep], s[keep]
     from_targets, keep = _degree_one(t, s, k_target, k_source)
-    matched = from_sources + from_targets + _matching_size(_grouped(s[keep], t[keep]))
+    t, s = t[keep], s[keep]
+    from_chains, keep = _paths_and_cycles(s, t, k_source)
+    matched = from_sources + from_targets + from_chains
+    matched += _matching_size(_grouped(s[keep], t[keep]))
     return (n - int(best.sum())) + (k_source - matched)
 
 
@@ -261,6 +265,39 @@ def _degree_one(a, b, ka, kb):
     taken = np.zeros(kb, dtype=bool)
     taken[b[np.bincount(a, minlength=ka)[a] == 1]] = True
     return int(np.count_nonzero(taken)), ~taken[b]
+
+
+def _paths_and_cycles(a, b, ka):
+    """The components of the bipartite edges (a[i], b[i]), a-nodes below
+    ``ka``, whose nodes all have degree at most 2 are paths and cycles, and
+    a bipartite cycle is even: a component of v nodes matches floor(v / 2)
+    pairs either way.  Returns how many pairs those components match and
+    the mask of the edges of the others."""
+    # The nodes with an edge, both sides numbered together.
+    nodes, ends = np.unique(np.concatenate([a, b + ka]), return_inverse=True)
+    u, v = ends[:len(a)], ends[len(a):]
+    root = _components(u, v, len(nodes))
+    branched = np.zeros(len(nodes), dtype=bool)
+    branched[root[np.bincount(ends, minlength=len(nodes)) > 2]] = True
+    size = np.bincount(root, minlength=len(nodes))
+    return int((size[~branched] // 2).sum()), branched[root[u]]
+
+
+def _components(u, v, nodes):
+    """Each node's component, named by its least node, for the edges
+    (u[i], v[i]): union-find with path halving."""
+    parent = list(range(nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in zip(u.tolist(), v.tolist()):
+        x, y = find(x), find(y)
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+    return np.array([find(x) for x in range(nodes)], dtype=np.int64)
 
 
 def _grouped(keys, values):

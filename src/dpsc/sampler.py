@@ -27,8 +27,8 @@ k_train) alone: alpha_p is a cut (Plummer 2015), as the sampled test
 partition never feeds back into it, while the joint score rates it by
 one EPPF over all N items.
 
-All choice probabilities are computed in log space and normalized by max
-subtraction.
+Every choice is the one a uniform makes from running sums of the
+exponentiated log weights, normalized by max subtraction (``_pick``).
 
 Chain state layout.  Each Dirichlet process keeps its bookkeeping in one
 row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
@@ -62,17 +62,23 @@ its weights from one table filled ahead (``_PassTable``): each item's
 log-likelihood against every candidate row of one store, a column per row
 id, its new-row log weights in the leading columns, and the pass's uniform
 for each item, drawn at once.  A row opened during the pass gets its column
-when the table is next read, and a deleted one drops out of the lookup.
-A c table (``_ClusterTable``), one for each block of test items, holds
-the candidate centers and m1/m2's closed-form new-cluster weight, or m3's
-auxiliary candidates: aux_samples fresh base draws per item, drawn up
-front because they do not depend on the state.  This is exact because
-nothing those numbers read changes during the c pass: no center or type
-vector is written (rows are only opened and deleted), no d changes, and
-alpha_p and both bases stay fixed.  Under the conditional prior, an
-auxiliary candidate's weight also carries the tilt of the center it would
-add, which reads the centers, so every read adds it under the current
-ones.  Once the c pass is done, every item's cluster, every center,
+when the table is next read; a deleted one keeps its column, at count 0,
+and drops out of the lookup.  A c table (``_ClusterTable``), one for each
+block of test items, holds the candidate centers and m1/m2's closed-form
+new-cluster weight, or m3's auxiliary candidates: aux_samples fresh base
+draws per item, drawn up front because they do not depend on the state.
+This is exact because nothing those numbers read changes during the c
+pass: no center or type vector is written (rows are only opened and
+deleted), no d changes, and alpha_p and both bases stay fixed.  Under the
+conditional prior, an auxiliary candidate's weight also carries the tilt
+of the center it would add, which reads the centers, so every read adds
+it under the current ones.  m1/m2's c table also holds its weights
+exponentiated once, against each item's largest log weight, so a
+single-item update multiplies them by the column counts and searches
+their running sums.  It keeps that index only where a rounding bound
+(Higham 1993) shows that _pick on the item's log weights gives the same
+one, and runs _pick elsewhere, so every pick is _pick's, bit for bit.
+Once the c pass is done, every item's cluster, every center,
 alpha_t and the types' prior are fixed for the d pass, so its table
 (``_TypeTable``) holds every item's log-likelihood against each type from
 one product.
@@ -87,11 +93,13 @@ same way whichever window reads it, so the result is the sequential
 scan's with the same uniforms, bit for bit, for any window.  A pass sizes
 its window from its own previous pass: twice the mean gap between the
 items that moved, at most TABLE_BLOCK, and no scan (the single-item update
-of every item) when that gap is under 4 items or there is no previous
-pass, because evaluating a window costs about as much as a few
-single-item updates.  Every draw, of one row of weights or of many, takes
+of every item) when that gap is under 4 items (8 for m1/m2's c pass,
+whose single-item updates are cheaper) or there is no previous pass,
+because evaluating a window costs about as much as a few single-item
+updates.  Every draw, of one row of weights or of many, takes
 the first index whose running sum exceeds the uniform times the last
-running sum (``_pick``, ``_pick_rows``).  The tables live for one pass
+running sum (``_pick``, ``_pick_rows``); the exponentiated pick keeps only
+that same index.  The tables live for one pass
 only and are dropped when it ends, also when it ends in an exception, so
 the single-item updates run only inside their pass.  The tables give the
 weights of the per-item formulas, which may differ from them in the last
@@ -200,6 +208,15 @@ class SampleRecord:
 
 TABLE_BLOCK = 64  # the widest scan window, and a table's room for opened rows
 TABLE_CELLS = 1 << 14  # items times centers a c table may reach past TABLE_BLOCK items
+# The exponentiated pick (_PassTable._certified): its rounding bound per unit
+# of the log scale and of the column count, the least total it accepts, and
+# the largest exponentiated weight a table keeps.
+_ROUNDING = 32 * np.finfo(float).eps
+_FLOOR = 2.0**-969
+_HUGE = 2.0**512
+_SPAN = 512 * math.log(2.0)  # log _HUGE
+SCAN_GAP = 4  # the least mean gap between moves at which a pass scans (_window)
+EXP_SCAN_GAP = 8  # the same for m1/m2's c pass, whose single-item updates cost less
 
 
 def _pick(logw, u):
@@ -346,15 +363,24 @@ class _Members:
         return np.flatnonzero(self.labels == key)
 
 
-def _window(items, moves):
+def _window(items, moves, least=SCAN_GAP):
     """The scan window of a pass over ``items`` items whose previous pass
     moved ``moves`` of them (None before the first): twice the mean gap
     between moves, at most TABLE_BLOCK.  0, a single-item update of every
-    item with no scan, when that gap is under 4 items or unknown: a scan
-    costs a few single-item updates, so it pays only where few items move.
-    Any window gives the same result."""
+    item with no scan, when that gap is under ``least`` items or unknown: a
+    scan costs a few single-item updates, so it pays only where few items
+    move.  Any window gives the same result.
+
+    ``least`` is SCAN_GAP where a single-item update reads log weights, and
+    EXP_SCAN_GAP for m1/m2's c pass, whose single-item updates read
+    exponentiated weights at about half the cost.  On the benchmark's
+    small-m1 steady state (10-sweep blocks, 40 alternating rounds on 2
+    shared CPUs, seeds 1, 3, 5, 7, 9 and 15), 8 in place of 4 gave 1.00 to
+    1.17 times the sweeps per second, 6 gave 1.00 to 1.09 and 16 gave 0.998
+    to 1.18; many-m1's c pass, whose gap is under 2, runs no scan either
+    way."""
     gap = 0 if moves is None else items // (moves + 1)
-    return min(TABLE_BLOCK, 2 * gap) if gap >= 4 else 0
+    return min(TABLE_BLOCK, 2 * gap) if gap >= least else 0
 
 
 class _PassTable:
@@ -367,12 +393,25 @@ class _PassTable:
     Nothing a column reads changes during its pass, so a column is computed
     once.  A row opened since the table was last read gets its column, for
     the items from the reading one on, at that read (earlier items are not
-    read again); a deleted row drops out of the lookup by id.  The columns
-    of the rows present at construction are computed there, so every
-    column is computed over the same items whichever items the pass reads.
-    Subclasses supply the columns, ``_loglik``."""
+    read again); a deleted row keeps its column, at count 0, and drops out
+    of the lookup by id.  The columns of the rows present at construction
+    are computed there, so every column is computed over the same items
+    whichever items the pass reads.  Subclasses supply the columns,
+    ``_loglik``.
 
-    def __init__(self, store, lo, items, new, labels, rng):
+    With ``exponentiate`` (m1/m2's c pass: one new-row column, fixed), the
+    table also keeps every weight exponentiated once, against its item's
+    largest log weight at construction (``top``; an opened row's column is
+    exponentiated against the same maximum), each column's row count
+    (``counts``; 0 in the new-row columns and once the row is deleted),
+    which ``move`` keeps, and each item's ``slack`` in the rounding bound,
+    which follows the largest finite |log weight| the table has held.
+    ``move`` picks from them where ``_certified`` vouches for the index,
+    else by _pick on the log weights.  An item with a weight that is not
+    finite or is past _HUGE once exponentiated (kept as 0) has an infinite
+    slack: it always takes the log-space rule."""
+
+    def __init__(self, store, lo, items, new, labels, rng, exponentiate):
         """The candidates are the rows of ``store`` from row ``lo`` on; ``new``
         holds each of ``items``' new-row log weights, a row per item, and
         ``labels`` is the indicator array the pass updates."""
@@ -381,35 +420,94 @@ class _PassTable:
         self.pos = dict(zip(self.items.tolist(), range(len(self.items))))
         new = np.asarray(new, dtype=float).reshape(len(self.pos), -1)
         self.m = new.shape[1]
-        # Room for some opened rows before the buffer grows.
+        # Room for some opened rows before the buffers grow.
         room = min(len(self.pos), TABLE_BLOCK)
         self.buf = np.empty((len(self.pos), self.m + len(store) - lo + room))
         self.buf[:, :self.m] = new
-        self.ids = np.empty(0, dtype=np.int64)  # the id of each column from m on
-        self.seen = None  # the store's ids at the last read
+        self.id_list = []  # the id of each column from m on
+        self.opened = self.seen = None  # the store's next id and ids at the last read
         self.u = rng.random(len(self.pos))
+        self.ew = None
         self._map(0)
+        if exponentiate:
+            k = self.m + len(self.id_list)
+            self.counts = np.zeros(self.buf.shape[1])
+            self.counts[self.m:k] = store.counts[lo:]
+            self.col = dict(zip(self.id_list, range(self.m, k)))
+            self.top = self.buf[:, :k].max(axis=1)
+            self.ew = np.empty_like(self.buf)
+            self.ew[:, :k], self.slack = self._exponentiate(0, self.buf[:, :k])
+            self.ew[:, k:] = 0.0
+            self.w, self.acc = np.empty((2, self.buf.shape[1]))  # scratch
+            self.new_w, self.ul = self.ew[:, 0].tolist(), self.u.tolist()
+
+    def _exponentiate(self, i, L):
+        """exp(L - top) for the table rows from i on, whose log weights are
+        the rows of ``L``, and the least slack of each of those rows that
+        covers L.  An entry that is not finite or past _HUGE is set to 0,
+        and its row's slack to inf."""
+        with np.errstate(invalid="ignore", over="ignore"):  # -inf, inf or nan
+            E = np.exp(L - self.top[i:, None])
+        lo, hi = float(L.min()), float(L.max())
+        bad = ()
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi - self.top[i:].min() < _SPAN):
+            finite = L[np.isfinite(L)]  # -inf weighs 0 in both rules, exactly
+            lo, hi = float(finite.min(initial=0.0)), float(finite.max(initial=0.0))
+            over = ~(E <= _HUGE)
+            E[over] = 0.0
+            bad = np.flatnonzero(over.any(axis=1)).tolist()
+        slack = [_ROUNDING * (max(hi, -lo) + math.log(len(self.labels)) + self.m + 1)] * len(E)
+        for row in bad:
+            slack[row] = math.inf
+        return E, slack
+
+    def _grow(self, i):
+        """Give each row opened since the last read its column, from table
+        row i on, the buffers growing if they are full."""
+        store = self.store
+        if store.next_id == self.opened:
+            return
+        self.opened = store.next_id
+        ids = store.ids[self.lo:]
+        top = self.id_list[-1] if self.id_list else -1
+        fresh = len(ids) - int(ids.searchsorted(top, side="right"))
+        if not fresh:
+            return
+        col = self.m + len(self.id_list)
+        if col + fresh > self.buf.shape[1]:
+            self._widen(2 * (col + fresh))
+        L = self._loglik(i, len(store) - fresh)
+        self.buf[i:, col:col + fresh] = L
+        keys = ids[-fresh:].tolist()
+        if self.ew is not None:
+            self.counts[col:col + fresh] = store.counts[-fresh:]
+            self.col.update(zip(keys, range(col, col + fresh)))
+            self.ew[i:, col:col + fresh], slack = self._exponentiate(i, L)
+            self.slack[i:] = map(max, self.slack[i:], slack)
+        self.id_list += keys
 
     def _map(self, i):
-        """Map the candidate rows to columns, if the store's rows changed
-        since the last read; a row opened since first gets its column, from
-        table row i on, the buffer growing if it is full."""
+        """_grow(i), then map the candidate rows to columns if the store's
+        rows changed since the last read."""
+        self._grow(i)
         store = self.store
-        if store.ids is self.seen:
-            return
-        ids = store.ids[self.lo:]
-        top = self.ids[-1] if len(self.ids) else -1
-        fresh = len(ids) - int(ids.searchsorted(top, side="right"))
-        if fresh:
-            col = self.m + len(self.ids)
-            if col + fresh > self.buf.shape[1]:
-                grown = np.empty((len(self.buf), 2 * (col + fresh)))
-                grown[:, :col] = self.buf[:, :col]
-                self.buf = grown
-            self.buf[i:, col:col + fresh] = self._loglik(i, len(store) - fresh)
-            self.ids = np.concatenate([self.ids, ids[-fresh:]])
-        self.cols = np.concatenate([self.m + self.ids.searchsorted(ids), np.arange(self.m)])
-        self.seen = store.ids
+        if store.ids is not self.seen:
+            ids = store.ids[self.lo:]
+            cols = np.searchsorted(self.id_list, ids)
+            self.cols = np.concatenate([self.m + cols, np.arange(self.m)])
+            self.seen = store.ids
+
+    def _widen(self, width):
+        """Grow the buffers to ``width`` columns, the new ones at weight 0."""
+        col = self.m + len(self.id_list)
+        if self.ew is not None:
+            self.w, self.acc = np.empty((2, width))
+        for name in ("buf", "ew", "counts"):
+            old = getattr(self, name, None)
+            if old is not None:
+                grown = np.zeros((*old.shape[:-1], width))
+                grown[..., :col] = old[..., :col]
+                setattr(self, name, grown)
 
     def _read(self, i, j):
         """Table rows i to j - 1 under the store's current rows: each
@@ -429,6 +527,81 @@ class _PassTable:
     def uniform(self, n):
         """Item n's uniform for its pick."""
         return self.u[self.pos[n]]
+
+    def move(self, n, key):
+        """Take item n out of row ``key`` and put it in the row its uniform
+        picks, by the store's detach and join; returns that row's id, or
+        None when the pick is a new row, which the caller opens.  The pick is
+        _certified's where the table is exponentiated and that vouches for
+        one, else _pick's on the item's log weights; the two are the same.
+        An item that _certified keeps in its row leaves the store as it
+        was."""
+        store, i, pick = self.store, self.pos[n], None
+        if self.ew is not None:
+            col = self.col[key]
+            self.counts[col] -= 1.0
+            pick = self._certified(i)
+            if pick == key:
+                self.counts[col] += 1.0
+                return key
+        store.detach(key)
+        if pick is None:
+            row = self.lo + _pick(self.weights(n), self.u[i])
+            pick = store.id_list[row] if row < len(store.ids) else -1
+        if pick < 0:
+            return None
+        if self.ew is not None:
+            self.counts[self.col[pick]] += 1.0
+        return store.join(store.row(pick))
+
+    def _certified(self, i):
+        """The id of the row _pick would draw for table row i, -1 for a new
+        row, read from the exponentiated weights; None where they cannot
+        vouch for it.
+
+        Their running sums, by columns in row order, the new row last (a
+        deleted row's column adds exactly 0, so the first sum past the
+        target is never one), give an index.  It counts only when the
+        total is at least _FLOOR and the target, u times the total, lies
+        farther than tol = _ROUNDING * (L + n + 1) times the total from both
+        of its neighbouring sums: n is the number of columns, and L the
+        table's largest finite |log weight| so far plus the log of the item
+        count, which bounds every log count (``slack`` holds the part of
+        tol that does not grow with the candidate columns).
+
+        Why, with eps = 2**-52, taking numpy's exp and log within 2 ulps:
+        both rules draw from the exact weights c_k e^l_k, l_k a column's log
+        weight and c_k its count, up to a common factor.  _pick's exp
+        argument l_k + log c_k - max is off by at most 3.5 eps L (the log,
+        and roundings of a sum of size up to L and of a difference up to
+        2L), so its weights are within a relative 3.5 eps L + 2 eps of
+        exact; here l_k - top is off by eps L, and with exp and the product
+        by c_k a weight is within eps L + 2.5 eps.  A running sum of n
+        nonnegative terms is within (n - 1) eps / 2 of exact, relative to
+        the total (Higham 1993, "The accuracy of floating point
+        summation"), and u times the total adds eps / 2.  So a target
+        farther than 9 eps (L + n + 1) times the total from both of its
+        neighbouring sums here lies on the same side of each running sum in
+        _pick, to first order in eps L; _ROUNDING is 32 eps, which leaves a
+        factor 3.5 for the higher orders.  A weight that underflows is off
+        by at most its count times 2**-1074 absolutely, under 2**-105 of a
+        total of at least _FLOOR per item counted; _pick's largest weight
+        is 1.  With 32 eps L near 1, tol passes the total and nothing
+        counts."""
+        if self.store.next_id != self.opened:
+            self._grow(i)
+        acc = np.add.accumulate(np.multiply(self.ew[i], self.counts, out=self.w), out=self.acc)
+        # Finite: no weight is past _HUGE, nor a count or n past 2**53.
+        total = acc.item(-1) + self.new_w[i]
+        if total >= _FLOOR:
+            target = self.ul[i] * total
+            j = int(acc.searchsorted(target, side="right"))
+            # The new-row column weighs 0 here, so j >= 1.
+            above = acc.item(j) if j < len(acc) else total
+            tol = (self.slack[i] + _ROUNDING * len(self.id_list)) * total
+            if target - acc.item(j - 1) > tol and above - target > tol:
+                return self.id_list[j - self.m] if j < len(acc) else -1
+        return None
 
     def scan(self, i, window):
         """The first table row from i on whose item's update would move it;
@@ -487,9 +660,10 @@ class _ClusterTable(_PassTable):
     Nothing they read changes during the pass: no center or type vector is
     written, no d changes (the d pass comes after), and alpha_p and both
     bases are fixed.  Under the conditional prior each read adds the tilt
-    of the center a candidate would add, under the current centers."""
+    of the center a candidate would add, under the current centers.
+    ``exponentiate`` is for m1/m2 only."""
 
-    def __init__(self, state, items):
+    def __init__(self, state, items, exponentiate=False):
         types = state.types
         k = types.rows(state.d[items])
         self.R, self.k, self.const = state.X[items], k, loglik_const(types.vecs)[k]
@@ -509,7 +683,8 @@ class _ClusterTable(_PassTable):
             new = math.log(state.alpha_p / m) + self.const[:, None] - 0.5 * (
                 D * self.tvecs[k][:, None, :]
             ).sum(axis=2)
-        super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng)
+        super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng,
+                         exponentiate)
 
     def _read(self, i, j):
         logw = super()._read(i, j)
@@ -553,7 +728,7 @@ class _TypeTable(_PassTable):
         self.D2 = D * D
         _, terms = state._type_prior()
         new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
-        super().__init__(state.types, 0, items, new, state.d, state.rng)
+        super().__init__(state.types, 0, items, new, state.d, state.rng, exponentiate=False)
 
     def _loglik(self, i, row):
         """data_loglik_rows of the items from i on against the types from
@@ -732,44 +907,55 @@ class ChainState:
 
     def sample_c(self, n):
         """Reassign test item n to an existing cluster or a fresh one, by the
-        uniform the pass table holds for it."""
+        uniform the pass table holds for it.  m1/m2 go through the table's
+        move: in a pass with no scan it picks from the weights exponentiated
+        against the item's largest log weight, where the rounding bound of
+        _PassTable._certified vouches for the index, and by _pick on the
+        log weights elsewhere and in a pass that scans.  m3 picks by _pick
+        of _c_candidates' weights."""
         table, pubs = self._table, self.pubs
-        cand, logw, news = self._c_candidates(n, pubs.detach(int(self.c[n])))
+        if self.variant != "m3":
+            key = table.move(n, int(self.c[n]))
+            if key is None:
+                r, t = self.X[n], self.types[int(self.d[n])]
+                pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
+                key = pubs.open(pub)
+            self.c[n] = key
+            return
+        orphan = pubs.detach(int(self.c[n]))
+        cand, logw, news = self._c_candidates(n, orphan)
         sel = _pick(logw, table.uniform(n))
         if sel < len(cand):
             # The candidates are the trailing rows of the store.
             self.c[n] = pubs.join(len(pubs.ids) - len(cand) + sel)
-        elif news is not None:
-            self.c[n] = pubs.open(news[sel - len(cand)])
         else:
-            r, t = self.X[n], self.types[int(self.d[n])]
-            pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
-            self.c[n] = pubs.open(pub)
+            self.c[n] = pubs.open(news[sel - len(cand)])
 
     def sample_d(self, n):
         """Reassign item n's reference type (training items included), by
-        the uniform the pass table holds for it."""
-        types = self.types
-        types.detach(int(self.d[n]))
-        table = self._table
-        sel = _pick(table.weights(n), table.uniform(n))
-        if sel < len(types):
-            self.d[n] = types.join(sel)
-        else:
+        the table's move with the uniform it holds for the item."""
+        key = self._table.move(n, int(self.d[n]))
+        if key is None:
             r, p = self.X[n], self.pubs[int(self.c[n])]
             base, _ = self._type_prior()
-            self.d[n] = types.open(posterior_sample_type(r[None, :], p[None, :], base, self.rng))
+            key = self.types.open(posterior_sample_type(r[None, :], p[None, :], base, self.rng))
+        self.d[n] = key
 
     def _c_pass(self):
         """sample_c of every test item in turn, from a pass table for each
         block of items: TABLE_BLOCK, or as many more as keep the table
-        within TABLE_CELLS cells, which bounds its memory at large K."""
+        within TABLE_CELLS cells, which bounds its memory at large K.
+        m1/m2's tables exponentiate their weights when every item takes a
+        single-item update (no scan); a scan leaves few, which _pick makes
+        for less than the exponentiation costs."""
         test, moves = self.test_indices, 0
-        window = _window(len(test), self.c_moves)
+        fast = self.variant != "m3"
+        window = _window(len(test), self.c_moves, EXP_SCAN_GAP if fast else SCAN_GAP)
         size = max(TABLE_BLOCK, TABLE_CELLS // len(self.pubs))
+        exponentiate = fast and not window
         try:
             for i in range(0, len(test), size):
-                self._table = _ClusterTable(self, test[i:i + size])
+                self._table = _ClusterTable(self, test[i:i + size], exponentiate)
                 moves += self._table.run(self.sample_c, window)
         finally:
             self._table = None

@@ -4,13 +4,16 @@ import random
 import sys
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsc.errors import DomainError
 from dpsc.metrics import (
+    _grouped,
     _matching_size,
+    _paths_and_cycles,
     cluster_edit_distance,
     full_report,
     normalized_edit_score,
@@ -381,3 +384,61 @@ def alternating_chains(draw):
 @given(st.one_of(random_bipartite(), alternating_chains()))
 def test_matching_size_matches_scipy(cands):
     assert _matching_size(cands) == matching_size_scipy(cands)
+
+
+@st.composite
+def bipartite_edges(draw, max_degree=None):
+    """Distinct edges (a, b) among up to 30 left and 30 right nodes; with
+    ``max_degree``, an edge that would take a node past it is left out."""
+    ka, kb = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, ka - 1), st.integers(0, kb - 1)),
+                          unique=True, max_size=80))
+    if max_degree is not None:
+        da, db, kept = [0] * ka, [0] * kb, []
+        for a, b in pairs:
+            if da[a] < max_degree and db[b] < max_degree:
+                da[a] += 1
+                db[b] += 1
+                kept.append((a, b))
+        pairs = kept
+    return ka, kb, pairs
+
+
+@st.composite
+def chain_edges(draw):
+    """One long path or even cycle: alternating_chains as edges."""
+    cands = draw(alternating_chains())
+    pairs = sorted({(u, v) for u, vs in enumerate(cands) for v in vs})
+    return len(cands), 1 + max(v for _, v in pairs), pairs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(bipartite_edges(max_degree=2), bipartite_edges(), chain_edges()))
+def test_paths_and_cycles_then_hopcroft_karp_match_scipy(graph):
+    # The closed-form paths and cycles plus Hopcroft-Karp on the rest give
+    # the maximum matching; with no degree past 2 nothing is left over.
+    ka, kb, pairs = graph
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    chains, rest = _paths_and_cycles(a, b, ka)
+    cands = [[] for _ in range(ka)]
+    for x, y in pairs:
+        cands[x].append(y)
+    assert chains + _matching_size(_grouped(a[rest], b[rest])) == matching_size_scipy(cands)
+    degree = np.bincount(a, minlength=ka).max(initial=0), np.bincount(b, minlength=kb).max(initial=0)
+    assert rest.any() == (max(degree) > 2)
+
+
+def test_ced_of_pairs_against_shuffled_pairs():
+    # 2,000 gold pairs against a random pairing: in the graph of tied cells
+    # nearly every node has degree 2, so the degree-1 rule settles little
+    # and the paths and cycles give the rest of the matching.
+    rng = random.Random(4)
+    items = list(range(4000))
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    g = Partition({i: i // 2 for i in items})
+    h = Partition({x: k // 2 for k, x in enumerate(shuffled)})
+    want = full_report_counter(g, h)
+    assert cluster_edit_distance(g, h) == want["ced_gh"]
+    assert cluster_edit_distance(h, g) == want["ced_hg"]

@@ -1,9 +1,13 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpsc.cli import main
 from dpsc.data import Dataset, SynthConfig, standardize, synth_gaussian
 from dpsc.errors import ConfigError, DomainError
 from dpsc import sampler
@@ -39,6 +43,7 @@ from oracles import (
     type_partition_posterior,
 )
 from test_dp import precision_posterior_grid
+from test_golden import GOLDEN, RUN_SUFFIXES, run_args
 
 
 def tiny_dataset(values, split="test"):
@@ -283,10 +288,104 @@ def test_pick_and_pick_rows_draw_the_same_index():
                 assert i == row and 0 <= i < length and not zero[i]
 
 
+class _GivenTable(sampler._PassTable):
+    """An exponentiated pass table over given log-likelihoods: ``ll`` holds
+    an item per row and a column per row of a store whose counts are
+    ``counts``; ``new`` holds each item's new-row log weight."""
+
+    def __init__(self, ll, new, counts, rng):
+        self.ll = ll
+        labels = np.repeat(np.arange(len(counts)), counts)
+        store = sampler._Rows(labels, np.zeros(len(counts)))
+        super().__init__(store, 0, range(len(ll)), new, labels, rng, exponentiate=True)
+
+    def _loglik(self, i, row):
+        return self.ll[i:, self.store.ids[row:]]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    k=st.integers(1, 40),
+    items=st.integers(1, 5),
+    level=st.sampled_from([0.0, -1e6, 1e6]),
+    spread=st.sampled_from([0.5, 30.0, 800.0, 1e6]),
+    neg_inf=st.sampled_from([0.0, 0.3, 1.0]),
+    dead=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_pick_is_picks_index_or_defers(k, items, level, spread, neg_inf, dead, seed):
+    # Log-likelihoods of magnitude up to about 1e6, some -inf, spread wide
+    # enough that weights underflow, over rows of which some are deleted
+    # (their columns stay at count 0): at u = 0, u = 1 - 2**-53, at random,
+    # and at every running sum of _pick over its total and the floats next to
+    # it, the certified pick is the row of _pick's index or None, never
+    # another.
+    rng = np.random.default_rng(seed)
+    ll = level + rng.normal(0.0, spread, (items, k))
+    ll[rng.random(ll.shape) < neg_inf] = -np.inf
+    counts = rng.integers(1, 6, k)
+    table = _GivenTable(ll, level + rng.normal(0.0, spread, items), counts, rng)
+    for key in np.flatnonzero(rng.random(k) < dead).tolist():
+        table.counts[table.col[key]] = 0.0
+        for _ in range(counts[key]):
+            table.store.detach(key)
+    top = 1.0 - 2.0**-53
+    certified = 0
+    for n in range(items):
+        logw = table.weights(n)
+        acc = np.exp(logw - logw.max()).cumsum()
+        edges = acc[:-1] / acc[-1]
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        ids = table.store.id_list + [-1]  # the row each index of logw draws; -1 is new
+        for u in [0.0, top, *rng.random(20), *near[(near >= 0.0) & (near < 1.0)]]:
+            table.u[n] = table.ul[n] = u
+            got = table._certified(n)
+            assert got is None or got == ids[sampler._pick(logw, u)]
+            certified += got is not None
+    # Far from every edge, the pick is made, unless the row's weights left
+    # after the deletions fall below the floor.
+    assert certified or spread > 30.0 or dead
+
+
+@pytest.mark.parametrize("rounding", [None, math.inf, 0.0], ids=["default", "inf", "zero"])
+def test_certified_pick_bound_keeps_a_chain_bytes(rounding, tmp_path, monkeypatch):
+    # large.csv starts every test item alone, so the first sweeps delete and
+    # open many rows.  With the rounding bound at +inf every pick falls back
+    # to _pick; at 0 only a target on a running sum or a total below _FLOOR
+    # does.  Both runs write the default run's bytes, the large-m1 goldens,
+    # and the default run falls back on under 1% of its picks.
+    monkeypatch.setenv("DPSC_THREADS", "1")
+    if rounding is not None:
+        monkeypatch.setattr(sampler, "_ROUNDING", rounding)
+    picks = []
+    certified = sampler._PassTable._certified
+
+    def counted(self, i):
+        sel = certified(self, i)
+        picks.append(sel is None)
+        return sel
+
+    monkeypatch.setattr(sampler._PassTable, "_certified", counted)
+    prefix = tmp_path / "large-m1"
+    assert main(run_args("large-m1", prefix)) == 0
+    for suffix in RUN_SUFFIXES:
+        got = Path(f"{prefix}{suffix}").read_bytes()
+        assert got == (GOLDEN / f"large-m1{suffix}").read_bytes(), suffix
+    fallbacks = sum(picks)
+    assert len(picks) > 2000
+    if rounding == math.inf:
+        assert fallbacks == len(picks)
+    else:
+        assert fallbacks < 0.01 * len(picks)
+
+
 class _CheckedTable(ChainState):
-    """Compares every c update's weights with per-item formulas: the
+    """Compares every c update's log weights with per-item formulas: the
     existing clusters' always, the closed-form new cluster's for m1/m2 (m3
-    draws its new-cluster candidates, so they are not recomputed)."""
+    draws its new-cluster candidates, so they are not recomputed).  m3
+    reads them through _c_candidates; m1/m2 pick from the exponentiated
+    weights and read them only on the log-space fallback, so their table
+    (_CheckedPassTable) reads them for the check on every move."""
 
     compared = 0
 
@@ -306,11 +405,22 @@ class _CheckedTable(ChainState):
         return cand, logw, news
 
 
+class _CheckedPassTable(sampler._ClusterTable):
+    def move(self, n, key):
+        # The weights the fallback would read, checked on a copy of the state
+        # with n detached (the move detaches it only if it leaves its row).
+        probe = copy.deepcopy(self.state)
+        probe.pubs.detach(key)
+        probe._c_candidates(n, None)
+        return super().move(n, key)
+
+
 @pytest.mark.parametrize(
     "variant,share",
     [("m1", False), ("m1", True), ("m2", False), ("m3", False), ("m3", True)],
 )
-def test_indicator_pass_table_matches_per_item_weights(variant, share):
+def test_indicator_pass_table_matches_per_item_weights(variant, share, monkeypatch):
+    monkeypatch.setattr(sampler, "_ClusterTable", _CheckedPassTable)
     ds = synth_gaussian(
         SynthConfig(3, 30, dim=3, min_class_size=2, max_class_size=5, separation=5.0, seed=3)
     )
