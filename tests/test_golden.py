@@ -43,6 +43,11 @@ the ``large-m1`` run with ``KMEANS`` added, whose other outputs are the
 partition is the test rows of ``data.csv`` (id, label), and the hypotheses
 are the ``*.pred.tsv`` files of the five ``CASES``, named relative to
 ``tests/golden/``.
+
+``tests/golden/dpfit-*.curve.csv`` pin `dpsc dpfit`: each case in
+``DPFIT_CASES`` fits the DP precision to golden ``*.pred.tsv`` files used
+as labeled pools, so the curve's ``dp_*`` columns carry the estimated
+alpha's bits and the ``emp_*`` columns the subsampling stream.
 """
 
 import csv
@@ -71,6 +76,12 @@ LARGE_CASES = {
 KMEANS = ["--baseline", "kmeans"]
 CDP = ["--variant", "m1", "--chains", "2", "--iters", "24", "--seed", "5", "--baseline", "cdp"]
 RUN_SUFFIXES = (".pred.tsv", ".chains.csv")
+DPFIT_CASES = {
+    "dpfit-pools": ["m1.pred.tsv", "m2.pred.tsv", "m3.pred.tsv", "large-m1.pred.tsv",
+                    "large-m2.pred.tsv", "--seed", "5"],
+    "dpfit-prior": ["large-m2.pred.tsv", "--prior-shape", "2.5", "--prior-scale", "0.4",
+                    "--seed", "3"],
+}
 
 
 def run_args(case, prefix):
@@ -136,9 +147,24 @@ def test_score_output_matches_golden_bytes(tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / "score.csv").read_bytes()
 
 
+def dpfit(case, out):
+    """`dpsc dpfit` of a ``DPFIT_CASES`` case; run from ``tests/golden/``,
+    so the pools are named relative to it."""
+    return main(["dpfit", *DPFIT_CASES[case], "-o", str(out)])
+
+
+@pytest.mark.parametrize("case", sorted(DPFIT_CASES))
+def test_dpfit_output_matches_golden_bytes(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "curve.csv"
+    assert dpfit(case, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"{case}.curve.csv").read_bytes()
+
+
 def record():
     """Rewrite every golden output: the run cases (large-m1 with its k-means
-    baseline), cdp, then score.csv from the new predictions."""
+    baseline), cdp, then score.csv from the new predictions, then the dpfit
+    curves."""
     os.environ["DPSC_THREADS"] = "1"
     for case in [*sorted(CASES), *sorted(LARGE_CASES), "cdp"]:
         extra = KMEANS if case == "large-m1" else []
@@ -150,6 +176,9 @@ def record():
         os.chdir(GOLDEN)
         if score(gold, GOLDEN / "score.csv") != 0:
             raise SystemExit("dpsc score failed")
+    for case in sorted(DPFIT_CASES):
+        if dpfit(case, GOLDEN / f"{case}.curve.csv") != 0:
+            raise SystemExit(f"dpsc dpfit failed for {case}")
 
 
 if __name__ == "__main__":
