@@ -4,12 +4,25 @@ Chinese restaurant process sampling, exact moments of the induced
 cluster-count distribution, and auxiliary-variable resampling of the DP
 precision parameter from one or several (n items, k clusters)
 observations under a gamma prior.
+
+The several-pool refresh (Escobar & West's auxiliary-variable step,
+extended to M pools) splits into what depends only on the pools and
+what each refresh draws.  The pool terms are the exact elementary
+symmetric sums of the pool sizes, summed in Python integers and then
+logged, and s0; estimate_precision computes them once per chain.  Each
+refresh then draws one scalar beta per pool in pool order, which gives
+the values of a single array beta call from the same generator, and
+picks the gamma mixture's component from the running sums of M + 1
+scalar weights, so it allocates no arrays beyond the beta draws.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,12 +56,21 @@ class GammaPrior:
 
 @dataclass(frozen=True)
 class ObservationPair:
-    """One observed pool: n items grouped into k clusters."""
+    """One observed pool: n items grouped into k clusters.
+
+    n and k are kept as Python integers (numpy integers are converted), so
+    the refresh's integer sums over pool sizes are exact.
+    """
 
     n: int
     k: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise DomainError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}") from None
         if not (1 <= self.k <= self.n):
             raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
@@ -107,6 +129,11 @@ def expected_clusters(alpha, n):
     return mean, math.sqrt(var)
 
 
+def _check_alpha_old(alpha_old):
+    if not (alpha_old > 0 and math.isfinite(alpha_old)):
+        raise DomainError(f"alpha_old must be a positive finite number, got {alpha_old}")
+
+
 def sample_precision_single(alpha_old, n, k, prior: GammaPrior, rng):
     """One Gibbs refresh of the DP precision from a single (n, k) observation.
 
@@ -118,14 +145,49 @@ def sample_precision_single(alpha_old, n, k, prior: GammaPrior, rng):
     """
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if alpha_old <= 0:
-        raise DomainError(f"alpha_old must be positive, got {alpha_old}")
+    _check_alpha_old(alpha_old)
     a = prior.shape
     x = rng.beta(alpha_old + 1.0, n)
     rate = prior.rate - math.log(x)
     odds = (a + k - 1.0) / (n * rate)
     shape = a + k if rng.random() < odds / (1.0 + odds) else a + k - 1.0
     return float(rng.gamma(shape, 1.0 / rate))
+
+
+def _pool_terms(pairs, prior: GammaPrior):
+    """What the multi-pair refresh needs of the pools, whatever alpha is:
+    the pool sizes n_m, s0 = a - M + sum(k_m), and log e_{M-s}(n_1..n_M)
+    for s = 0..M.
+
+    The elementary symmetric sums e_j are the coefficients of
+    prod_m (1 + n_m z), built one pool at a time in Python integers, so
+    they are exact however large M and n are, and each is rounded only by
+    its log.  That is O(M^2) integer steps, which estimate_precision pays
+    once per chain.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise DomainError("need at least one (n, k) observation pair")
+    sizes = [p.n for p in pairs]
+    e = [1] + [0] * len(sizes)
+    for i, n in enumerate(sizes, 1):
+        for j in range(i, 0, -1):
+            e[j] += e[j - 1] * n
+    s0 = prior.shape + (sum(p.k for p in pairs) - len(sizes))  # exact, so a tiny shape is kept
+    return sizes, s0, [math.log(v) for v in reversed(e)]
+
+
+def _mixture_weights(s0, log_e, rate):
+    """Unnormalised P(S = s), s = 0..M: Gamma(s0 + s) / Gamma(s0) * rate^(-s)
+    * e_{M-s}, from log e_{M-s} (``log_e``, as _pool_terms gives it), scaled
+    so that the largest is 1."""
+    log_w = []
+    acc = 0.0  # log Gamma(s0 + s) - log Gamma(s0) - s log(rate)
+    for s, log_es in enumerate(log_e):
+        log_w.append(acc + log_es)
+        acc += math.log((s0 + s) / rate)
+    top = max(log_w)
+    return [math.exp(v - top) for v in log_w]
 
 
 def precision_mixture(pairs, prior: GammaPrior, rate):
@@ -135,19 +197,30 @@ def precision_mixture(pairs, prior: GammaPrior, rate):
     rate) summed over s = 0..M, with shapes[s] = s0 + s, s0 = a - M +
     sum(k_m), and weights[s] proportional to
     Gamma(s0 + s) * rate^(-s) * e_{M-s}(n_1..n_M), e_j the elementary
-    symmetric sums of the pool sizes (see sample_precision_multi).
+    symmetric sums of the pool sizes, summed exactly in integers (see
+    sample_precision_multi).  These are the weights the sampler draws S
+    from, by the same formula.
     """
-    m = len(pairs)
-    s0 = prior.shape + (sum(p.k for p in pairs) - m)  # exact, so a tiny shape is kept
-    log_e = np.full(m + 1, -np.inf)
-    log_e[0] = 0.0
-    for p in pairs:
-        log_e[1:] = np.logaddexp(log_e[1:], log_e[:-1] + math.log(p.n))
-    # log Gamma(s0 + s) - log Gamma(s0) - s log(rate), for s = 0..M
-    log_w = np.concatenate(([0.0], np.cumsum(np.log((s0 + np.arange(m)) / rate))))
-    log_w += log_e[::-1]
-    w = np.exp(log_w - log_w.max())
-    return s0 + np.arange(m + 1.0), w / w.sum()
+    _, s0, log_e = _pool_terms(pairs, prior)
+    w = np.array(_mixture_weights(s0, log_e, rate))
+    return s0 + np.arange(len(w), dtype=float), w / w.sum()
+
+
+def _refresh(alpha_old, sizes, s0, log_e, prior: GammaPrior, rng):
+    """sample_precision_multi given the pools' _pool_terms."""
+    _check_alpha_old(alpha_old)
+    shape = alpha_old + 1.0
+    xs = np.array([rng.beta(shape, n) for n in sizes])
+    bhat = prior.rate - float(np.log(xs).sum())
+    cum = list(accumulate(_mixture_weights(s0, log_e, bhat)))
+    s = bisect_right(cum, rng.random() * cum[-1])
+    alpha = float(rng.gamma(s0 + s, 1.0 / bhat))
+    if alpha == 0.0:
+        raise FloatingPointError(
+            f"the DP precision draw underflowed to 0 under gamma prior shape {prior.shape!r}; "
+            "a larger shape keeps it positive"
+        )
+    return alpha
 
 
 def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
@@ -163,29 +236,20 @@ def sample_precision_multi(alpha_old, pairs, prior: GammaPrior, rng):
     product, the terms with S factors of alpha sum to alpha^S e_{M-S}(n),
     so alpha | x is a mixture of Gamma(s0 + S, rate bhat) over S = 0..M
     with P(S = s) proportional to Gamma(s0 + s) bhat^(-s) e_{M-s}(n)
-    (precision_mixture).  S is drawn from those M + 1 weights with one
-    uniform, then alpha.  Every k_m >= 1, so s0 >= a > 0 for any prior
-    shape; for M = 1 this is sample_precision_single's two-gamma mixture.
-    A draw that underflows to 0 (a tiny prior shape over one-class pools)
+    (precision_mixture).  The e_j are exact integer sums (_pool_terms).
+    Every k_m >= 1, so s0 >= a > 0 for any prior shape; for M = 1 this is
+    sample_precision_single's two-gamma mixture.
+
+    The x_m are drawn one scalar beta per pool, in pool order.  A numpy
+    Generator fills an array draw element by element from the same bit
+    stream, so these are the values of one rng.beta call on all M sizes,
+    without that call's fixed cost; summing their logs as an array keeps
+    the sum's bits too.  S is then the first index whose running weight
+    sum exceeds one uniform times the total, and alpha one gamma draw.  A
+    draw that underflows to 0 (a tiny prior shape over one-class pools)
     raises FloatingPointError.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise DomainError("need at least one (n, k) observation pair")
-    if alpha_old <= 0:
-        raise DomainError(f"alpha_old must be positive, got {alpha_old}")
-    xs = rng.beta(alpha_old + 1.0, [p.n for p in pairs])
-    bhat = prior.rate - float(np.log(xs).sum())
-    shapes, weights = precision_mixture(pairs, prior, bhat)
-    cdf = np.cumsum(weights)
-    s = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
-    alpha = float(rng.gamma(shapes[s], 1.0 / bhat))
-    if alpha == 0.0:
-        raise FloatingPointError(
-            f"the DP precision draw underflowed to 0 under gamma prior shape {prior.shape!r}; "
-            "a larger shape keeps it positive"
-        )
-    return alpha
+    return _refresh(alpha_old, *_pool_terms(pairs, prior), prior, rng)
 
 
 ESTIMATE_DRAWS = 2000
@@ -193,11 +257,16 @@ ESTIMATE_DRAWS = 2000
 
 def estimate_precision(pairs, prior: GammaPrior, rng):
     """Posterior-mean estimate of alpha: mean of the post-burn-in half of a
-    chain of ESTIMATE_DRAWS precision refreshes."""
+    chain of ESTIMATE_DRAWS precision refreshes (sample_precision_multi).
+
+    The pools' terms (_pool_terms) do not depend on alpha, so the chain
+    computes them once, not once per refresh.
+    """
+    terms = _pool_terms(pairs, prior)
     alpha = prior.mean
     trace = np.empty(ESTIMATE_DRAWS)
     for t in range(ESTIMATE_DRAWS):
-        alpha = sample_precision_multi(alpha, pairs, prior, rng)
+        alpha = _refresh(alpha, *terms, prior, rng)
         trace[t] = alpha
     return float(trace[ESTIMATE_DRAWS // 2 :].mean())
 

@@ -3,8 +3,10 @@
 Nothing in here may call the production code paths it checks: pair
 classification is literal enumeration, edit distance is BFS over
 operation sequences, a maximum bipartite matching is scipy's, entropies
-come straight from the definitions, marginals are numeric quadrature, and
-k-means is Lloyd's algorithm a cluster at a time.  The one harness,
+come straight from the definitions, marginals are numeric quadrature,
+k-means is Lloyd's algorithm a cluster at a time, and the multi-pair DP
+precision refresh is its first numpy form (logaddexp sums, one array beta
+draw), kept as the reference for the random stream.  The one harness,
 chain_partition_tv, only sweeps a chain it is given and compares what it
 visits with an oracle.
 """
@@ -314,6 +316,38 @@ def precision_mixture_enumeration(pairs, shape, rate):
     top = max(max(v) for v in log_terms.values())
     weights = np.array([sum(math.exp(x - top) for x in log_terms[s]) for s in range(m + 1)])
     return weights / weights.sum()
+
+
+def precision_mixture_reference(pairs, shape, rate):
+    """(shapes, weights) of the multi-pair DP precision mixture as the
+    library first computed it: log e_j(n) by one np.logaddexp pass per
+    pool, then numpy arrays of the M + 1 log weights."""
+    m = len(pairs)
+    s0 = shape + (sum(k for _, k in pairs) - m)
+    log_e = np.full(m + 1, -np.inf)
+    log_e[0] = 0.0
+    for n, _ in pairs:
+        log_e[1:] = np.logaddexp(log_e[1:], log_e[:-1] + math.log(n))
+    log_w = np.concatenate(([0.0], np.cumsum(np.log((s0 + np.arange(m)) / rate))))
+    log_w += log_e[::-1]
+    w = np.exp(log_w - log_w.max())
+    return s0 + np.arange(m + 1.0), w / w.sum()
+
+
+def sample_precision_multi_reference(alpha_old, pairs, shape, rate, rng):
+    """One multi-pair DP precision refresh as the library first drew it:
+    one array beta call for every pool's auxiliary, the mixture weights
+    from precision_mixture_reference, and S by searchsorted on their
+    normalised running sums.  ``rate`` is the prior's 1/scale."""
+    xs = rng.beta(alpha_old + 1.0, [n for n, _ in pairs])
+    bhat = rate - float(np.log(xs).sum())
+    shapes, weights = precision_mixture_reference(pairs, shape, bhat)
+    cdf = np.cumsum(weights)
+    s = int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+    alpha = float(rng.gamma(shapes[s], 1.0 / bhat))
+    if alpha == 0.0:
+        raise FloatingPointError("the DP precision draw underflowed to 0")
+    return alpha
 
 
 def lloyd(X, k, first, max_iters):

@@ -18,7 +18,7 @@ from dpsc.dp import (
 )
 from dpsc.errors import DomainError
 
-from oracles import precision_mixture_enumeration
+from oracles import precision_mixture_enumeration, sample_precision_multi_reference
 
 
 def precision_posterior_grid(prior, pairs, hi=50.0, points=20000):
@@ -166,7 +166,7 @@ def test_multi_shape_guard():
 
 def test_mixture_weights_match_enumeration():
     rng = np.random.default_rng(21)
-    for m in range(1, 9):
+    for m in range(1, 13):
         for _ in range(5):
             ns = rng.integers(1, 200, size=m)
             pairs = [ObservationPair(int(n), int(rng.integers(1, n + 1))) for n in ns]
@@ -175,9 +175,60 @@ def test_mixture_weights_match_enumeration():
             shapes, weights = precision_mixture(pairs, prior, rate)
             want = precision_mixture_enumeration([(p.n, p.k) for p in pairs], prior.shape, rate)
             np.testing.assert_allclose(weights, want, rtol=1e-9, atol=1e-14)
-            s0 = prior.shape - m + sum(p.k for p in pairs)
+            s0 = prior.shape + (sum(p.k for p in pairs) - m)  # the integer part first, as dp.py
             np.testing.assert_array_equal(shapes, s0 + np.arange(m + 1))
             assert shapes[0] >= prior.shape
+
+
+def reference_stream_cases():
+    """(shape, scale, [(n, k), ...]) cases for the reference-stream test:
+    M in {1, 2, 3, 6, 8, 30} with pool sizes up to 10 and up to 10^6,
+    log-uniform prior shapes in [0.05, 5] and scales in [0.01, 30], then
+    pools of one class each, pools of singletons, and a mix of both."""
+    g = np.random.default_rng(31)
+    for m in (1, 2, 3, 6, 8, 30):
+        for top in (10, 10**6):
+            nk = [(int(n), int(g.integers(1, n + 1))) for n in g.integers(1, top + 1, m)]
+            shape, scale = np.exp(g.uniform(np.log([0.05, 0.01]), np.log([5.0, 30.0])))
+            yield float(shape), float(scale), nk
+    yield 1.0, 1.0, [(n, 1) for n in (1, 7, 50, 10**6)]
+    yield 0.5, 2.0, [(n, n) for n in (1, 3, 40, 999)]
+    yield 2.0, 0.1, [(10**6, 10**6), (10**6, 1), (5, 5)]
+
+
+def test_multi_refresh_matches_reference_stream():
+    # Integer symmetric sums, scalar betas and a bisected running sum draw
+    # the same alpha chain as the first numpy form, value for value.
+    for seed, (shape, scale, nk) in enumerate(reference_stream_cases()):
+        prior = GammaPrior(shape=shape, scale=scale)
+        pairs = [ObservationPair(n, k) for n, k in nk]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        alpha = ref = prior.mean
+        for t in range(1000):
+            alpha = sample_precision_multi(alpha, pairs, prior, rng)
+            ref = sample_precision_multi_reference(ref, nk, prior.shape, prior.rate, ref_rng)
+            assert alpha == ref, (seed, shape, scale, nk, t)
+
+
+@pytest.mark.parametrize("alpha_old", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_refreshes_reject_non_finite_or_non_positive_alpha_old(alpha_old):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="alpha_old"):
+        sample_precision_single(alpha_old, 10, 2, GammaPrior(), rng)
+    with pytest.raises(DomainError, match="alpha_old"):
+        sample_precision_multi(alpha_old, [ObservationPair(10, 2)], GammaPrior(), rng)
+
+
+@pytest.mark.parametrize("n, k", [(5.5, 2), (5, 1.5), (5.0, 2), ("5", 2), (None, 1)])
+def test_observation_pair_rejects_non_integer_counts(n, k):
+    with pytest.raises(DomainError):
+        ObservationPair(n, k)
+
+
+def test_observation_pair_keeps_python_integers():
+    pair = ObservationPair(np.int64(10**6), np.int32(3))
+    assert (pair.n, pair.k) == (10**6, 3)
+    assert type(pair.n) is int and type(pair.k) is int
 
 
 def test_mixture_weights_reduce_to_single_pair_odds():
