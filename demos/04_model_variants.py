@@ -1,8 +1,9 @@
 """The three model variants on one dataset.
 
-m1 keeps the fixed gamma base over precisions, m2 refits that base to the
-within-cluster spread every sweep, and m3 conditions the precisions on the
-distances between cluster centers.  m3 opens clusters at auxiliary
+m1 keeps the fixed gamma base over precisions, m2 puts a gamma hyperprior
+on that base's rate and draws the rate from its conjugate posterior given
+the types every sweep, and m3 conditions the precisions on the distances
+between cluster centers.  m3 opens clusters at auxiliary
 candidates drawn from the base rather than through a closed-form
 marginal, and moves each center by one retained-candidate step, so it
 mixes more slowly than the conjugate variants and wants longer runs than

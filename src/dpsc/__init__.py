@@ -31,7 +31,6 @@ from .errors import ConfigError, DomainError
 from .gaussian import (
     PublicationBase,
     TypeBase,
-    adapt_type_base,
     data_loglik,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,

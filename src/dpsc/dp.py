@@ -66,13 +66,21 @@ class ObservationPair:
     k: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-            object.__setattr__(self, "k", operator.index(self.k))
-        except TypeError:
-            raise DomainError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}") from None
-        if not (1 <= self.k <= self.n):
-            raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        n, k = _counts(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+
+def _counts(n, k):
+    """n items and k clusters as Python integers, checked: integers (numpy
+    integers included) with 1 <= k <= n."""
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
+    if not (1 <= k <= n):
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return n, k
 
 
 @dataclass(frozen=True)
@@ -142,9 +150,9 @@ def sample_precision_single(alpha_old, n, k, prior: GammaPrior, rng):
         pi_x * Gamma(a + k, rate) + (1 - pi_x) * Gamma(a + k - 1, rate)
     with rate = prior_rate - log x and odds
         pi_x / (1 - pi_x) = (a + k - 1) / (n * rate).
+    n and k must be integers with 1 <= k <= n, as in ObservationPair.
     """
-    if not (1 <= k <= n):
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n, k = _counts(n, k)
     _check_alpha_old(alpha_old)
     a = prior.shape
     x = rng.beta(alpha_old + 1.0, n)

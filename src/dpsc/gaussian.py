@@ -5,10 +5,10 @@ latent cluster center ("publication") and whose per-dimension precisions
 come from a latent "reference type" shared across clusters.  The base
 measures are a Normal over centers and independent gammas over the
 precision of each dimension, so all single-observation marginals and
-posterior draws are closed-form.  Two extensions live here as well: an
-adaptive gamma base fitted to within-cluster variances each sweep, and a
-conditional prior that ties the types to the relative distances between
-centers.
+posterior draws are closed-form.  Under m2 the gamma base's rate is
+itself drawn, by the sampler, from its conjugate gamma posterior given
+the types (a hierarchical rate).  The conditional prior that ties the
+types to the relative distances between centers lives here as well.
 """
 
 from __future__ import annotations
@@ -231,42 +231,6 @@ def type_base_logpdf(t, base: TypeBase):
     _check_dims(t, base.shape)
     a, b = base.shape, base.scale
     return ((a - 1.0) * np.log(t) - t / b - log_gamma(a) - a * np.log(b)).sum(axis=-1)
-
-
-VAR_FLOOR = 1e-8
-SCALE_FLOOR = 1e-3
-
-
-def adapt_type_base(X, assignments, publications) -> TypeBase:
-    """Refit the gamma base to the spread the current clustering exhibits.
-
-    Per dimension f, with v_j the mean squared deviation of cluster j's
-    members around its current center, the base is solved from
-    shape*scale = mean_j(v_j)/2 and shape*scale^2 = var_j(v_j).  Clusters
-    with fewer than two members are skipped; with fewer than two usable
-    clusters, or a degenerate variance-of-variances, the affected pieces
-    fall back to clamped defaults so the base stays valid.
-    """
-    X = np.asarray(X, float)
-    dim = X.shape[1]
-    per_cluster = []
-    for cid, center in publications.items():
-        rows = X[assignments == cid]
-        if rows.shape[0] >= 2:
-            per_cluster.append(((rows - center) ** 2).mean(axis=0))
-    if len(per_cluster) < 2:
-        return TypeBase.standard(dim)
-    v = np.maximum(np.array(per_cluster), VAR_FLOOR)
-    mean_v = v.mean(axis=0)
-    var_v = v.var(axis=0)
-    degenerate = var_v < VAR_FLOOR
-    scale = np.where(degenerate, SCALE_FLOOR, 2.0 * var_v / mean_v)
-    shape = np.where(
-        degenerate,
-        (mean_v / 2.0) / SCALE_FLOOR,
-        mean_v**2 / (4.0 * np.maximum(var_v, VAR_FLOOR)),
-    )
-    return TypeBase(shape=shape, scale=scale)
 
 
 def center_moments(publications):

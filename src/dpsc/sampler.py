@@ -8,10 +8,11 @@ variants:
 
 - m1: fully conjugate updates (closed-form new-cluster marginals, exact
   posterior draws for active parameters).
-- m2: as m1, but the gamma base over precisions is refitted to the
-  current within-cluster variances at the start of every sweep.  The
-  refit reads the state, so m2 is an empirical-Bayes scheme and not
-  posterior-exact by design.
+- m2: m1 with a hierarchical rate: the gamma base over precisions is
+  Gamma(1, rate b_f) per dimension, each b_f under a Gamma(1, 1)
+  hyperprior (RATE_PRIOR), and every sweep starts with the exact
+  conjugate draw of b given the types.  The joint score carries the
+  hyperprior's density.
 - m3: auxiliary-candidate c updates (Neal 2000, Algorithm 8) and, by
   default, the conditional type prior that ties precisions to the
   distances between centers: a gamma whose rate is shifted by the centers'
@@ -113,7 +114,6 @@ import math
 import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
@@ -126,7 +126,6 @@ from .gaussian import (
     LOG_2PI,
     PublicationBase,
     TypeBase,
-    adapt_type_base,
     center_moments,
     center_shares,
     conditional_type_base,
@@ -150,6 +149,7 @@ from .partition import Partition
 
 VARIANTS = ("m1", "m2", "m3")
 ALPHA_PRIOR = GammaPrior()  # gamma prior on both DP precisions
+RATE_PRIOR = GammaPrior()  # m2: gamma prior on each dimension's type-base rate
 ALPHA_START = 1.0  # both DP precisions before the first refresh
 CANDIDATE_COUNT = 32  # m3 conditional centers: retained center + conjugate draws
 
@@ -250,14 +250,14 @@ def _same_bits(got, want):
     return all(np.array(a).tobytes() == np.array(b).tobytes() for a, b in pairs)
 
 
-class _Rows(Mapping):
+class _Rows:
     """One Dirichlet process's active rows: parameter vectors keyed by id,
     as the rows of ``vecs`` in ascending id order, with each row's member
     count (a float) in ``counts`` and the next unused id in ``next_id``.
     The ids are kept both as an array (``ids``) and as a list
     (``id_list``), which finds one row faster.  Which items a row holds is
-    read from the indicator array, not kept here.  Reads as a read-only
-    mapping from id to vector."""
+    read from the indicator array, not kept here.  ``[key]`` gives the
+    vector of id ``key``."""
 
     def __init__(self, labels, vecs):
         self.ids, counts = np.unique(labels, return_counts=True)
@@ -319,16 +319,13 @@ class _Rows(Mapping):
             raise KeyError(key)
         return self.vecs[row]
 
-    def __iter__(self):
-        return iter(self.ids.tolist())
-
     def __len__(self):
         return len(self.ids)
 
 
 class _CenterRows(_Rows):
     """Cluster centers, plus their center_moments and m3's conditional type
-    prior (conditional_type_base of ``type_base``, which m3 never refits,
+    prior (conditional_type_base of ``type_base``, which m3 never changes,
     and of their pairwise_sq_diff_sum, with its new_type_terms); both are
     dropped on any change to the centers and rebuilt from them on first
     use."""
@@ -870,6 +867,16 @@ class ChainState:
             sel = _pick(self._center_tilt(cands, others), self.rng.random())
             pubs.set(row, cands[sel])
 
+    def _resample_type_rate(self):
+        """m2's exact conjugate draw of the type base's rate b_f in each
+        dimension f, given the types t_j: under the base Gamma(shape, rate
+        b_f) and b_f ~ RATE_PRIOR, b_f | types ~ Gamma(RATE_PRIOR.shape +
+        T * shape, RATE_PRIOR.rate + sum_j t_jf)."""
+        base, types = self.type_base, self.types.vecs
+        shape = RATE_PRIOR.shape + len(types) * base.shape
+        b = self.rng.gamma(shape, 1.0 / (RATE_PRIOR.rate + types.sum(axis=0)))
+        self._set_type_base(TypeBase(shape=base.shape, scale=1.0 / b))
+
     def _resample_types(self):
         """Exact conjugate draw of every type under its prior, all in one
         call."""
@@ -987,7 +994,7 @@ class ChainState:
     def sweep(self):
         """One full iteration over parameters, indicators, and precisions."""
         if self.variant == "m2" and not self.frozen_types:
-            self._set_type_base(adapt_type_base(self.X, self.c, self.pubs))
+            self._resample_type_rate()
         self._resample_publications()
         if not self.frozen_types:
             self._resample_types()
@@ -1008,9 +1015,13 @@ class ChainState:
     def joint_log_score(self):
         """Unnormalized log posterior density at the current state.  The
         base densities of the centers, then of the types, join the total in
-        row order by a running sum, as in _eppf."""
+        row order by a running sum, as in _eppf.  m2 adds RATE_PRIOR's log
+        density of the type base's rate, less its constant."""
         lp = self._eppf(self.alpha_p, self.pubs.counts)
         lp += self._eppf(self.alpha_t, self.types.counts)
+        if self.variant == "m2":
+            b = self.type_base.rate
+            lp += float(((RATE_PRIOR.shape - 1.0) * np.log(b) - RATE_PRIOR.rate * b).sum())
         type_prior, _ = self._type_prior()
         rows = (
             publication_base_logpdf(self.pubs.vecs, self.pub_base),

@@ -274,6 +274,36 @@ def type_partition_posterior(residuals, alpha, shape, rate, grid=20001):
     return {parts[i].canonical(): probs[i] for i in range(len(parts))}
 
 
+def rate_integrated_type_partition_posterior(residuals, alpha, grid=20001):
+    """type_partition_posterior at shape 1 with the rate b itself under a
+    Gamma(1, 1) prior, integrated out by a second trapezoid rule in log b.
+    Given b, the precision of a type whose n residuals have squared sum SS
+    integrates out in closed form, to
+    b Gamma(1 + n/2) / ((2 pi)^(n/2) (b + SS/2)^(1 + n/2))."""
+    v = np.linspace(-25.0, 6.0, grid)
+    b = np.exp(v)
+    log_prior = v - b  # the Gamma(1, 1) density of b, times db/dv = b
+
+    def log_marginal(xs):  # on the grid of b
+        n, ss = len(xs), sum(x * x for x in xs)
+        head = math.lgamma(1 + n / 2) - n / 2 * math.log(2 * math.pi)
+        return v + head - (1 + n / 2) * np.log(b + ss / 2)
+
+    parts = enumerate_partitions(range(len(residuals)))
+    logs = []
+    for part in parts:
+        blocks = list(part.clusters().values())
+        logf = log_prior + len(blocks) * math.log(alpha)
+        for members in blocks:
+            logf = logf + math.lgamma(len(members)) + log_marginal([residuals[i] for i in members])
+        top = logf.max()
+        logs.append(top + math.log(np.trapezoid(np.exp(logf - top), v)))
+    logs = np.array(logs)
+    probs = np.exp(logs - logs.max())
+    probs /= probs.sum()
+    return {parts[i].canonical(): probs[i] for i in range(len(parts))}
+
+
 def chain_partition_tv(state, sweeps, oracle, step=None, labels=None):
     """Total-variation distance between the frequencies of the test
     partitions a chain state visits over ``sweeps`` sweeps (items keyed by

@@ -557,8 +557,8 @@ def dataset_files(draw, suffix):
             item["features"][:1] = [draw(st.sampled_from([1e154, -1e200, 1e308, -1.7e308]))]
         elif fault == "huge-int":
             item["features"][:1] = [10**400]
-        elif fault == "empty":
-            items = []
+    if "empty" in faults:  # after the faults above, which read and edit the items
+        items = []
 
     def text(v):
         return v.decode("latin-1") if isinstance(v, bytes) else str(v)

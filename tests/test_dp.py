@@ -223,6 +223,8 @@ def test_refreshes_reject_non_finite_or_non_positive_alpha_old(alpha_old):
 def test_observation_pair_rejects_non_integer_counts(n, k):
     with pytest.raises(DomainError):
         ObservationPair(n, k)
+    with pytest.raises(DomainError):
+        sample_precision_single(1.0, n, k, GammaPrior(), np.random.default_rng(0))
 
 
 def test_observation_pair_keeps_python_integers():

@@ -9,7 +9,6 @@ from dpsc.errors import DomainError
 from dpsc.gaussian import (
     PublicationBase,
     TypeBase,
-    adapt_type_base,
     center_moments,
     center_shares,
     conditional_type_base,
@@ -219,43 +218,6 @@ def test_type_prior_fallback():
     draws = np.array([posterior_sample_type([], [], base, rng)[0] for _ in range(50_000)])
     assert draws.mean() == pytest.approx(1.0, rel=0.03)  # shape*scale
     assert draws.var() == pytest.approx(0.5, rel=0.05)  # shape*scale^2
-
-
-# ------------------------------------------------------ adaptive base
-
-
-def test_adapt_type_base_solves_moment_equations():
-    # Two clusters whose mean squared deviations are 1 and 3 give
-    # mean 2 and variance 1, hence shape = scale = 1.
-    X = np.array([[-1.0], [1.0], [-math.sqrt(3)], [math.sqrt(3)]])
-    c = np.array([0, 0, 1, 1])
-    pubs = {0: np.array([0.0]), 1: np.array([0.0])}
-    base = adapt_type_base(X, c, pubs)
-    assert base.shape[0] == pytest.approx(1.0)
-    assert base.scale[0] == pytest.approx(1.0)
-
-
-def test_adapt_type_base_degenerate_clamp():
-    # Identical cluster variances leave nothing to fit the spread with.
-    X = np.array([[-1.0], [1.0], [4.0], [6.0]])
-    c = np.array([0, 0, 1, 1])
-    pubs = {0: np.array([0.0]), 1: np.array([5.0])}
-    base = adapt_type_base(X, c, pubs)
-    assert base.scale[0] == pytest.approx(1e-3)
-    assert base.shape[0] * base.scale[0] == pytest.approx(0.5)  # mean variance / 2
-
-
-def test_adapt_type_base_fallback_and_validity():
-    X = np.array([[0.0], [1.0], [2.0]])
-    base = adapt_type_base(X, np.array([0, 1, 2]), {0: X[0], 1: X[1], 2: X[2]})
-    assert base.shape[0] == 1.0 and base.scale[0] == 1.0
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(60, 3))
-    c = rng.integers(0, 4, size=60)
-    pubs = {j: rng.normal(size=3) for j in range(4)}
-    base = adapt_type_base(X, c, pubs)
-    assert (base.shape > 0).all() and (base.scale > 0).all()
-    assert np.isfinite(base.shape).all() and np.isfinite(base.scale).all()
 
 
 # ------------------------------------------------- conditional prior

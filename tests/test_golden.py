@@ -21,7 +21,13 @@ log-gamma terms of the score went from ``scipy.special.gammaln`` to
 ``m3.chains.csv`` and ``m3-shared.chains.csv`` were re-recorded again when
 m3's conditional type prior took the centers' pair sum as K times their
 scatter about their mean, not as a sum over pairs: ``joint_log_score``
-moved by at most 3.1e-16 relative, and nothing else changed.
+moved by at most 3.1e-16 relative, and nothing else changed.  The
+``m2.*`` and ``large-m2.*`` files were re-recorded when m2's type base
+stopped being refitted to the within-cluster variances and took its rate
+from a conjugate draw each sweep, which changed m2's random stream alone.
+The m2 row of ``score.csv`` and both ``dpfit-*.curve.csv`` files, which
+read the m2 ``pred.tsv`` files, moved with them; every other file stayed
+the same.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling

@@ -39,6 +39,7 @@ from dpsc.sampler import (
 from oracles import (
     chain_partition_tv,
     conditional_three_point_posterior,
+    rate_integrated_type_partition_posterior,
     three_point_posterior,
     type_partition_posterior,
 )
@@ -85,9 +86,8 @@ def test_init_deterministic():
     s1 = ChainState(ds, cfg, chain_rng(cfg, 0))
     s2 = ChainState(ds, cfg, chain_rng(cfg, 0))
     assert np.array_equal(s1.c, s2.c) and np.array_equal(s1.d, s2.d)
-    assert set(s1.pubs) == set(s2.pubs)
-    for cid in s1.pubs:
-        assert s1.pubs[cid] == pytest.approx(s2.pubs[cid])
+    assert s1.pubs.ids.tolist() == s2.pubs.ids.tolist()
+    assert s1.pubs.vecs == pytest.approx(s2.pubs.vecs)
 
 
 def test_init_structure():
@@ -757,6 +757,27 @@ def test_conditional_m3_type_partition_matches_enumeration():
     assert tv < 0.02
 
 
+def test_m2_type_partition_matches_enumeration_under_the_rate_hyperprior():
+    # With the clusters and centers held fixed, the rate step, the type
+    # refreshes and the d updates sample the type partition of a DP mixture
+    # whose base Gamma(1, b) has its rate b under Gamma(1, 1).  At these
+    # residuals the oracle is 0.0996 in TV from the one with b fixed at 1,
+    # so a chain that held b fixed would miss the bound.
+    values = [-7.0, -3.0, 5.0]
+    cfg = SamplerConfig(variant="m2", iterations=1, resample_alphas=False, seed=0)
+    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
+    state._install_clusters([0, 1, 1], [[0.0], [0.0]])
+    oracle = rate_integrated_type_partition_posterior(values, alpha=1.0)
+
+    def step(s):
+        s._resample_type_rate()
+        s._resample_types()
+        s._d_pass()
+
+    tv = chain_partition_tv(state, 30_000, oracle, step=step, labels=lambda s: s.d.tolist())
+    assert tv < 0.02
+
+
 # -------------------------------------------------- auxiliary candidates
 
 
@@ -968,9 +989,9 @@ def test_joint_score_invariant_to_cluster_ids():
         state.sweep()
     before = state.joint_log_score()
     # Relabel one cluster id; grouping unchanged.
-    old = max(state.pubs)
+    old = int(state.pubs.ids[-1])
     new = old + 57
-    centers = list(state.pubs.values())  # ascending ids: old stays last
+    centers = state.pubs.vecs  # ascending ids: old stays last
     state._install_clusters(np.where(state.c == old, new, state.c), centers)
     assert state.joint_log_score() == pytest.approx(before, abs=1e-9)
 
@@ -1020,6 +1041,22 @@ def test_joint_score_ratios_match_independent_formula():
     ia = independent([[0, 1, 2]], [0.3])
     ib = independent([[0], [1, 2]], [-0.5, 0.9])
     assert sa - sb == pytest.approx(ia - ib, abs=1e-9)
+
+    # m2: two states that differ only in the type base's rate b.  Each type
+    # has the Gamma(1, b) density b exp(-b t), and b the Gamma(1, 1)
+    # density exp(-b).
+    cfg = SamplerConfig(variant="m2", iterations=1, resample_alphas=False)
+    state = ChainState(ds, cfg, np.random.default_rng(8))
+    types = state.types.vecs[:, 0].tolist()
+
+    def rate_terms(b):
+        return sum(math.log(b) - b * t for t in types) - b
+
+    before = state.joint_log_score()
+    state._set_type_base(TypeBase(shape=np.ones(1), scale=np.array([0.25])))
+    assert state.joint_log_score() - before == pytest.approx(
+        rate_terms(4.0) - rate_terms(1.0), abs=1e-9
+    )
 
 
 
@@ -1181,5 +1218,5 @@ def test_cdp_runs_on_test_items_with_one_frozen_type():
     for _ in range(10):
         state.sweep()
     assert state.alpha_p == 1.0
-    assert list(state.types) == [0]
+    assert state.types.ids.tolist() == [0]
     assert state.types[0] == pytest.approx(np.ones(2))
