@@ -12,7 +12,10 @@ variants:
   Gamma(1, rate b_f) per dimension, each b_f under a Gamma(1, 1)
   hyperprior (RATE_PRIOR), and every sweep starts with the exact
   conjugate draw of b given the types.  The joint score carries the
-  hyperprior's density.
+  hyperprior's density.  With b integrated out a type's precision t has
+  the prior (1 + t)^-2, so the posterior is improper when k >= 3 items tied
+  in every dimension sit in a type of their own: their likelihood grows as
+  t^((k - 1)/2), and the chain can drift to ever larger precisions.
 - m3: auxiliary-candidate c updates (Neal 2000, Algorithm 8) and, by
   default, the conditional type prior that ties precisions to the
   distances between centers: a gamma whose rate is shifted by the centers'
@@ -37,14 +40,16 @@ the types): one matrix of parameter vectors, the id of each row, its
 member count as a float and the next unused id.  Which items a row holds
 is read from the indicator arrays c and d.  The center store alone
 caches something (m3): the centers' center_moments and the conditional
-type prior, both dropped on any change and rebuilt on first use.  Both
-indicator updates run the same CRP step on their store (Neal 2000,
-Algorithms 2 and 8): ``detach`` takes the item out and drops a row that
-emptied, then the item ``join``s an existing row or ``open``s a new one.
-An update reads contiguous slices: the candidate clusters are the
-trailing rows (all rows when test items may join training clusters,
-which are never emptied and so stay in the leading rows), and the
-refreshes and the joint score map items to rows with one searchsorted.
+type prior, read from the rows that hold items, both dropped on any change
+and rebuilt on first use.  Both indicator updates run the same CRP step on
+their store (Neal 2000, Algorithms 2 and 8): ``detach`` takes the item out,
+leaving a row that emptied at count 0, then the item ``join``s an existing
+row or ``open``s a new one.  ``compact`` deletes the rows at count 0; each
+pass calls it once its table is dropped, so outside a pass every row holds
+items.  An update reads contiguous slices: the candidate clusters are the
+trailing rows (all rows when test items may join training clusters, which
+are never emptied and so stay in the leading rows), and the refreshes and
+the joint score map items to rows with one searchsorted.
 
 Rows are kept in ascending id order: ids only grow, a new row is appended
 and a deleted one closes its gap.  Training cluster ids follow the first
@@ -60,22 +65,26 @@ sweep updates c of every test item in turn (the c pass), then d of every
 item in turn (the d pass); each update conditions on the current rest of
 the state, so this is a systematic-scan Gibbs sampler.  Each pass reads
 its weights from one table filled ahead (``_PassTable``): each item's
-log-likelihood against every candidate row of one store, a column per row
-id, its new-row log weights in the leading columns, and the pass's uniform
-for each item, drawn at once.  A row opened during the pass gets its column
-when the table is next read; a deleted one keeps its column, at count 0,
-and drops out of the lookup.  A c table (``_ClusterTable``), one for each
-block of test items, holds the candidate centers and m1/m2's closed-form
-new-cluster weight, or m3's auxiliary candidates: aux_samples fresh base
-draws per item, drawn up front because they do not depend on the state.
+log-likelihood against every candidate row of one store, its new-row log
+weights beside them, and the pass's uniform for each item, drawn at once.
+While the table lives, its column j is the store's j-th candidate row: no
+row is deleted until the table is dropped, so a row the pass empties keeps
+its column at count 0, where it weighs exp(-inf) = 0 and is never drawn,
+and a row opened during the pass is appended and gets the next column when
+the table is next read.  A zero weight adds exactly 0 to every running
+sum, so the draws are those of the store without the emptied rows.  A c
+table (``_ClusterTable``), one for each block of test items, holds the
+candidate centers and m1/m2's closed-form new-cluster weight, or m3's
+auxiliary candidates: aux_samples fresh base draws per item, drawn up
+front because they do not depend on the state.
 This is exact because nothing those numbers read changes during the c
 pass: no center or type vector is written (rows are only opened and
-deleted), no d changes, and alpha_p and both bases stay fixed.  Under the
+emptied), no d changes, and alpha_p and both bases stay fixed.  Under the
 conditional prior, an auxiliary candidate's weight also carries the tilt
 of the center it would add, which reads the centers, so every read adds
 it under the current ones.  m1/m2's c table also holds its weights
 exponentiated once, against each item's largest log weight, so a
-single-item update multiplies them by the column counts and searches
+single-item update multiplies them by the store's counts and searches
 their running sums.  It keeps that index only where a rounding bound
 (Higham 1993) shows that _pick on the item's log weights gives the same
 one, and runs _pick elsewhere, so every pick is _pick's, bit for bit.
@@ -100,9 +109,10 @@ because evaluating a window costs about as much as a few single-item
 updates.  Every draw, of one row of weights or of many, takes
 the first index whose running sum exceeds the uniform times the last
 running sum (``_pick``, ``_pick_rows``); the exponentiated pick keeps only
-that same index.  The tables live for one pass
-only and are dropped when it ends, also when it ends in an exception, so
-the single-item updates run only inside their pass.  The tables give the
+that same index.  The tables live for one pass (a c table for one
+block) only and are dropped when it ends, with the store compacted, also
+when it ends in an exception, so the single-item updates run only inside
+their pass.  The tables give the
 weights of the per-item formulas, which may differ from them in the last
 bit (a batched product can round differently), so a uniform picks the
 same candidate unless it falls within those few ulps of a boundary.
@@ -256,8 +266,9 @@ class _Rows:
     count (a float) in ``counts`` and the next unused id in ``next_id``.
     The ids are kept both as an array (``ids``) and as a list
     (``id_list``), which finds one row faster.  Which items a row holds is
-    read from the indicator array, not kept here.  ``[key]`` gives the
-    vector of id ``key``."""
+    read from the indicator array, not kept here.  A row emptied by
+    ``detach`` stays, at count 0, until ``compact`` deletes it.  ``[key]``
+    gives the vector of id ``key``."""
 
     def __init__(self, labels, vecs):
         self.ids, counts = np.unique(labels, return_counts=True)
@@ -268,7 +279,7 @@ class _Rows:
         self._changed()
 
     def _changed(self):
-        """Called after a vector is written or a row is added or removed."""
+        """Called after a vector is written or a row is added or emptied."""
 
     def row(self, key):
         return bisect_left(self.id_list, key)
@@ -283,18 +294,21 @@ class _Rows:
 
     def detach(self, key):
         """Take one item out of row ``key``.  Returns the row's vector if
-        that emptied it (the row is deleted), else None."""
+        that emptied it, else None; an emptied row stays, at count 0, until
+        ``compact``."""
         row = self.row(key)
-        if self.counts[row] > 1.0:
-            self.counts[row] -= 1.0
+        self.counts[row] -= 1.0
+        if self.counts[row]:
             return None
-        del self.id_list[row]
-        vec = self.vecs[row]
-        self.ids = np.delete(self.ids, row)
-        self.vecs = np.delete(self.vecs, row, axis=0)
-        self.counts = np.delete(self.counts, row)
         self._changed()
-        return vec
+        return self.vecs[row]
+
+    def compact(self):
+        """Delete the rows at count 0."""
+        keep = self.counts > 0.0
+        if not keep.all():
+            self.ids, self.vecs, self.counts = self.ids[keep], self.vecs[keep], self.counts[keep]
+            self.id_list = self.ids.tolist()
 
     def join(self, row):
         """Put one item in an existing row; returns the row's id."""
@@ -327,8 +341,8 @@ class _CenterRows(_Rows):
     """Cluster centers, plus their center_moments and m3's conditional type
     prior (conditional_type_base of ``type_base``, which m3 never changes,
     and of their pairwise_sq_diff_sum, with its new_type_terms); both are
-    dropped on any change to the centers and rebuilt from them on first
-    use."""
+    dropped on any change to the centers and rebuilt on first use from the
+    centers of the rows above count 0."""
 
     def __init__(self, labels, vecs, type_base):
         self.type_base = type_base
@@ -339,12 +353,13 @@ class _CenterRows(_Rows):
 
     def moments(self):
         if self._moments is None:
-            self._moments = center_moments(self.vecs)
+            self._moments = center_moments(self.vecs[self.counts > 0.0])
         return self._moments
 
     def type_prior(self):
         if self._prior is None:
-            prior = conditional_type_base(self.type_base, pairwise_sq_diff_sum(self.vecs))
+            live = self.vecs[self.counts > 0.0]
+            prior = conditional_type_base(self.type_base, pairwise_sq_diff_sum(live))
             self._prior = prior, new_type_terms(prior)
         return self._prior
 
@@ -382,31 +397,32 @@ def _window(items, moves, least=SCAN_GAP):
 
 class _PassTable:
     """The log-likelihoods of some items against every candidate row of one
-    row store, computed ahead for one indicator pass: a column per row id,
-    and in the first ``m`` columns each item's log weights for a new row
-    (m1/m2 and the d pass weigh one, m3's c pass its auxiliary candidates).
-    It also holds the pass's uniform for each item.
+    row store, computed ahead for one indicator pass, and in the ``m``
+    columns after them each item's log weights for a new row (m1/m2 and the
+    d pass weigh one, m3's c pass its auxiliary candidates).  It also holds
+    the pass's uniform for each item.
 
-    Nothing a column reads changes during its pass, so a column is computed
-    once.  A row opened since the table was last read gets its column, for
-    the items from the reading one on, at that read (earlier items are not
-    read again); a deleted row keeps its column, at count 0, and drops out
-    of the lookup by id.  The columns of the rows present at construction
-    are computed there, so every column is computed over the same items
-    whichever items the pass reads.  Subclasses supply the columns,
-    ``_loglik``.
+    The candidates are the store's rows from row ``lo`` on, and while the
+    table lives its column j is store row lo + j: the pass deletes no row
+    until the table is dropped (an emptied row stays, at count 0, and
+    weighs 0), and a row it opens is appended.  A row opened since the
+    table was last read gets the next column, the new-row columns moving
+    up one, for the items from the reading one on, at that read (earlier
+    items are not read again).  Nothing a column reads changes during its
+    pass, so it is computed once; the columns of the rows present at
+    construction are computed there, so every column is computed over the
+    same items whichever items the pass reads.  Subclasses supply the
+    columns, ``_loglik``.
 
-    With ``exponentiate`` (m1/m2's c pass: one new-row column, fixed), the
+    With ``exponentiate`` (m1/m2's c pass: one new-row weight, fixed), the
     table also keeps every weight exponentiated once, against its item's
     largest log weight at construction (``top``; an opened row's column is
-    exponentiated against the same maximum), each column's row count
-    (``counts``; 0 in the new-row columns and once the row is deleted),
-    which ``move`` keeps, and each item's ``slack`` in the rounding bound,
-    which follows the largest finite |log weight| the table has held.
-    ``move`` picks from them where ``_certified`` vouches for the index,
-    else by _pick on the log weights.  An item with a weight that is not
-    finite or is past _HUGE once exponentiated (kept as 0) has an infinite
-    slack: it always takes the log-space rule."""
+    exponentiated against the same maximum), and each item's ``slack`` in
+    the rounding bound, which follows the largest finite |log weight| the
+    table has held.  ``move`` picks from them where ``_certified`` vouches
+    for the index, else by _pick on the log weights.  An item with a weight
+    that is not finite or is past _HUGE once exponentiated (kept as 0) has
+    an infinite slack: it always takes the log-space rule."""
 
     def __init__(self, store, lo, items, new, labels, rng, exponentiate):
         """The candidates are the rows of ``store`` from row ``lo`` on; ``new``
@@ -417,26 +433,21 @@ class _PassTable:
         self.pos = dict(zip(self.items.tolist(), range(len(self.items))))
         new = np.asarray(new, dtype=float).reshape(len(self.pos), -1)
         self.m = new.shape[1]
+        self.filled = k = len(store) - lo  # the row columns computed
         # Room for some opened rows before the buffers grow.
-        room = min(len(self.pos), TABLE_BLOCK)
-        self.buf = np.empty((len(self.pos), self.m + len(store) - lo + room))
-        self.buf[:, :self.m] = new
-        self.id_list = []  # the id of each column from m on
-        self.opened = self.seen = None  # the store's next id and ids at the last read
+        self.buf = np.empty((len(self.pos), k + self.m + min(len(self.pos), TABLE_BLOCK)))
+        self.buf[:, :k] = self._loglik(0, lo)
+        self.buf[:, k:k + self.m] = new
         self.u = rng.random(len(self.pos))
         self.ew = None
-        self._map(0)
         if exponentiate:
-            k = self.m + len(self.id_list)
-            self.counts = np.zeros(self.buf.shape[1])
-            self.counts[self.m:k] = store.counts[lo:]
-            self.col = dict(zip(self.id_list, range(self.m, k)))
-            self.top = self.buf[:, :k].max(axis=1)
+            L = self.buf[:, :k + 1]
+            self.top = L.max(axis=1)
+            E, self.slack = self._exponentiate(0, L)
             self.ew = np.empty_like(self.buf)
-            self.ew[:, :k], self.slack = self._exponentiate(0, self.buf[:, :k])
-            self.ew[:, k:] = 0.0
-            self.w, self.acc = np.empty((2, self.buf.shape[1]))  # scratch
-            self.new_w, self.ul = self.ew[:, 0].tolist(), self.u.tolist()
+            self.ew[:, :k] = E[:, :k]
+            self.w = np.empty(self.buf.shape[1])  # scratch
+            self.new_w, self.ul = E[:, k].tolist(), self.u.tolist()
 
     def _exponentiate(self, i, L):
         """exp(L - top) for the table rows from i on, whose log weights are
@@ -460,65 +471,36 @@ class _PassTable:
 
     def _grow(self, i):
         """Give each row opened since the last read its column, from table
-        row i on, the buffers growing if they are full."""
-        store = self.store
-        if store.next_id == self.opened:
+        row i on, the buffers doubling their room if they are full."""
+        k, end, m = self.filled, len(self.store.counts) - self.lo, self.m
+        if end == k:
             return
-        self.opened = store.next_id
-        ids = store.ids[self.lo:]
-        top = self.id_list[-1] if self.id_list else -1
-        fresh = len(ids) - int(ids.searchsorted(top, side="right"))
-        if not fresh:
-            return
-        col = self.m + len(self.id_list)
-        if col + fresh > self.buf.shape[1]:
-            self._widen(2 * (col + fresh))
-        L = self._loglik(i, len(store) - fresh)
-        self.buf[i:, col:col + fresh] = L
-        keys = ids[-fresh:].tolist()
+        if end + m > self.buf.shape[1]:
+            pad = ((0, 0), (0, 2 * (end + m) - self.buf.shape[1]))
+            self.buf = np.pad(self.buf, pad)
+            if self.ew is not None:
+                self.ew, self.w = np.pad(self.ew, pad), np.empty(self.buf.shape[1])
+        self.buf[:, end:end + m] = self.buf[:, k:k + m]  # the new-row columns stay last
+        L = self._loglik(i, self.lo + k)
+        self.buf[i:, k:end] = L
         if self.ew is not None:
-            self.counts[col:col + fresh] = store.counts[-fresh:]
-            self.col.update(zip(keys, range(col, col + fresh)))
-            self.ew[i:, col:col + fresh], slack = self._exponentiate(i, L)
+            self.ew[i:, k:end], slack = self._exponentiate(i, L)
             self.slack[i:] = map(max, self.slack[i:], slack)
-        self.id_list += keys
-
-    def _map(self, i):
-        """_grow(i), then map the candidate rows to columns if the store's
-        rows changed since the last read."""
-        self._grow(i)
-        store = self.store
-        if store.ids is not self.seen:
-            ids = store.ids[self.lo:]
-            cols = np.searchsorted(self.id_list, ids)
-            self.cols = np.concatenate([self.m + cols, np.arange(self.m)])
-            self.seen = store.ids
-
-    def _widen(self, width):
-        """Grow the buffers to ``width`` columns, the new ones at weight 0."""
-        col = self.m + len(self.id_list)
-        if self.ew is not None:
-            self.w, self.acc = np.empty((2, width))
-        for name in ("buf", "ew", "counts"):
-            old = getattr(self, name, None)
-            if old is not None:
-                grown = np.zeros((*old.shape[:-1], width))
-                grown[..., :col] = old[..., :col]
-                setattr(self, name, grown)
+        self.filled = end
 
     def _read(self, i, j):
-        """Table rows i to j - 1 under the store's current rows: each
-        candidate row's column, in row order, then the new-row columns (a
-        new array)."""
-        self._map(i)
-        return self.buf[i:j].take(self.cols, axis=1)
+        """Table rows i to j - 1: each candidate row's column, in row
+        order, then the new-row columns (a new array)."""
+        self._grow(i)
+        return self.buf[i:j, :self.filled + self.m].copy()
 
     def weights(self, n):
         """Item n's log weights under the store's counts: each candidate
         row's, in row order, then the new-row ones (a new array)."""
         i = self.pos[n]
         logw = self._read(i, i + 1)[0]
-        logw[:-self.m] += np.log(self.store.counts[self.lo:])
+        with np.errstate(divide="ignore"):  # an emptied row weighs 0
+            logw[:-self.m] += np.log(self.store.counts[self.lo:])
         return logw
 
     def uniform(self, n):
@@ -530,41 +512,31 @@ class _PassTable:
         picks, by the store's detach and join; returns that row's id, or
         None when the pick is a new row, which the caller opens.  The pick is
         _certified's where the table is exponentiated and that vouches for
-        one, else _pick's on the item's log weights; the two are the same.
-        An item that _certified keeps in its row leaves the store as it
-        was."""
-        store, i, pick = self.store, self.pos[n], None
-        if self.ew is not None:
-            col = self.col[key]
-            self.counts[col] -= 1.0
-            pick = self._certified(i)
-            if pick == key:
-                self.counts[col] += 1.0
-                return key
-        store.detach(key)
+        one, else _pick's on the item's log weights; the two are the same."""
+        i = self.pos[n]
+        self.store.detach(key)
+        pick = None if self.ew is None else self._certified(i)
         if pick is None:
-            row = self.lo + _pick(self.weights(n), self.u[i])
-            pick = store.id_list[row] if row < len(store.ids) else -1
-        if pick < 0:
+            pick = _pick(self.weights(n), self.u[i])
+        if pick == self.filled:
             return None
-        if self.ew is not None:
-            self.counts[self.col[pick]] += 1.0
-        return store.join(store.row(pick))
+        return self.store.join(self.lo + pick)
 
     def _certified(self, i):
-        """The id of the row _pick would draw for table row i, -1 for a new
-        row, read from the exponentiated weights; None where they cannot
-        vouch for it.
+        """The index _pick would draw for table row i from its weights
+        (``filled`` for the new row), read from the exponentiated weights;
+        None where they cannot vouch for it.
 
-        Their running sums, by columns in row order, the new row last (a
-        deleted row's column adds exactly 0, so the first sum past the
-        target is never one), give an index.  It counts only when the
-        total is at least _FLOOR and the target, u times the total, lies
-        farther than tol = _ROUNDING * (L + n + 1) times the total from both
-        of its neighbouring sums: n is the number of columns, and L the
-        table's largest finite |log weight| so far plus the log of the item
-        count, which bounds every log count (``slack`` holds the part of
-        tol that does not grow with the candidate columns).
+        Their running sums, by row columns in row order, the new row last
+        (an emptied row adds exactly 0, so the first sum past the target is
+        never one), give an index.  It counts only when the total is at
+        least _FLOOR and the target, u times the total, lies farther than
+        tol = _ROUNDING * (L + n + 1) times the total from both of its
+        neighbouring sums: n is the number of columns, the table's row
+        columns and its new-row one, and L the table's largest finite |log
+        weight| so far plus the log of the item count, which bounds every
+        log count (``slack`` holds the part of tol that does not grow with
+        the row columns).
 
         Why, with eps = 2**-52, taking numpy's exp and log within 2 ulps:
         both rules draw from the exact weights c_k e^l_k, l_k a column's log
@@ -585,19 +557,21 @@ class _PassTable:
         total of at least _FLOOR per item counted; _pick's largest weight
         is 1.  With 32 eps L near 1, tol passes the total and nothing
         counts."""
-        if self.store.next_id != self.opened:
-            self._grow(i)
-        acc = np.add.accumulate(np.multiply(self.ew[i], self.counts, out=self.w), out=self.acc)
-        # Finite: no weight is past _HUGE, nor a count or n past 2**53.
+        self._grow(i)
+        k = self.filled
+        acc = np.multiply(self.ew[i, :k], self.store.counts[self.lo:], out=self.w[:k])
+        np.add.accumulate(acc, out=acc)
+        # Finite: no weight is past _HUGE, nor a count or n past 2**53.  The
+        # item's own row is a column, so k >= 1.
         total = acc.item(-1) + self.new_w[i]
         if total >= _FLOOR:
             target = self.ul[i] * total
             j = int(acc.searchsorted(target, side="right"))
-            # The new-row column weighs 0 here, so j >= 1.
-            above = acc.item(j) if j < len(acc) else total
-            tol = (self.slack[i] + _ROUNDING * len(self.id_list)) * total
-            if target - acc.item(j - 1) > tol and above - target > tol:
-                return self.id_list[j - self.m] if j < len(acc) else -1
+            below = acc.item(j - 1) if j else 0.0
+            above = acc.item(j) if j < k else total
+            tol = (self.slack[i] + _ROUNDING * k) * total
+            if target - below > tol and above - target > tol:
+                return j
         return None
 
     def scan(self, i, window):
@@ -610,11 +584,12 @@ class _PassTable:
         end = len(self.u)
         ids = self.store.ids[self.lo:]
         # Each row's log count, and its log count less one item, then 0 (the
-        # log of 1) for the new-row columns.
+        # log of 1) for the new-row columns.  An emptied row weighs 0, and
+        # is no item's own.
         counts = np.concatenate([self.store.counts[self.lo:], np.ones(self.m)])
-        with_own = np.log(counts)
-        counts[:len(ids)] -= 1.0
-        with np.errstate(divide="ignore"):  # a zero count: weight 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with_own = np.log(counts)
+            counts[:len(ids)] -= 1.0
             without = np.log(counts)
         cols = np.arange(len(counts))
         while i < end:
@@ -933,8 +908,7 @@ class ChainState:
         cand, logw, news = self._c_candidates(n, orphan)
         sel = _pick(logw, table.uniform(n))
         if sel < len(cand):
-            # The candidates are the trailing rows of the store.
-            self.c[n] = pubs.join(len(pubs.ids) - len(cand) + sel)
+            self.c[n] = pubs.join(self.first_candidate + sel)
         else:
             self.c[n] = pubs.open(news[sel - len(cand)])
 
@@ -964,8 +938,10 @@ class ChainState:
             for i in range(0, len(test), size):
                 self._table = _ClusterTable(self, test[i:i + size], exponentiate)
                 moves += self._table.run(self.sample_c, window)
+                self.pubs.compact()
         finally:
             self._table = None
+            self.pubs.compact()
         self.c_moves = moves
 
     def _d_pass(self):
@@ -975,6 +951,7 @@ class ChainState:
             self.d_moves = self._table.run(self.sample_d, _window(self.N, self.d_moves))
         finally:
             self._table = None
+            self.types.compact()
 
     # ------------------------------------------------------------------
     # sweeps and scoring

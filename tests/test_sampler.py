@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dpsc.cli import main
 from dpsc.data import Dataset, SynthConfig, standardize, synth_gaussian
+from dpsc.dp import crp_sample
 from dpsc.errors import ConfigError, DomainError
 from dpsc import sampler
 from dpsc.gaussian import (
@@ -315,18 +316,16 @@ class _GivenTable(sampler._PassTable):
 )
 def test_certified_pick_is_picks_index_or_defers(k, items, level, spread, neg_inf, dead, seed):
     # Log-likelihoods of magnitude up to about 1e6, some -inf, spread wide
-    # enough that weights underflow, over rows of which some are deleted
-    # (their columns stay at count 0): at u = 0, u = 1 - 2**-53, at random,
-    # and at every running sum of _pick over its total and the floats next to
-    # it, the certified pick is the row of _pick's index or None, never
-    # another.
+    # enough that weights underflow, over rows of which some are emptied
+    # (they stay at count 0): at u = 0, u = 1 - 2**-53, at random, and at
+    # every running sum of _pick over its total and the floats next to it,
+    # the certified pick is _pick's index or None, never another.
     rng = np.random.default_rng(seed)
     ll = level + rng.normal(0.0, spread, (items, k))
     ll[rng.random(ll.shape) < neg_inf] = -np.inf
     counts = rng.integers(1, 6, k)
     table = _GivenTable(ll, level + rng.normal(0.0, spread, items), counts, rng)
     for key in np.flatnonzero(rng.random(k) < dead).tolist():
-        table.counts[table.col[key]] = 0.0
         for _ in range(counts[key]):
             table.store.detach(key)
     top = 1.0 - 2.0**-53
@@ -336,14 +335,13 @@ def test_certified_pick_is_picks_index_or_defers(k, items, level, spread, neg_in
         acc = np.exp(logw - logw.max()).cumsum()
         edges = acc[:-1] / acc[-1]
         near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-        ids = table.store.id_list + [-1]  # the row each index of logw draws; -1 is new
         for u in [0.0, top, *rng.random(20), *near[(near >= 0.0) & (near < 1.0)]]:
             table.u[n] = table.ul[n] = u
             got = table._certified(n)
-            assert got is None or got == ids[sampler._pick(logw, u)]
+            assert got is None or got == sampler._pick(logw, u)
             certified += got is not None
     # Far from every edge, the pick is made, unless the row's weights left
-    # after the deletions fall below the floor.
+    # after the emptied rows fall below the floor.
     assert certified or spread > 30.0 or dead
 
 
@@ -394,7 +392,8 @@ class _CheckedTable(ChainState):
         assert self._table is not None
         r, t = self.X[n], self.types[int(self.d[n])]
         rows = self.pubs.rows(cand)
-        want = np.log(self.pubs.counts[rows]) + data_loglik_rows(r, self.pubs.vecs[rows], t)
+        with np.errstate(divide="ignore"):  # an emptied row: weight 0
+            want = np.log(self.pubs.counts[rows]) + data_loglik_rows(r, self.pubs.vecs[rows], t)
         if news is None:
             want = np.append(
                 want, math.log(self.alpha_p) + marginal_loglik_new_publication(r, t, self.pub_base)
@@ -461,6 +460,25 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     del state.sample_c
     state.check()
 
+    # A pass that raises after a row emptied leaves it at count 0 until the
+    # pass compacts the store: the raise comes at the first update that
+    # finds one, and the store holds no emptied row afterwards.
+    fresh = ChainState(ds, cfg, chain_rng(cfg, 0))  # every test item alone
+    update = fresh.sample_c
+
+    def fail_after_emptying(n):
+        emptied = int((fresh.pubs.counts == 0.0).sum())
+        if emptied:
+            raise Boom(emptied)
+        update(n)
+
+    fresh.sample_c = fail_after_emptying
+    with pytest.raises(Boom) as raised:
+        fresh.sweep()
+    assert raised.value.args[0] > 0
+    assert fresh._table is None
+    fresh.check()
+
     # Direct calls read current values: alpha_p changed after the pass.
     state.alpha_p *= 7.0
     n = int(ds.indices("test")[0])
@@ -479,15 +497,17 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
 
 def _sequential_d_pass(state):
     """The d pass as a plain sequential scan fed the batched pass's
-    uniforms: per item, detach, weigh each type by its count and data_loglik
-    and a new type by alpha_t and marginal_loglik_new_type, pick by running
-    sums, then join or open.  It reads the state's type prior object, so an
-    opened type's draw sees the same bits."""
+    uniforms: per item, detach (deleting a type that empties at once), weigh
+    each type by its count and data_loglik and a new type by alpha_t and
+    marginal_loglik_new_type, pick by running sums, then join or open.  It
+    reads the state's type prior object, so an opened type's draw sees the
+    same bits."""
     u = state.rng.random(state.N)
     base, _ = state._type_prior()
     types = state.types
     for n in range(state.N):
         types.detach(int(state.d[n]))
+        types.compact()
         r, p = state.X[n], state.pubs[int(state.c[n])]
         logw = [math.log(k) + data_loglik(r, p, t) for k, t in zip(types.counts, types.vecs)]
         logw.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, base))
@@ -563,13 +583,13 @@ def _type_prior_change(state, phi):
 def _sequential_c_pass(state):
     """The c pass as a plain sequential scan fed the batched pass's draws: for
     m3, aux_samples base draws per test item, then one uniform per test item.
-    Per item: detach; weigh each candidate cluster by its count and
-    data_loglik; weigh a new cluster by alpha_p and
-    marginal_loglik_new_publication (m1/m2), or each auxiliary candidate by
-    alpha_p / aux_samples, data_loglik and, under the conditional prior, the
-    change its center makes to the types' log prior (a singleton's orphaned
-    center replaces the last candidate); pick by running sums; then join or
-    open."""
+    Per item: detach, deleting a cluster that empties at once; weigh each
+    candidate cluster by its count and data_loglik; weigh a new cluster by
+    alpha_p and marginal_loglik_new_publication (m1/m2), or each auxiliary
+    candidate by alpha_p / aux_samples, data_loglik and, under the
+    conditional prior, the change its center makes to the types' log prior
+    (a singleton's orphaned center replaces the last candidate); pick by
+    running sums; then join or open."""
     test, base, pubs = state.test_indices, state.pub_base, state.pubs
     m, lo = state.config.aux_samples, state.first_candidate
     if state.variant == "m3":
@@ -578,6 +598,7 @@ def _sequential_c_pass(state):
     u = state.rng.random(len(test))
     for i, n in enumerate(test.tolist()):
         orphan = pubs.detach(int(state.c[n]))
+        pubs.compact()
         r, t = state.X[n], state.types[int(state.d[n])]
         logw = [math.log(k) + data_loglik(r, p, t) for k, p in zip(pubs.counts[lo:], pubs.vecs[lo:])]
         if state.variant != "m3":
@@ -776,6 +797,76 @@ def test_m2_type_partition_matches_enumeration_under_the_rate_hyperprior():
 
     tv = chain_partition_tv(state, 30_000, oracle, step=step, labels=lambda s: s.d.tolist())
     assert tv < 0.02
+
+
+JOINT_TRAIN = [0, 0, 0, 1, 1, 2]  # the training items' clusters
+JOINT_TEST = 8  # test items, kept out of the training clusters
+
+
+def _joint_statistics(c, d, centers, types, X, rate):
+    """The statistics of one joint draw, given each item's cluster id c,
+    type id d, center, type vector and data X: K_test, T, whether the first
+    two test items share a cluster, whether the first training and first
+    test item share a type, and the first test item's center coordinate,
+    log type and standardized squared residual in dimension 0; then, for m2
+    (``rate`` given), the type base's rate b_0."""
+    n = len(JOINT_TRAIN)
+    stats = [len(set(c[n:].tolist())), len(set(d.tolist())), c[n] == c[n + 1], d[0] == d[n],
+             centers[n, 0], math.log(types[n, 0]), types[n, 0] * (X[n, 0] - centers[n, 0]) ** 2]
+    if rate is not None:
+        stats.append(rate[0])
+    return stats
+
+
+def _joint_prior_draw(variant, rng, F=2):
+    """A direct draw of the model with alpha_p = alpha_t = 1: the test
+    partition from CRP(1) over the test items, d from CRP(1) over all
+    items, centers from N(0, I), and types from Gamma(1, 1), or for m2 each
+    dimension's rate b_f from Gamma(1, 1) and then the types from Gamma(1,
+    rate b_f); then X given them.  Returns its statistics and X."""
+    test = crp_sample(1.0, JOINT_TEST, rng).assignment
+    c = np.array(JOINT_TRAIN + [max(JOINT_TRAIN) + 1 + test[i] for i in range(JOINT_TEST)])
+    types = crp_sample(1.0, len(c), rng).assignment
+    d = np.array([types[i] for i in range(len(c))])
+    centers = rng.standard_normal((c.max() + 1, F))[c]
+    rate = rng.gamma(1.0, 1.0, F) if variant == "m2" else None
+    tvecs = rng.gamma(1.0, 1.0 / (1.0 if rate is None else rate), (d.max() + 1, F))[d]
+    X = centers + rng.standard_normal(centers.shape) / np.sqrt(tvecs)
+    return _joint_statistics(c, d, centers, tvecs, X, rate), X
+
+
+@pytest.mark.parametrize("variant", ["m1", "m2"])
+def test_whole_sweeps_pass_the_joint_distribution_test(variant):
+    # Geweke (2004), "Getting it right": direct draws of (state, X) from the
+    # model, against a chain that alternates a whole sweep with a fresh X
+    # drawn from its current state.  Both draw from the joint, so each
+    # statistic's means agree.  The chain's statistics read the X its sweep
+    # conditioned on.  z is the difference of the means over the root sum
+    # of squares of their standard errors, the chain's from 50 batch means
+    # of 5,000 sweeps less the first 10%.  alpha is fixed at 1, types free.
+    rng = np.random.default_rng(1)
+    direct = np.array([_joint_prior_draw(variant, rng)[0] for _ in range(20_000)], dtype=float)
+    data_rng = np.random.default_rng(3)
+    _, X = _joint_prior_draw(variant, data_rng)
+    n_train = len(JOINT_TRAIN)
+    ds = Dataset(ids=[f"x{i}" for i in range(len(X))], X=X,
+                 labels=[f"g{k}" for k in JOINT_TRAIN] + [None] * JOINT_TEST,
+                 split=["train"] * n_train + ["test"] * JOINT_TEST)
+    cfg = SamplerConfig(variant=variant, resample_alphas=False)
+    state = ChainState(ds, cfg, np.random.default_rng(2))
+    chain = []
+    for _ in range(5_000):
+        state.sweep()
+        pubs, types = state.pubs, state.types
+        P, T = pubs.vecs[pubs.rows(state.c)], types.vecs[types.rows(state.d)]
+        rate = state.type_base.rate if variant == "m2" else None
+        chain.append(_joint_statistics(state.c, state.d, P, T, state.X, rate))
+        state.X = P + data_rng.standard_normal(P.shape) / np.sqrt(T)
+    chain = np.array(chain[500:], dtype=float)
+    batches = chain.reshape(50, -1, chain.shape[1]).mean(axis=1)
+    se = np.sqrt(direct.var(axis=0, ddof=1) / len(direct) + batches.var(axis=0, ddof=1) / 50)
+    z = (chain.mean(axis=0) - direct.mean(axis=0)) / se
+    assert np.abs(z).max() <= 4.0, z.round(2).tolist()
 
 
 # -------------------------------------------------- auxiliary candidates
