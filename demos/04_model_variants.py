@@ -2,14 +2,11 @@
 
 m1 keeps the fixed gamma base over precisions, m2 puts a gamma hyperprior
 on that base's rate and draws the rate from its conjugate posterior given
-the types every sweep, and m3 conditions the precisions on the distances
-between cluster centers.  m3 opens clusters at auxiliary
-candidates drawn from the base rather than through a closed-form
-marginal, and moves each center by one retained-candidate step, so it
-mixes more slowly than the conjugate variants and wants longer runs than
-this quick comparison gives it.
+the types every sweep, and m3 samples m1's model by the non-conjugate
+algorithm: it opens clusters at auxiliary candidates drawn from the base
+rather than through a closed-form marginal.
 
-Takes a few minutes (m3 is the slow one).
+Takes under 10 seconds on two CPUs (m3 is the slowest, by a little).
 Run:  python3 demos/04_model_variants.py
 """
 

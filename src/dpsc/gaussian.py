@@ -7,8 +7,7 @@ measures are a Normal over centers and independent gammas over the
 precision of each dimension, so all single-observation marginals and
 posterior draws are closed-form.  Under m2 the gamma base's rate is
 itself drawn, by the sampler, from its conjugate gamma posterior given
-the types (a hierarchical rate).  The conditional prior that ties the
-types to the relative distances between centers lives here as well.
+the types (a hierarchical rate).
 """
 
 from __future__ import annotations
@@ -233,44 +232,10 @@ def type_base_logpdf(t, base: TypeBase):
     return ((a - 1.0) * np.log(t) - t / b - log_gamma(a) - a * np.log(b)).sum(axis=-1)
 
 
-def center_moments(publications):
-    """The count K of some centers (rows) and, per dimension, their mean, the
-    mean's rounding residue and their scatter: the squared deviations from
-    the mean, summed.  Zeros for no centers."""
-    P = np.atleast_2d(np.asarray(publications, float))
-    mean = P.sum(axis=0) / max(len(P), 1)
-    D = P - mean
-    return len(P), mean, D.sum(axis=0) / max(len(P), 1), (D * D).sum(axis=0)
-
-
-def center_shares(points, moments):
-    """sum_j (x - p_j)^2 per dimension for each row x of ``points``, over the
-    centers with center_moments ``moments``: K (x - mean - residue)^2 +
-    scatter, in O(F) a point.  The residue keeps it exact to rounding far
-    from the origin."""
-    k, mean, residue, scatter = moments
-    E = points - mean - residue
-    return k * (E * E) + scatter
-
-
 def pairwise_sq_diff_sum(publications):
-    """Per-dimension sum of squared differences over all center pairs: K
-    times the centers' scatter (center_moments), in O(K F).
-
-    This is the only part of the conditional type prior that depends on
-    the precision vector, and it is ordering-free.
-    """
-    k, _, _, scatter = center_moments(publications)
-    return k * scatter
-
-
-def conditional_type_base(base: TypeBase, pair_sq_sum) -> TypeBase:
-    """The distance-conditioned type prior, itself a gamma base.
-
-    Tilting the gamma base by prod_{j<k} exp(-||p_j - p_k||^2_t) leaves a
-    product of gammas Gamma(shape_f, rate_f + S_f), with S the pairwise
-    squared-difference sums of the centers (pairwise_sq_diff_sum);
-    everything else in the raw conditional expression is independent of t
-    and belongs to the normalizer.
-    """
-    return TypeBase(shape=base.shape, scale=1.0 / (base.rate + np.asarray(pair_sq_sum, float)))
+    """Per-dimension sum of squared differences over all center pairs, in
+    O(K F): K times the centers' scatter, their squared deviations from
+    their mean, summed.  Zeros for no centers."""
+    P = np.atleast_2d(np.asarray(publications, float))
+    D = P - P.sum(axis=0) / max(len(P), 1)
+    return len(P) * (D * D).sum(axis=0)

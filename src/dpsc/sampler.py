@@ -16,14 +16,10 @@ variants:
   the prior (1 + t)^-2, so the posterior is improper when k >= 3 items tied
   in every dimension sit in a type of their own: their likelihood grows as
   t^((k - 1)/2), and the chain can drift to ever larger precisions.
-- m3: auxiliary-candidate c updates (Neal 2000, Algorithm 8) and, by
-  default, the conditional type prior that ties precisions to the
-  distances between centers: a gamma whose rate is shifted by the centers'
-  pairwise squared-difference sums, K times their scatter about their
-  mean.  Types are exact conjugate draws under it, and the d update is
-  m1's with it as the new-type prior; a center takes one
-  retained-candidate step among conjugate draws under it, and is an exact
-  draw when it is off.
+- m3: m1's model under auxiliary-candidate c updates (Neal 2000,
+  Algorithm 8), the non-conjugate algorithm: a new cluster's center is one
+  of aux_samples base draws rather than integrated out.  The refreshes and
+  the d update are m1's.
 
 Both DP precisions start at ALPHA_START.  With resample_alphas, alpha_t
 is refreshed from (N, T) and alpha_p from the training pair (n_train,
@@ -38,18 +34,16 @@ Chain state layout.  Each Dirichlet process keeps its bookkeeping in one
 row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
 the types): one matrix of parameter vectors, the id of each row, its
 member count as a float and the next unused id.  Which items a row holds
-is read from the indicator arrays c and d.  The center store alone
-caches something (m3): the centers' center_moments and the conditional
-type prior, read from the rows that hold items, both dropped on any change
-and rebuilt on first use.  Both indicator updates run the same CRP step on
-their store (Neal 2000, Algorithms 2 and 8): ``detach`` takes the item out,
-leaving a row that emptied at count 0, then the item ``join``s an existing
-row or ``open``s a new one.  ``compact`` deletes the rows at count 0; each
-pass calls it once its table is dropped, so outside a pass every row holds
-items.  An update reads contiguous slices: the candidate clusters are the
-trailing rows (all rows when test items may join training clusters, which
-are never emptied and so stay in the leading rows), and the refreshes and
-the joint score map items to rows with one searchsorted.
+is read from the indicator arrays c and d.  Both indicator updates run
+the same CRP step on their store (Neal 2000, Algorithms 2 and 8):
+``detach`` takes the item out, leaving a row that emptied at count 0, then
+the item ``join``s an existing row or ``open``s a new one.  ``compact``
+deletes the rows at count 0; each pass calls it once its table is dropped,
+so outside a pass every row holds items.  An update reads contiguous
+slices: the candidate clusters are the trailing rows (all rows when test
+items may join training clusters, which are never emptied and so stay in
+the leading rows), and the refreshes and the joint score map items to rows
+with one searchsorted.
 
 Rows are kept in ascending id order: ids only grow, a new row is appended
 and a deleted one closes its gap.  Training cluster ids follow the first
@@ -76,22 +70,18 @@ sum, so the draws are those of the store without the emptied rows.  A c
 table (``_ClusterTable``), one for each block of test items, holds the
 candidate centers and m1/m2's closed-form new-cluster weight, or m3's
 auxiliary candidates: aux_samples fresh base draws per item, drawn up
-front because they do not depend on the state.
-This is exact because nothing those numbers read changes during the c
-pass: no center or type vector is written (rows are only opened and
-emptied), no d changes, and alpha_p and both bases stay fixed.  Under the
-conditional prior, an auxiliary candidate's weight also carries the tilt
-of the center it would add, which reads the centers, so every read adds
-it under the current ones.  m1/m2's c table also holds its weights
+front because they do not depend on the state.  This is exact because
+nothing those numbers read changes during the c pass: no center or type
+vector is written (rows are only opened and emptied), no d changes, and
+alpha_p and both bases stay fixed.  m1/m2's c table also holds its weights
 exponentiated once, against each item's largest log weight, so a
 single-item update multiplies them by the store's counts and searches
 their running sums.  It keeps that index only where a rounding bound
 (Higham 1993) shows that _pick on the item's log weights gives the same
 one, and runs _pick elsewhere, so every pick is _pick's, bit for bit.
-Once the c pass is done, every item's cluster, every center,
-alpha_t and the types' prior are fixed for the d pass, so its table
-(``_TypeTable``) holds every item's log-likelihood against each type from
-one product.
+Once the c pass is done, every item's cluster, every center, alpha_t and
+the type base are fixed for the d pass, so its table (``_TypeTable``)
+holds every item's log-likelihood against each type from one product.
 
 Both passes follow one scan rule (``_PassTable.scan``): the picks of a
 window of items are evaluated at once, under the current counts with each
@@ -136,9 +126,6 @@ from .gaussian import (
     LOG_2PI,
     PublicationBase,
     TypeBase,
-    center_moments,
-    center_shares,
-    conditional_type_base,
     data_loglik_rows,
     log_gamma,
     loglik_const,
@@ -147,7 +134,7 @@ from .gaussian import (
     new_publication_terms,
     new_type_loglik,
     new_type_terms,
-    pairwise_sq_diff_sum,
+    pairwise_sq_diff_sum,  # unused; bench/workloads.py rebinds it here by name
     posterior_sample_publication,
     posterior_sample_type,
     publication_base_logpdf,
@@ -161,7 +148,6 @@ VARIANTS = ("m1", "m2", "m3")
 ALPHA_PRIOR = GammaPrior()  # gamma prior on both DP precisions
 RATE_PRIOR = GammaPrior()  # m2: gamma prior on each dimension's type-base rate
 ALPHA_START = 1.0  # both DP precisions before the first refresh
-CANDIDATE_COUNT = 32  # m3 conditional centers: retained center + conjugate draws
 
 
 @dataclass
@@ -175,7 +161,6 @@ class SamplerConfig:
     n_chains: int = 2
     seed: int = 0
     freeze_types: bool = False  # keep a single identity type, skip d updates
-    conditional_type_prior: bool = True  # m3 only: tie precisions to center distances
 
     def resolved_burn_in(self):
         return self.iterations // 2 if self.burn_in is None else self.burn_in
@@ -254,12 +239,6 @@ def _row_sums(rows, values, k):
     return np.bincount(flat, weights=values.ravel(), minlength=k * F).reshape(k, F)
 
 
-def _same_bits(got, want):
-    """Whether two sequences of numbers or arrays hold the same bits."""
-    pairs = zip(got, want, strict=True)
-    return all(np.array(a).tobytes() == np.array(b).tobytes() for a, b in pairs)
-
-
 class _Rows:
     """One Dirichlet process's active rows: parameter vectors keyed by id,
     as the rows of ``vecs`` in ascending id order, with each row's member
@@ -276,21 +255,12 @@ class _Rows:
         self.vecs = np.array(vecs, dtype=float).reshape(len(self.ids), -1)
         self.counts = counts.astype(float)
         self.next_id = self.id_list[-1] + 1
-        self._changed()
-
-    def _changed(self):
-        """Called after a vector is written or a row is added or emptied."""
 
     def row(self, key):
         return bisect_left(self.id_list, key)
 
     def rows(self, keys):
         return self.ids.searchsorted(keys)
-
-    def set(self, row, vec):
-        """Write the vector of one row, or of every row (``row`` a slice)."""
-        self.vecs[row] = vec
-        self._changed()
 
     def detach(self, key):
         """Take one item out of row ``key``.  Returns the row's vector if
@@ -300,7 +270,6 @@ class _Rows:
         self.counts[row] -= 1.0
         if self.counts[row]:
             return None
-        self._changed()
         return self.vecs[row]
 
     def compact(self):
@@ -324,7 +293,6 @@ class _Rows:
         self.ids = np.append(self.ids, key)
         self.vecs = np.vstack([self.vecs, vec])
         self.counts = np.append(self.counts, 1.0)
-        self._changed()
         return key
 
     def __getitem__(self, key):
@@ -335,33 +303,6 @@ class _Rows:
 
     def __len__(self):
         return len(self.ids)
-
-
-class _CenterRows(_Rows):
-    """Cluster centers, plus their center_moments and m3's conditional type
-    prior (conditional_type_base of ``type_base``, which m3 never changes,
-    and of their pairwise_sq_diff_sum, with its new_type_terms); both are
-    dropped on any change to the centers and rebuilt on first use from the
-    centers of the rows above count 0."""
-
-    def __init__(self, labels, vecs, type_base):
-        self.type_base = type_base
-        super().__init__(labels, vecs)
-
-    def _changed(self):
-        self._moments = self._prior = None
-
-    def moments(self):
-        if self._moments is None:
-            self._moments = center_moments(self.vecs[self.counts > 0.0])
-        return self._moments
-
-    def type_prior(self):
-        if self._prior is None:
-            live = self.vecs[self.counts > 0.0]
-            prior = conditional_type_base(self.type_base, pairwise_sq_diff_sum(live))
-            self._prior = prior, new_type_terms(prior)
-        return self._prior
 
 
 class _Members:
@@ -631,16 +572,13 @@ class _ClusterTable(_PassTable):
 
     Nothing they read changes during the pass: no center or type vector is
     written, no d changes (the d pass comes after), and alpha_p and both
-    bases are fixed.  Under the conditional prior each read adds the tilt
-    of the center a candidate would add, under the current centers.
-    ``exponentiate`` is for m1/m2 only."""
+    bases are fixed.  ``exponentiate`` is for m1/m2 only."""
 
     def __init__(self, state, items, exponentiate=False):
         types = state.types
         k = types.rows(state.d[items])
         self.R, self.k, self.const = state.X[items], k, loglik_const(types.vecs)[k]
         self.tvecs = types.vecs  # replaced, not written, when a type opens or goes
-        self.state = state
         if state.variant != "m3":
             var, head = new_publication_terms(types.vecs[k], state.pub_base)
             new = np.log(state.alpha_p) + new_publication_loglik_rows(
@@ -657,14 +595,6 @@ class _ClusterTable(_PassTable):
             ).sum(axis=2)
         super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng,
                          exponentiate)
-
-    def _read(self, i, j):
-        logw = super()._read(i, j)
-        if self.state.conditional:
-            news = self.news[i:j].reshape(-1, self.state.F)
-            tilt = self.state._center_tilt(news, self.store.moments())
-            logw[:, -self.m:] += tilt.reshape(j - i, self.m)
-        return logw
 
     def _loglik(self, i, row):
         """data_loglik_rows of the table's items from i on against the
@@ -690,7 +620,7 @@ class _TypeTable(_PassTable):
     alpha_t + new-type marginal.
 
     Nothing they read changes while the types are updated: every item's
-    cluster, every center and type vector, alpha_t and the types' prior are
+    cluster, every center and type vector, alpha_t and the type base are
     fixed.  So one product gives every item its data_loglik_rows against
     each type, and one new_type_loglik call its new-type weight."""
 
@@ -698,8 +628,7 @@ class _TypeTable(_PassTable):
         pubs = state.pubs
         D = state.X[items] - pubs.vecs[pubs.rows(state.c[items])]
         self.D2 = D * D
-        _, terms = state._type_prior()
-        new = math.log(state.alpha_t) + new_type_loglik(self.D2, terms)
+        new = math.log(state.alpha_t) + new_type_loglik(self.D2, state._new_type_terms)
         super().__init__(state.types, 0, items, new, state.d, state.rng, exponentiate=False)
 
     def _loglik(self, i, row):
@@ -723,7 +652,6 @@ class ChainState:
         self.ids = list(dataset.ids)
         self.N, self.F = self.X.shape
         self.frozen_types = config.freeze_types
-        self.conditional = config.variant == "m3" and config.conditional_type_prior
 
         self.is_test = np.array([s == "test" for s in dataset.split])
         self.test_indices = np.flatnonzero(self.is_test)
@@ -774,7 +702,7 @@ class ChainState:
         """Set every item's cluster id and, in ascending id order, the
         center of each distinct id."""
         self.c = np.array(c, dtype=np.int64)
-        self.pubs = _CenterRows(self.c, centers, self.type_base)
+        self.pubs = _Rows(self.c, centers)
 
     def _set_type_base(self, base):
         """Install a type base and precompute the new-type marginal's
@@ -796,51 +724,15 @@ class ChainState:
     # ------------------------------------------------------------------
     # parameter refreshes
 
-    def _type_prior(self):
-        """The prior of every type and its new_type_terms: the type base, or
-        under m3's conditional prior the base with its rate shifted by the
-        centers' pair sum."""
-        if self.conditional:
-            return self.pubs.type_prior()
-        return self.type_base, self._new_type_terms
-
-    def _center_tilt(self, cands, moments):
-        """Log factor by which adding a center multiplies the product of the
-        types' conditional priors, for each row of ``cands``, given the
-        present centers' center_moments: the row's center_shares add to
-        their pair sum K * scatter."""
-        k, _, _, scatter = moments
-        share = center_shares(cands, moments)
-        base = self.type_base
-        # Sums over each row rather than products, so that a row's bits do not
-        # depend on how many rows are computed with it.
-        lift = (np.log1p(share / (base.rate + k * scatter)) * base.shape).sum(axis=1)
-        return len(self.types) * lift - (share * self.types.vecs.sum(axis=0)).sum(axis=1)
-
     def _resample_publications(self):
-        """Exact conjugate draw of every center, all in one call.  Under the
-        conditional type prior, with other centers present, each center
-        instead takes one retained-candidate step in turn: its current value
-        and CANDIDATE_COUNT - 1 conjugate draws, one picked by the tilt (the
-        conditional's ratio to the conjugate posterior), which leaves the
-        conditional invariant (Tjelmeland 2004; Andrieu, Doucet & Holenstein
-        2010)."""
+        """Exact conjugate draw of every center, all in one call."""
         pubs = self.pubs
         rows, k = pubs.rows(self.c), len(pubs)
         ts = self.types.vecs[self.types.rows(self.d)]
         mean, prec = publication_posterior_from_sums(
             _row_sums(rows, ts, k), _row_sums(rows, ts * self.X, k), self.pub_base
         )
-        sd = np.sqrt(1.0 / prec)
-        if not (self.conditional and k > 1):
-            pubs.set(slice(None), self.rng.normal(mean, sd))
-            return
-        size = (CANDIDATE_COUNT - 1, self.F)
-        for row in range(k):
-            cands = np.vstack([pubs.vecs[row], self.rng.normal(mean[row], sd[row], size)])
-            others = center_moments(np.delete(pubs.vecs, row, axis=0))
-            sel = _pick(self._center_tilt(cands, others), self.rng.random())
-            pubs.set(row, cands[sel])
+        pubs.vecs[:] = self.rng.normal(mean, np.sqrt(1.0 / prec))
 
     def _resample_type_rate(self):
         """m2's exact conjugate draw of the type base's rate b_f in each
@@ -853,14 +745,12 @@ class ChainState:
         self._set_type_base(TypeBase(shape=base.shape, scale=1.0 / b))
 
     def _resample_types(self):
-        """Exact conjugate draw of every type under its prior, all in one
-        call."""
-        base, _ = self._type_prior()
+        """Exact conjugate draw of every type, all in one call."""
         types = self.types
         D = self.X - self.pubs.vecs[self.pubs.rows(self.c)]
         sq = _row_sums(types.rows(self.d), D * D, len(types))
-        shape, rate = type_posterior_from_sums(types.counts[:, None], sq, base)
-        types.set(slice(None), self.rng.gamma(shape, 1.0 / rate))
+        shape, rate = type_posterior_from_sums(types.counts[:, None], sq, self.type_base)
+        types.vecs[:] = self.rng.gamma(shape, 1.0 / rate)
 
     # ------------------------------------------------------------------
     # indicator updates
@@ -882,9 +772,6 @@ class ChainState:
             news = np.vstack([news[:-1], orphan])
             own = data_loglik_rows(self.X[n], orphan[None], self.types[int(self.d[n])])
             logw[-1] = math.log(self.alpha_p / len(news)) + own[0]
-            if self.conditional:
-                # Against the centers without the orphan, as the table's tilt.
-                logw[-1] += self._center_tilt(orphan[None], self.pubs.moments())[0]
         return cand, logw, news
 
     def sample_c(self, n):
@@ -918,8 +805,8 @@ class ChainState:
         key = self._table.move(n, int(self.d[n]))
         if key is None:
             r, p = self.X[n], self.pubs[int(self.c[n])]
-            base, _ = self._type_prior()
-            key = self.types.open(posterior_sample_type(r[None, :], p[None, :], base, self.rng))
+            t = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
+            key = self.types.open(t)
         self.d[n] = key
 
     def _c_pass(self):
@@ -999,10 +886,9 @@ class ChainState:
         if self.variant == "m2":
             b = self.type_base.rate
             lp += float(((RATE_PRIOR.shape - 1.0) * np.log(b) - RATE_PRIOR.rate * b).sum())
-        type_prior, _ = self._type_prior()
         rows = (
             publication_base_logpdf(self.pubs.vecs, self.pub_base),
-            type_base_logpdf(self.types.vecs, type_prior),
+            type_base_logpdf(self.types.vecs, self.type_base),
         )
         lp = float(np.concatenate([[lp], *rows]).cumsum()[-1])
         p_items = self.pubs.vecs[self.pubs.rows(self.c)]
@@ -1026,16 +912,6 @@ class ChainState:
             assert ids[-1] < store.next_id
         k_train = len(self.train_cluster_ids)
         assert self.pubs.ids[:k_train].tolist() == list(range(k_train))
-        # The cached moments and prior, bit for bit those of the centers.
-        pubs = self.pubs
-        if pubs._moments is not None:
-            assert _same_bits(pubs._moments, center_moments(pubs.vecs))
-        if pubs._prior is not None:
-            prior, terms = pubs._prior
-            want = conditional_type_base(self.type_base, pairwise_sq_diff_sum(pubs.vecs))
-            assert _same_bits((prior.shape, prior.scale, *terms),
-                              (want.shape, want.scale, *new_type_terms(want)))
-
         assert self.alpha_p > 0 and self.alpha_t > 0
         assert np.isfinite(self.pubs.vecs).all()
         assert np.isfinite(self.types.vecs).all() and (self.types.vecs > 0).all()

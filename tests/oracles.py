@@ -188,98 +188,14 @@ def three_point_posterior(values, alpha, prior_mean=0.0, prior_var=1.0, precisio
     return {parts[i].canonical(): probs[i] for i in range(len(parts))}
 
 
-def conditional_three_point_posterior(
-    values, alpha, shape=1.0, rate=1.0, precision=1.0, tilt=True, grid=361, span=8.0
-):
-    """Exact posterior over the set partitions of a few 1-D points under the
-    conditional type prior with one type frozen at ``precision``: a CRP(alpha)
-    prior, N(0, 1) cluster centers, observations N(center, 1/precision), and
-    the type's density Gamma(precision; shape, rate + S), with S the sum of
-    squared differences over all center pairs.  The centers are integrated
-    out on a product grid (rectangle rule; the integrand vanishes at the
-    edges).  ``tilt=False`` drops the S-dependence, leaving the plain model
-    of three_point_posterior."""
-    values = list(values)
-    p = np.linspace(min(values + [0.0]) - span, max(values + [0.0]) + span, grid)
-    log_step = math.log(p[1] - p[0])
-
-    def log_type_density(s):
-        if not tilt:
-            s = np.zeros_like(s)
-        return shape * np.log(rate + s) - (rate + s) * precision
-
-    def log_center(members):  # log prior x likelihood on the grid
-        lp = -0.5 * (math.log(2 * math.pi) + p**2)
-        for i in members:
-            lp = lp + 0.5 * (math.log(precision / (2 * math.pi)) - precision * (values[i] - p) ** 2)
-        return lp
-
-    def logsumexp(x):
-        top = np.max(x)
-        return top + math.log(np.exp(x - top).sum())
-
-    parts = enumerate_partitions(range(len(values)))
-    logs = []
-    for part in parts:
-        blocks = [sorted(m) for m in part.clusters().values()]
-        k = len(blocks)
-        lg = [log_center(b) for b in blocks]
-        lp = k * (math.log(alpha) + log_step) + sum(math.lgamma(len(b)) for b in blocks)
-        if k == 1:
-            lp += logsumexp(lg[0]) + float(log_type_density(np.zeros(1))[0])
-        else:
-            # Loop over the grid points of all but the last two centers.
-            x, y = p[:, None], p[None, :]
-            tail = lg[-2][:, None] + lg[-1][None, :]
-            slices = []
-            for lead in product(range(grid), repeat=k - 2):
-                q = [p[i] for i in lead]
-                s = (x - y) ** 2 + sum((a - b) ** 2 for a, b in combinations(q, 2))
-                s = s + sum((a - x) ** 2 + (a - y) ** 2 for a in q)
-                head = sum(g[i] for g, i in zip(lg, lead))
-                slices.append(logsumexp(head + tail + log_type_density(s)))
-            lp += logsumexp(np.array(slices))
-        logs.append(lp)
-    logs = np.array(logs)
-    probs = np.exp(logs - logs.max())
-    probs /= probs.sum()
-    return {parts[i].canonical(): probs[i] for i in range(len(parts))}
-
-
-def type_partition_posterior(residuals, alpha, shape, rate, grid=20001):
-    """Exact posterior over the set partitions of a few items into types
-    under a CRP(alpha) prior, each type's precision t ~ Gamma(shape, rate)
-    and item i's residual N(0, 1/t) (1-D), the precision integrated out by
-    a trapezoid rule in log t."""
-    u = np.linspace(-30.0, 8.0, grid)
-    t = np.exp(u)
-    log_prior = shape * math.log(rate) - math.lgamma(shape) + shape * u - rate * t
-
-    def log_marginal(xs):
-        logf = log_prior + sum(0.5 * (u - math.log(2 * math.pi)) - 0.5 * t * x**2 for x in xs)
-        top = logf.max()
-        return top + math.log(np.trapezoid(np.exp(logf - top), u))
-
-    parts = enumerate_partitions(range(len(residuals)))
-    logs = []
-    for part in parts:
-        blocks = list(part.clusters().values())
-        lp = len(blocks) * math.log(alpha)
-        for members in blocks:
-            lp += math.lgamma(len(members)) + log_marginal([residuals[i] for i in members])
-        logs.append(lp)
-    logs = np.array(logs)
-    probs = np.exp(logs - logs.max())
-    probs /= probs.sum()
-    return {parts[i].canonical(): probs[i] for i in range(len(parts))}
-
-
 def rate_integrated_type_partition_posterior(residuals, alpha, grid=20001):
-    """type_partition_posterior at shape 1 with the rate b itself under a
-    Gamma(1, 1) prior, integrated out by a second trapezoid rule in log b.
-    Given b, the precision of a type whose n residuals have squared sum SS
-    integrates out in closed form, to
-    b Gamma(1 + n/2) / ((2 pi)^(n/2) (b + SS/2)^(1 + n/2))."""
+    """Exact posterior over the set partitions of a few items into types
+    under a CRP(alpha) prior, each type's precision t ~ Gamma(1, rate b),
+    the rate b itself under a Gamma(1, 1) prior, and item i's residual
+    N(0, 1/t) (1-D).  Given b, the precision of a type whose n residuals
+    have squared sum SS integrates out in closed form, to
+    b Gamma(1 + n/2) / ((2 pi)^(n/2) (b + SS/2)^(1 + n/2)); b is integrated
+    out by a trapezoid rule in log b."""
     v = np.linspace(-25.0, 6.0, grid)
     b = np.exp(v)
     log_prior = v - b  # the Gamma(1, 1) density of b, times db/dv = b

@@ -291,8 +291,7 @@ def test_criterion_6_exact_posterior_chain_check():
     tv1 = chain_partition_tv(ChainState(tiny_dataset(values), m1, np.random.default_rng(10)), sweeps, oracle)
     assert tv1 < 0.05
     m3 = SamplerConfig(
-        variant="m3", iterations=1, freeze_types=True, resample_alphas=False,
-        seed=0, conditional_type_prior=False,
+        variant="m3", iterations=1, freeze_types=True, resample_alphas=False, seed=0,
     )
     tv3 = chain_partition_tv(ChainState(tiny_dataset(values), m3, np.random.default_rng(11)), sweeps, oracle)
     assert tv3 < 0.07

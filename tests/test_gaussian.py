@@ -9,9 +9,6 @@ from dpsc.errors import DomainError
 from dpsc.gaussian import (
     PublicationBase,
     TypeBase,
-    center_moments,
-    center_shares,
-    conditional_type_base,
     LOG_2PI,
     data_loglik,
     log_gamma,
@@ -220,55 +217,7 @@ def test_type_prior_fallback():
     assert draws.var() == pytest.approx(0.5, rel=0.05)  # shape*scale^2
 
 
-# ------------------------------------------------- conditional prior
-
-
-def test_conditional_prior_single_publication():
-    # One center leaves nothing to tilt: the base.
-    tb = TypeBase(shape=[2.0, 0.7], scale=[0.5, 1.5])
-    t = np.array([1.3, 0.6])
-    s = pairwise_sq_diff_sum(np.array([[0.4, -0.2]]))
-    got = type_base_logpdf(t, conditional_type_base(tb, s))
-    assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
-
-
-def test_conditional_prior_zero_distance_term():
-    # With coincident centers each pairwise factor is exp(0): the base, at any rate.
-    tb = TypeBase.standard(1)
-    t = np.array([2.0])
-    pubs = np.array([[0.5], [0.5]])
-    for rate in (1.0, 3.5):
-        got = type_base_logpdf(t, conditional_type_base(tb, rate * pairwise_sq_diff_sum(pubs)))
-        assert got == pytest.approx(type_base_logpdf(t, tb), abs=1e-12)
-
-
-@pytest.mark.parametrize("shape,scale,pair_sq,rate", [(1.0, 1.0, 4.0, 1.0), (2.5, 0.4, 0.3, 2.0)])
-def test_conditional_density_integrates_to_one(shape, scale, pair_sq, rate):
-    base = TypeBase(shape=[shape], scale=[scale])
-    prior = conditional_type_base(base, rate * np.array([pair_sq]))
-    total, _ = quad(lambda t: math.exp(type_base_logpdf([t], prior)), 0, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_conditional_prior_penalizes_high_precision_separation():
-    tb = TypeBase(shape=[2.0, 1.5], scale=[1.0, 0.5])
-    pubs = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
-    lo, hi = np.array([1.0, 0.5]), np.array([2.0, 1.5])
-    rate = 0.7
-
-    def raw(t):  # G0t(t) * prod_{j<k} exp(-rate * ||p_j - p_k||^2_t), unnormalized
-        lp = sum(
-            (a - 1.0) * math.log(x) - x / b for x, a, b in zip(t, tb.shape, tb.scale)
-        )
-        for j in range(len(pubs)):
-            for k in range(j + 1, len(pubs)):
-                lp -= rate * float(((pubs[j] - pubs[k]) ** 2 * t).sum())
-        return lp
-
-    prior = conditional_type_base(tb, rate * pairwise_sq_diff_sum(pubs))
-    got = type_base_logpdf(hi, prior) - type_base_logpdf(lo, prior)
-    assert got == pytest.approx(raw(hi) - raw(lo), abs=1e-12)
-    assert got < type_base_logpdf(hi, tb) - type_base_logpdf(lo, tb)
+# ------------------------------------------------------- pair sums
 
 
 def test_pairwise_sq_diff_sum():
@@ -284,13 +233,11 @@ def test_pairwise_sq_diff_sum():
 
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 @pytest.mark.parametrize("k", [1, 2, 40, 300])
-def test_pair_sums_and_center_shares_match_pair_loops(k, offset):
-    # Unit-spread centers and points far from the origin: the shares read
-    # from the moments stay within rounding because they carry the mean's
-    # rounding residue.
+def test_pair_sums_match_pair_loops(k, offset):
+    # Unit-spread centers far from the origin: the sum is taken about the
+    # centers' mean, so it stays within rounding of the pair loops.
     rng = np.random.default_rng(k)
     P = rng.normal(size=(k, 3)) + offset
-    X = rng.normal(size=(25, 3)) + offset
     loops = np.array([math.fsum((P[i, f] - P[j, f]) ** 2 for i in range(k)
                                 for j in range(i + 1, k)) for f in range(3)])
     got = pairwise_sq_diff_sum(P)
@@ -298,11 +245,7 @@ def test_pair_sums_and_center_shares_match_pair_loops(k, offset):
         assert got.tolist() == [0.0, 0.0, 0.0]
     else:
         assert np.abs(got - loops).max() <= 1e-12 * loops.min()
-    loops = np.array([[math.fsum((x[f] - p[f]) ** 2 for p in P) for f in range(3)] for x in X])
-    got = center_shares(X, center_moments(P))
-    assert (np.abs(got - loops) <= 1e-12 * loops).all()
-    # No centers: every share, and the pair sum, is zero.
-    assert not center_shares(X, center_moments(P[:0])).any()
+    # No centers: the pair sum is zero.
     assert not pairwise_sq_diff_sum(P[:0]).any()
 
 

@@ -27,7 +27,12 @@ stopped being refitted to the within-cluster variances and took its rate
 from a conjugate draw each sweep, which changed m2's random stream alone.
 The m2 row of ``score.csv`` and both ``dpfit-*.curve.csv`` files, which
 read the m2 ``pred.tsv`` files, moved with them; every other file stayed
-the same.
+the same.  The ``m3.*`` and ``m3-shared.*`` files were re-recorded when m3's
+conditional type prior was retired and m3 became m1's model under
+auxiliary-candidate cluster updates: they are the bytes the earlier m3 wrote
+with that prior off.  The m3 and m3-shared rows of ``score.csv`` and
+``dpfit-pools.curve.csv``, which reads ``m3.pred.tsv``, moved with them;
+every other file stayed the same.
 
 ``tests/golden/cdp.*`` pin the unsupervised ``cdp`` baseline (one frozen
 identity type, labels ignored) next to an m1 run without alpha resampling

@@ -14,16 +14,13 @@ from dpsc.errors import ConfigError, DomainError
 from dpsc import sampler
 from dpsc.gaussian import (
     TypeBase,
-    conditional_type_base,
     data_loglik,
     data_loglik_rows,
     marginal_loglik_new_publication,
     marginal_loglik_new_type,
-    pairwise_sq_diff_sum,
     posterior_sample_publication,
     posterior_sample_type,
     publication_posterior_params,
-    type_base_logpdf,
     type_posterior_params,
 )
 from dpsc.partition import Partition
@@ -39,10 +36,8 @@ from dpsc.sampler import (
 
 from oracles import (
     chain_partition_tv,
-    conditional_three_point_posterior,
     rate_integrated_type_partition_posterior,
     three_point_posterior,
-    type_partition_posterior,
 )
 from test_dp import precision_posterior_grid
 from test_golden import GOLDEN, RUN_SUFFIXES, run_args
@@ -122,32 +117,17 @@ def test_init_zero_test_items():
 
 def test_check_audits_the_parameter_store():
     ds = supervised_dataset()
-    cfg = SamplerConfig(variant="m1", iterations=3, seed=0)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    for _ in range(3):
-        state.sweep()
-    state.check()
-    state.pubs.counts[-1] += 1.0  # count no longer that of the items in c
-    with pytest.raises(AssertionError):
+    for variant in ("m1", "m3"):
+        cfg = SamplerConfig(variant=variant, iterations=3, seed=0)
+        state = ChainState(ds, cfg, chain_rng(cfg, 0))
+        for _ in range(3):
+            state.sweep()
         state.check()
-    state.pubs.counts[-1] -= 1.0
-    state.check()
-    cfg = SamplerConfig(variant="m3", iterations=3, seed=0)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    for _ in range(3):
-        state.sweep()
-    state.check()
-    pubs = state.pubs
-    assert len(pubs) > 1
-    # Each cache alone, built after a write through the store drops both:
-    # a vector written past the store leaves it stale, and check() sees it.
-    for build in (pubs.moments, pubs.type_prior):
-        pubs.set(slice(None), pubs.vecs)
-        build()
-        state.check()
-        pubs.vecs[0] += 1.0
+        state.pubs.counts[-1] += 1.0  # count no longer that of the items in c
         with pytest.raises(AssertionError):
             state.check()
+        state.pubs.counts[-1] -= 1.0
+        state.check()
 
 
 def test_c_members_gives_the_items_of_each_cluster():
@@ -169,24 +149,6 @@ def test_unsupervised_with_alpha_resampling_rejected():
     cfg = SamplerConfig(variant="m1", iterations=5, resample_alphas=True)
     with pytest.raises(ConfigError, match="resample_alphas"):
         ChainState(ds, cfg, np.random.default_rng(0))
-
-
-def test_m1_score_ignores_the_conditional_type_prior():
-    # The conditional type prior belongs to m3; an m1 chain neither samples
-    # nor scores under it, whatever the flag says.
-    ds = supervised_dataset(seed=2)
-    states = []
-    for conditional in (True, False):
-        cfg = SamplerConfig(variant="m1", iterations=4, seed=1,
-                            conditional_type_prior=conditional)
-        state = ChainState(ds, cfg, chain_rng(cfg, 0))
-        for _ in range(4):
-            state.sweep()
-        states.append(state)
-    on, off = states
-    assert len(on.pubs) > 1
-    assert np.array_equal(on.c, off.c) and np.array_equal(on.d, off.d)
-    assert on.joint_log_score() == off.joint_log_score()
 
 
 def test_config_validation_collects_everything():
@@ -405,6 +367,10 @@ class _CheckedTable(ChainState):
 
 
 class _CheckedPassTable(sampler._ClusterTable):
+    def __init__(self, state, items, exponentiate=False):
+        self.state = state
+        super().__init__(state, items, exponentiate)
+
     def move(self, n, key):
         # The weights the fallback would read, checked on a copy of the state
         # with n detached (the move detaches it only if it leaves its row).
@@ -432,12 +398,10 @@ def test_indicator_pass_table_matches_per_item_weights(variant, share, monkeypat
         state.sweep()
         state.check()
     # Every c update checked, over more than one block, with centers
-    # deleted (all test items start alone) and, for m1/m2, opened mid-pass.
-    # Under m3's conditional prior a new center's tilt against this many
-    # centers is so low that none opens.
+    # deleted (all test items start alone) and opened mid-pass.
     n_test = len(ds.indices("test"))
     assert _CheckedTable.compared == 6 * n_test and n_test > sampler.TABLE_BLOCK
-    assert state.pubs.next_id > first_unused or variant == "m3"
+    assert state.pubs.next_id > first_unused
 
 
 def test_indicator_pass_table_is_scoped_to_the_pass():
@@ -500,10 +464,10 @@ def _sequential_d_pass(state):
     uniforms: per item, detach (deleting a type that empties at once), weigh
     each type by its count and data_loglik and a new type by alpha_t and
     marginal_loglik_new_type, pick by running sums, then join or open.  It
-    reads the state's type prior object, so an opened type's draw sees the
+    reads the state's type base object, so an opened type's draw sees the
     same bits."""
     u = state.rng.random(state.N)
-    base, _ = state._type_prior()
+    base = state.type_base
     types = state.types
     for n in range(state.N):
         types.detach(int(state.d[n]))
@@ -519,10 +483,7 @@ def _sequential_d_pass(state):
             state.d[n] = types.open(posterior_sample_type(r[None], p[None], base, state.rng))
 
 
-PASS_CASES = [
-    ("m1", False, False), ("m1", True, False), ("m2", False, False), ("m2", True, False),
-    ("m3", False, True), ("m3", True, True), ("m3", False, False), ("m3", True, False),
-]
+PASS_CASES = [("m1", False), ("m1", True), ("m2", False), ("m2", True), ("m3", False), ("m3", True)]
 
 
 def pass_dataset():
@@ -540,15 +501,15 @@ def assert_same_pass(a, b):
     assert a.rng.random() == b.rng.random()
 
 
-@pytest.mark.parametrize("variant,share,conditional", PASS_CASES)
-def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional):
+@pytest.mark.parametrize("variant,share", PASS_CASES)
+def test_batched_d_pass_matches_the_sequential_scan(variant, share):
     ds = pass_dataset()
     # alpha_t = 20: most items move, so the pass scans only when made to
     # (its widest window, whatever its history); alpha_t = 2: few move, and
     # the pass scans by its own rule.
     for alpha_t, moves in ((20.0, 0), (2.0, None)):
         cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
-                            resample_alphas=False, conditional_type_prior=conditional)
+                            resample_alphas=False)
         state = ChainState(ds, cfg, chain_rng(cfg, 0))
         state.alpha_t = alpha_t
         most_types = moved = opened = scanned = 0
@@ -570,26 +531,15 @@ def test_batched_d_pass_matches_the_sequential_scan(variant, share, conditional)
         assert most_types > 10 or alpha_t < 20.0
 
 
-def _type_prior_change(state, phi):
-    """How much adding a center at phi raises the log density of the types
-    under the conditional prior, from a fresh pair sum."""
-    P = state.pubs.vecs
-    s_pair = pairwise_sq_diff_sum(P)
-    before = conditional_type_base(state.type_base, s_pair)
-    after = conditional_type_base(state.type_base, s_pair + ((P - phi) ** 2).sum(axis=0))
-    return sum(type_base_logpdf(t, after) - type_base_logpdf(t, before) for t in state.types.vecs)
-
-
 def _sequential_c_pass(state):
     """The c pass as a plain sequential scan fed the batched pass's draws: for
     m3, aux_samples base draws per test item, then one uniform per test item.
     Per item: detach, deleting a cluster that empties at once; weigh each
     candidate cluster by its count and data_loglik; weigh a new cluster by
     alpha_p and marginal_loglik_new_publication (m1/m2), or each auxiliary
-    candidate by alpha_p / aux_samples, data_loglik and, under the
-    conditional prior, the change its center makes to the types' log prior
-    (a singleton's orphaned center replaces the last candidate); pick by
-    running sums; then join or open."""
+    candidate by alpha_p / aux_samples and data_loglik (a singleton's
+    orphaned center replaces the last candidate); pick by running sums; then
+    join or open."""
     test, base, pubs = state.test_indices, state.pub_base, state.pubs
     m, lo = state.config.aux_samples, state.first_candidate
     if state.variant == "m3":
@@ -606,8 +556,7 @@ def _sequential_c_pass(state):
         else:
             cands = news[i] if orphan is None else np.vstack([news[i][:-1], orphan])
             for phi in cands:
-                w = math.log(state.alpha_p / m) + data_loglik(r, phi, t)
-                logw.append(w + _type_prior_change(state, phi) if state.conditional else w)
+                logw.append(math.log(state.alpha_p / m) + data_loglik(r, phi, t))
         acc = np.cumsum(np.exp(np.array(logw) - max(logw)))
         sel = int(np.searchsorted(acc, u[i] * acc[-1], side="right"))
         k = len(pubs) - lo
@@ -619,11 +568,11 @@ def _sequential_c_pass(state):
             state.c[n] = pubs.open(posterior_sample_publication(r[None], t[None], base, state.rng))
 
 
-@pytest.mark.parametrize("variant,share,conditional", PASS_CASES)
-def test_batched_c_pass_matches_the_sequential_scan(variant, share, conditional):
+@pytest.mark.parametrize("variant,share", PASS_CASES)
+def test_batched_c_pass_matches_the_sequential_scan(variant, share):
     ds = pass_dataset()
     cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
-                        resample_alphas=False, conditional_type_prior=conditional)
+                        resample_alphas=False)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     moved = opened = deleted = 0
     for _ in range(12):
@@ -642,18 +591,15 @@ def test_batched_c_pass_matches_the_sequential_scan(variant, share, conditional)
         opened += batched.pubs.next_id - state.pubs.next_id
         deleted += len(state.pubs) + batched.pubs.next_id - state.pubs.next_id - len(batched.pubs)
         state = batched
-    # Under m3's conditional prior a new center's tilt against this many
-    # centers is so low that none opens.
-    assert moved > 0 and deleted > 0 and (opened > 0 or conditional)
+    assert moved > 0 and deleted > 0 and opened > 0
 
 
-@pytest.mark.parametrize("variant,conditional", [("m1", False), ("m3", True), ("m3", False)])
-def test_pass_window_does_not_change_the_result(variant, conditional):
+@pytest.mark.parametrize("variant", ["m1", "m3"])
+def test_pass_window_does_not_change_the_result(variant):
     # From one state, each pass with its stored move count at None (no
     # history: no scan), 0 (the widest window), a middling count (a narrow
     # window) and every item (no scan) gives the same bytes.
-    cfg = SamplerConfig(variant=variant, seed=6, resample_alphas=False,
-                        conditional_type_prior=conditional)
+    cfg = SamplerConfig(variant=variant, seed=6, resample_alphas=False)
     state = ChainState(pass_dataset(), cfg, chain_rng(cfg, 0))
     state.alpha_t = 2.0
     windows = set()
@@ -711,7 +657,7 @@ def test_m1_matches_enumeration_posterior():
 
 def test_m3_matches_enumeration_posterior_with_plain_densities():
     values = [-1.2, 0.1, 0.9]
-    cfg = frozen_config(variant="m3", conditional_type_prior=False)
+    cfg = frozen_config(variant="m3")
     state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(2))
     oracle = three_point_posterior(values, alpha=1.0)
     tv = chain_partition_tv(state, 20_000, oracle)
@@ -727,55 +673,10 @@ def test_m3_matches_enumeration_posterior_with_plain_densities():
     [([2.5, 2.9, -2.6], dict()), ([-1.2, 0.1, 0.9], dict(aux_samples=1))],
 )
 def test_m3_stress_settings_match_enumeration_posterior(values, settings):
-    cfg = frozen_config(variant="m3", conditional_type_prior=False, **settings)
+    cfg = frozen_config(variant="m3", **settings)
     state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
     tv = chain_partition_tv(state, 30_000, three_point_posterior(values, alpha=1.0))
     assert tv < 0.01
-
-
-def test_conditional_oracle_without_tilt_is_the_plain_posterior():
-    values = [-1.2, 0.1, 0.9]
-    plain = three_point_posterior(values, alpha=1.0)
-    untilted = conditional_three_point_posterior(values, alpha=1.0, tilt=False)
-    assert max(abs(untilted[k] - p) for k, p in plain.items()) < 1e-9
-
-
-# The third case puts off-centre points at two center candidates, where the
-# tilted joint differs from the plain posterior by up to 0.13.
-@pytest.mark.parametrize(
-    "settings",
-    [{}, dict(candidate_count=2, aux_samples=1), dict(candidate_count=2, values=[2.5, 2.9, -2.6])],
-)
-def test_conditional_m3_matches_tilted_joint(settings, monkeypatch):
-    # The frozen type is the identity, so its conditional prior density,
-    # Gamma(1; 1, 1 + S), is all that ties the partition to the tilt.
-    settings = dict(settings)
-    values = settings.pop("values", [-1.2, 0.1, 0.9])
-    if "candidate_count" in settings:
-        monkeypatch.setattr(sampler, "CANDIDATE_COUNT", settings.pop("candidate_count"))
-    cfg = frozen_config(variant="m3", conditional_type_prior=True, **settings)
-    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
-    tv = chain_partition_tv(state, 30_000, conditional_three_point_posterior(values, alpha=1.0))
-    assert tv < 0.02
-
-
-def test_conditional_m3_type_partition_matches_enumeration():
-    # With the clusters and centers held fixed, the type refreshes and the
-    # d updates sample the type partition of a DP mixture whose base is the
-    # shifted gamma Gamma(1, 1 + S), here S = 0.9^2.
-    values = [-1.2, 0.1, 0.9]
-    cfg = SamplerConfig(variant="m3", iterations=1, resample_alphas=False, seed=0)
-    state = ChainState(tiny_dataset(values), cfg, np.random.default_rng(5))
-    state._install_clusters([0, 1, 1], [[-0.5], [0.4]])
-    residuals = [-0.7, -0.3, 0.5]
-    oracle = type_partition_posterior(residuals, alpha=1.0, shape=1.0, rate=1.0 + 0.9**2)
-
-    def step(s):
-        s._resample_types()
-        s._d_pass()
-
-    tv = chain_partition_tv(state, 30_000, oracle, step=step, labels=lambda s: s.d.tolist())
-    assert tv < 0.02
 
 
 def test_m2_type_partition_matches_enumeration_under_the_rate_hyperprior():
@@ -835,8 +736,12 @@ def _joint_prior_draw(variant, rng, F=2):
     return _joint_statistics(c, d, centers, tvecs, X, rate), X
 
 
-@pytest.mark.parametrize("variant", ["m1", "m2"])
-def test_whole_sweeps_pass_the_joint_distribution_test(variant):
+@pytest.mark.parametrize(
+    "variant,aux_samples",
+    [("m1", 8), ("m2", 8), ("m3", 8), ("m3", 1)],
+    ids=["m1", "m2", "m3", "m3-aux1"],
+)
+def test_whole_sweeps_pass_the_joint_distribution_test(variant, aux_samples):
     # Geweke (2004), "Getting it right": direct draws of (state, X) from the
     # model, against a chain that alternates a whole sweep with a fresh X
     # drawn from its current state.  Both draw from the joint, so each
@@ -844,6 +749,8 @@ def test_whole_sweeps_pass_the_joint_distribution_test(variant):
     # conditioned on.  z is the difference of the means over the root sum
     # of squares of their standard errors, the chain's from 50 batch means
     # of 5,000 sweeps less the first 10%.  alpha is fixed at 1, types free.
+    # m3 samples m1's model; with one auxiliary candidate (m3-aux1) a new
+    # cluster's center is a single base draw, the fewest Algorithm 8 allows.
     rng = np.random.default_rng(1)
     direct = np.array([_joint_prior_draw(variant, rng)[0] for _ in range(20_000)], dtype=float)
     data_rng = np.random.default_rng(3)
@@ -852,7 +759,7 @@ def test_whole_sweeps_pass_the_joint_distribution_test(variant):
     ds = Dataset(ids=[f"x{i}" for i in range(len(X))], X=X,
                  labels=[f"g{k}" for k in JOINT_TRAIN] + [None] * JOINT_TEST,
                  split=["train"] * n_train + ["test"] * JOINT_TEST)
-    cfg = SamplerConfig(variant=variant, resample_alphas=False)
+    cfg = SamplerConfig(variant=variant, aux_samples=aux_samples, resample_alphas=False)
     state = ChainState(ds, cfg, np.random.default_rng(2))
     chain = []
     for _ in range(5_000):
@@ -874,7 +781,7 @@ def test_whole_sweeps_pass_the_joint_distribution_test(variant):
 
 def test_aux_candidate_counts_follow_singleton_rule():
     ds = tiny_dataset([0.0, 0.5, 1.0, 1.5])
-    cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=8)
+    cfg = frozen_config(variant="m3", aux_samples=8)
     state = ChainState(ds, cfg, np.random.default_rng(3))
     # Item 0 sits alone: its parameter is one of the M candidates, the last
     # (Neal 2000, Algorithm 8).
@@ -894,45 +801,12 @@ def test_aux_candidate_counts_follow_singleton_rule():
     assert len(news) == 8
 
 
-def test_conditional_c_weights_follow_the_joint_score():
-    # Under the conditional type prior, joining an existing cluster and
-    # opening one at a new candidate differ in log weight as the joint score
-    # does, less the candidate's base log density and log M (it was drawn
-    # from the base and holds alpha / M of the new-cluster mass).
-    ds = supervised_dataset(seed=5)
-    cfg = SamplerConfig(variant="m3", iterations=3, seed=2)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    for _ in range(3):
-        state.sweep()
-    assert len(state.pubs) > 2
-    n = int(ds.indices("test")[0])
-    orphan = state.pubs.detach(int(state.c[n]))
-    state._table = sampler._ClusterTable(state, [n])
-    cand, logw, news = state._c_candidates(n, orphan)
-    assert len(news) == cfg.aux_samples
-
-    def score(move):
-        s = copy.deepcopy(state)
-        s.c[n] = move(s.pubs)
-        return s.joint_log_score()
-
-    first = len(state.pubs) - len(cand)
-    for j in range(len(cand)):
-        joined = score(lambda pubs: pubs.join(first + j))
-        for i, phi in enumerate(news):
-            opened = score(lambda pubs: pubs.open(phi))
-            log_base = -0.5 * (state.F * math.log(2 * math.pi) + phi @ phi)
-            want = opened - joined - log_base - math.log(cfg.aux_samples)
-            assert logw[len(cand) + i] - logw[j] == pytest.approx(want, abs=1e-9)
-
-
 @pytest.mark.parametrize("variant", ["m1", "m3"])
 def test_batched_refreshes_match_per_row_posteriors(variant):
     # One draw for all rows equals per-row conjugate draws from the same
     # stream; the posterior sums are added in another order, so to rounding.
     ds = supervised_dataset(seed=8)
-    cfg = SamplerConfig(variant=variant, seed=2, resample_alphas=False,
-                        conditional_type_prior=False)
+    cfg = SamplerConfig(variant=variant, seed=2, resample_alphas=False)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     state.alpha_t = 20.0
     for _ in range(3):
@@ -959,39 +833,11 @@ def test_batched_refreshes_match_per_row_posteriors(variant):
     state.check()
 
 
-def test_conditional_type_refresh_is_the_shifted_gamma_posterior():
-    # Each type's refresh is an exact draw from Gamma(a + n/2, rate + S + q/2):
-    # n and q its members' count and squared residuals, S the centers' pair
-    # sum, a = rate = 1 for m3's standard base.
-    ds = supervised_dataset(seed=5)
-    cfg = SamplerConfig(variant="m3", iterations=4, seed=3)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    for _ in range(4):
-        state.sweep()
-    P = state.pubs.vecs
-    s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
-    params = []
-    for k in state.types.ids:
-        members = np.flatnonzero(state.d == k)
-        q = sum((state.X[m] - state.pubs[int(state.c[m])]) ** 2 for m in members)
-        params.append((1.0 + len(members) / 2, 1.0 + s + q / 2))
-    draws = []
-    for _ in range(20_000):
-        state._resample_types()
-        draws.append(state.types.vecs.copy())
-    draws = np.array(draws)
-    for k, (a, b) in enumerate(params):
-        mean, var = a / b, a / b**2
-        assert (np.abs(draws[:, k].mean(axis=0) - mean) < 5 * np.sqrt(var / len(draws))).all()
-        np.testing.assert_allclose(draws[:, k].var(axis=0), var, rtol=0.1)
-    state.check()
-
-
 def test_aux_total_new_mass_converges_to_marginal():
     # Averaged over candidate draws, the summed new-cluster weight is an
     # unbiased estimate of alpha * integral G0(p) F(r | p, t) dp.
     ds = tiny_dataset([0.4, -0.3, 1.1])
-    cfg = frozen_config(variant="m3", conditional_type_prior=False, aux_samples=256)
+    cfg = frozen_config(variant="m3", aux_samples=256)
     state = ChainState(ds, cfg, np.random.default_rng(4))
     n = 0
     orphan = state.pubs.detach(int(state.c[n]))
@@ -1023,50 +869,6 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
         state.X[n], state.pubs[int(state.c[n])], state.type_base
     )
     assert logw[-1] == pytest.approx(expected, abs=1e-9)
-
-
-def test_conditional_m3_new_type_weight_is_the_shifted_gamma_marginal():
-    # Under the conditional prior a new type's precisions are integrated out
-    # under Gamma(a, rate + S), S the centers' pair sum; a = rate = 1 here.
-    ds = supervised_dataset(seed=9)
-    cfg = SamplerConfig(variant="m3", iterations=3, seed=0)
-    state = ChainState(ds, cfg, chain_rng(cfg, 0))
-    for _ in range(3):
-        state.sweep()
-    P = state.pubs.vecs
-    s = sum((P[i] - P[j]) ** 2 for i in range(len(P)) for j in range(i + 1, len(P)))
-    shifted = TypeBase(shape=np.ones(state.F), scale=1.0 / (1.0 + s))
-    for n in (0, int(ds.indices("test")[-1])):
-        state.types.detach(int(state.d[n]))
-        tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
-        expected = math.log(state.alpha_t) + marginal_loglik_new_type(
-            state.X[n], state.pubs[int(state.c[n])], shifted
-        )
-        assert logw[-1] == pytest.approx(expected, abs=1e-9)
-        state.types.join(0)
-        state.d[n] = int(tids[0])
-    state.check()
-
-
-def test_conditional_m3_centers_need_a_drawn_candidate(monkeypatch):
-    # A conditional center's candidates are itself and CANDIDATE_COUNT - 1
-    # conjugate draws, so with one candidate no center could move; with two,
-    # every center does.
-    assert sampler.CANDIDATE_COUNT >= 2
-    monkeypatch.setattr(sampler, "CANDIDATE_COUNT", 2)
-    # Two training clusters a short way apart, so the tilt is mild.
-    ds = Dataset(
-        ids=["a0", "a1", "b0", "b1"],
-        X=np.array([[0.0], [0.2], [0.5], [0.7]]),
-        labels=["a", "a", "b", "b"],
-        split=["train"] * 4,
-    )
-    state = ChainState(ds, frozen_config(variant="m3"), np.random.default_rng(0))
-    before = state.pubs.vecs.copy()
-    for _ in range(20):
-        state.sweep()
-    assert (state.pubs.vecs != before).all()
-    state.check()
 
 
 # ------------------------------------------------------------- scoring
