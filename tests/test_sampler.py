@@ -483,7 +483,13 @@ def _sequential_d_pass(state):
             state.d[n] = types.open(posterior_sample_type(r[None], p[None], base, state.rng))
 
 
-PASS_CASES = [("m1", False), ("m1", True), ("m2", False), ("m2", True), ("m3", False), ("m3", True)]
+# (variant, share_train_test, one_candidate): one_candidate runs m3 with a
+# single auxiliary candidate (aux_samples=1), so a singleton's orphaned center
+# is its only new-cluster candidate; m1 and m2 draw none.
+PASS_CASES = [
+    ("m1", False, False), ("m1", True, False), ("m2", False, False), ("m2", True, False),
+    ("m3", False, True), ("m3", True, True), ("m3", False, False), ("m3", True, False),
+]
 
 
 def pass_dataset():
@@ -501,15 +507,15 @@ def assert_same_pass(a, b):
     assert a.rng.random() == b.rng.random()
 
 
-@pytest.mark.parametrize("variant,share", PASS_CASES)
-def test_batched_d_pass_matches_the_sequential_scan(variant, share):
+@pytest.mark.parametrize("variant,share,one_candidate", PASS_CASES)
+def test_batched_d_pass_matches_the_sequential_scan(variant, share, one_candidate):
     ds = pass_dataset()
     # alpha_t = 20: most items move, so the pass scans only when made to
     # (its widest window, whatever its history); alpha_t = 2: few move, and
     # the pass scans by its own rule.
     for alpha_t, moves in ((20.0, 0), (2.0, None)):
         cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
-                            resample_alphas=False)
+                            resample_alphas=False, aux_samples=1 if one_candidate else 8)
         state = ChainState(ds, cfg, chain_rng(cfg, 0))
         state.alpha_t = alpha_t
         most_types = moved = opened = scanned = 0
@@ -568,11 +574,11 @@ def _sequential_c_pass(state):
             state.c[n] = pubs.open(posterior_sample_publication(r[None], t[None], base, state.rng))
 
 
-@pytest.mark.parametrize("variant,share", PASS_CASES)
-def test_batched_c_pass_matches_the_sequential_scan(variant, share):
+@pytest.mark.parametrize("variant,share,one_candidate", PASS_CASES)
+def test_batched_c_pass_matches_the_sequential_scan(variant, share, one_candidate):
     ds = pass_dataset()
     cfg = SamplerConfig(variant=variant, seed=4, share_train_test=share,
-                        resample_alphas=False)
+                        resample_alphas=False, aux_samples=1 if one_candidate else 8)
     state = ChainState(ds, cfg, chain_rng(cfg, 0))
     moved = opened = deleted = 0
     for _ in range(12):
@@ -594,12 +600,13 @@ def test_batched_c_pass_matches_the_sequential_scan(variant, share):
     assert moved > 0 and deleted > 0 and opened > 0
 
 
-@pytest.mark.parametrize("variant", ["m1", "m3"])
-def test_pass_window_does_not_change_the_result(variant):
+@pytest.mark.parametrize("variant,one_candidate", [("m1", False), ("m3", True), ("m3", False)])
+def test_pass_window_does_not_change_the_result(variant, one_candidate):
     # From one state, each pass with its stored move count at None (no
     # history: no scan), 0 (the widest window), a middling count (a narrow
     # window) and every item (no scan) gives the same bytes.
-    cfg = SamplerConfig(variant=variant, seed=6, resample_alphas=False)
+    cfg = SamplerConfig(variant=variant, seed=6, resample_alphas=False,
+                        aux_samples=1 if one_candidate else 8)
     state = ChainState(pass_dataset(), cfg, chain_rng(cfg, 0))
     state.alpha_t = 2.0
     windows = set()
