@@ -44,7 +44,9 @@ well over a hundred candidates, and clusters open and close mid-sweep.  The
 data, ``tests/golden/large.csv``, was written by ``dpsc synth
 --train-classes 4 --test-classes 40 --dim 4 --min-size 2 --max-size 5
 --separation 6 --seed 13``, and each case is run on it with the flags in
-``LARGE_CASES`` plus ``COMMON``.
+``LARGE_CASES`` plus ``COMMON``.  ``large-m3`` pins m3's auxiliary-candidate
+c updates there: each chain's first c pass spans two table blocks, and
+clusters open mid-pass, one of them from a singleton's orphaned center.
 
 ``tests/golden/large-m1.kmeans.tsv`` pins the oracle-k k-means baseline:
 the ``large-m1`` run with ``KMEANS`` added, whose other outputs are the
@@ -83,6 +85,7 @@ CASES = {
 LARGE_CASES = {
     "large-m1": ["--variant", "m1"],
     "large-m2": ["--variant", "m2"],
+    "large-m3": ["--variant", "m3"],
 }
 KMEANS = ["--baseline", "kmeans"]
 CDP = ["--variant", "m1", "--chains", "2", "--iters", "24", "--seed", "5", "--baseline", "cdp"]
