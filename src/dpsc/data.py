@@ -182,6 +182,12 @@ def _load_csv(path) -> Dataset:
     return Dataset(ids=ids, X=np.array(rows), labels=labels, split=split)
 
 
+def _is_number(v):
+    """Whether a parsed JSON value is a number: an int or a float, not a
+    bool, which Python counts as an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _load_json(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -198,6 +204,10 @@ def _load_json(path) -> Dataset:
         for key in ("id", "split", "features"):
             if key not in rec:
                 raise DomainError(f"{path}: item {i} is missing {key!r}")
+        if not (isinstance(rec["id"], str) or _is_number(rec["id"])):
+            raise DomainError(
+                f"{path}: item {i}: id must be a string or a number, got {rec['id']!r}"
+            )
         feats = rec["features"]
         if not isinstance(feats, list):
             raise DomainError(
@@ -210,7 +220,7 @@ def _load_json(path) -> Dataset:
                 f"{path}: item {rec['id']!r} has {len(feats)} features, expected {dim}"
             )
         label = rec.get("label")
-        if not (label is None or isinstance(label, (str, int, float))):
+        if not (label is None or isinstance(label, str) or _is_number(label)):
             raise DomainError(
                 f"{path}: item {rec['id']!r}: label must be a string or a number, got {label!r}"
             )
@@ -220,12 +230,15 @@ def _load_json(path) -> Dataset:
         # string CSV would give.
         labels.append(None if label is None else str(label))
         try:
-            rows.append([float(v) for v in feats])
-        except (TypeError, ValueError, OverflowError):  # overflow: a huge integer
+            row = [float(v) for v in feats if _is_number(v)]
+        except OverflowError:  # a huge integer
+            row = []
+        if len(row) != len(feats):
             raise DomainError(
                 f"{path}: item {rec['id']!r}: features must be numbers in the float range, "
                 f"got {feats!r}"
-            ) from None
+            )
+        rows.append(row)
     return Dataset(ids=ids, X=np.array(rows), labels=labels, split=split)
 
 

@@ -35,15 +35,15 @@ row store (``ChainState.pubs`` for the clusters, ``ChainState.types`` for
 the types): one matrix of parameter vectors, the id of each row, its
 member count as a float and the next unused id.  Which items a row holds
 is read from the indicator arrays c and d.  Both indicator updates run
-the same CRP step on their store (Neal 2000, Algorithms 2 and 8):
-``detach`` takes the item out, leaving a row that emptied at count 0, then
-the item ``join``s an existing row or ``open``s a new one.  ``compact``
-deletes the rows at count 0; each pass calls it once its table is dropped,
-so outside a pass every row holds items.  An update reads contiguous
-slices: the candidate clusters are the trailing rows (all rows when test
-items may join training clusters, which are never emptied and so stay in
-the leading rows), and the refreshes and the joint score map items to rows
-with one searchsorted.
+the same CRP step on their store (Neal 2000, Algorithms 2 and 8), the pass
+table's ``move``: ``detach`` takes the item out, leaving a row that emptied
+at count 0, then the item ``join``s an existing row or ``open``s a new one.
+``compact`` deletes the rows at count 0; each pass calls it once its table
+is dropped, so outside a pass every row holds items.  An update reads
+contiguous slices: the candidate clusters are the trailing rows (all rows
+when test items may join training clusters, which are never emptied and
+so stay in the leading rows), and the refreshes and the joint score map
+items to rows with one searchsorted.
 
 Rows are kept in ascending id order: ids only grow, a new row is appended
 and a deleted one closes its gap.  Training cluster ids follow the first
@@ -66,14 +66,20 @@ row is deleted until the table is dropped, so a row the pass empties keeps
 its column at count 0, where it weighs exp(-inf) = 0 and is never drawn,
 and a row opened during the pass is appended and gets the next column when
 the table is next read.  A zero weight adds exactly 0 to every running
-sum, so the draws are those of the store without the emptied rows.  A c
-table (``_ClusterTable``), one for each block of test items, holds the
-candidate centers and m1/m2's closed-form new-cluster weight, or m3's
-auxiliary candidates: aux_samples fresh base draws per item, drawn up
-front because they do not depend on the state.  This is exact because
-nothing those numbers read changes during the c pass: no center or type
-vector is written (rows are only opened and emptied), no d changes, and
-alpha_p and both bases stay fixed.  m1/m2's c table also holds its weights
+sum, so the draws are those of the store without the emptied rows.  Every
+single-item update, of c or d under every variant, is the table's
+``move``: detach, pick, then join the picked row or open a new one, whose
+vector the table supplies (``_new``).  The variants differ only in a c
+table's new-row columns and vectors.  A c table (``_ClusterTable``), one
+for each block of test items, holds the candidate centers and m1/m2's
+closed-form new-cluster weight, a new center being the exact conjugate
+draw given the item alone; or m3's auxiliary candidates (Neal 2000,
+Algorithm 8): aux_samples fresh base draws per item, drawn up front
+because they do not depend on the state, a singleton's orphaned center
+taking the last one's place.  This is exact because nothing those numbers
+read changes during the c pass: no center or type vector is written (rows
+are only opened and emptied), no d changes, and alpha_p and both bases
+stay fixed.  m1/m2's c table also holds its weights
 exponentiated once, against each item's largest log weight, so a
 single-item update multiplies them by the store's counts and searches
 their running sums.  It keeps that index only where a rounding bound
@@ -246,8 +252,7 @@ class _Rows:
     The ids are kept both as an array (``ids``) and as a list
     (``id_list``), which finds one row faster.  Which items a row holds is
     read from the indicator array, not kept here.  A row emptied by
-    ``detach`` stays, at count 0, until ``compact`` deletes it.  ``[key]``
-    gives the vector of id ``key``."""
+    ``detach`` stays, at count 0, until ``compact`` deletes it."""
 
     def __init__(self, labels, vecs):
         self.ids, counts = np.unique(labels, return_counts=True)
@@ -294,12 +299,6 @@ class _Rows:
         self.vecs = np.vstack([self.vecs, vec])
         self.counts = np.append(self.counts, 1.0)
         return key
-
-    def __getitem__(self, key):
-        row = self.row(key)
-        if row == len(self.ids) or self.ids[row] != key:
-            raise KeyError(key)
-        return self.vecs[row]
 
     def __len__(self):
         return len(self.ids)
@@ -352,8 +351,13 @@ class _PassTable:
     items are not read again).  Nothing a column reads changes during its
     pass, so it is computed once; the columns of the rows present at
     construction are computed there, so every column is computed over the
-    same items whichever items the pass reads.  Subclasses supply the
-    columns, ``_loglik``.
+    same items whichever items the pass reads.
+
+    ``move`` is the one CRP step of every pass: it detaches the item,
+    keeping the vector of a row that emptied (the orphan), picks a column,
+    and joins that row or opens a new one.  Subclasses supply the columns,
+    ``_loglik``, and a new row's vector, ``_new``; a subclass that weighs the
+    orphan (m3's c table) extends ``weights``.
 
     With ``exponentiate`` (m1/m2's c pass: one new-row weight, fixed), the
     table also keeps every weight exponentiated once, against its item's
@@ -379,7 +383,7 @@ class _PassTable:
         self.buf = np.empty((len(self.pos), k + self.m + min(len(self.pos), TABLE_BLOCK)))
         self.buf[:, :k] = self._loglik(0, lo)
         self.buf[:, k:k + self.m] = new
-        self.u = rng.random(len(self.pos))
+        self.rng, self.u = rng, rng.random(len(self.pos))
         self.ew = None
         if exponentiate:
             L = self.buf[:, :k + 1]
@@ -435,33 +439,33 @@ class _PassTable:
         self._grow(i)
         return self.buf[i:j, :self.filled + self.m].copy()
 
-    def weights(self, n):
+    def weights(self, n, orphan=None):
         """Item n's log weights under the store's counts: each candidate
-        row's, in row order, then the new-row ones (a new array)."""
+        row's, in row order, then the new-row ones (a new array).  ``orphan``
+        is the vector of the row n's detach emptied, if any; only m3's c
+        table weighs it."""
         i = self.pos[n]
         logw = self._read(i, i + 1)[0]
         with np.errstate(divide="ignore"):  # an emptied row weighs 0
             logw[:-self.m] += np.log(self.store.counts[self.lo:])
         return logw
 
-    def uniform(self, n):
-        """Item n's uniform for its pick."""
-        return self.u[self.pos[n]]
-
     def move(self, n, key):
-        """Take item n out of row ``key`` and put it in the row its uniform
-        picks, by the store's detach and join; returns that row's id, or
-        None when the pick is a new row, which the caller opens.  The pick is
-        _certified's where the table is exponentiated and that vouches for
-        one, else _pick's on the item's log weights; the two are the same."""
+        """The CRP step of item n (Neal 2000, Algorithms 2 and 8): take it
+        out of row ``key`` by the store's detach, then put it in the row its
+        uniform picks, by join, or in a new row holding the vector ``_new``
+        gives for the picked new-row column, by open; returns the row's id.
+        The pick is _certified's where the table is exponentiated and that
+        vouches for one, else _pick's on the item's log weights; the two are
+        the same."""
         i = self.pos[n]
-        self.store.detach(key)
+        orphan = self.store.detach(key)
         pick = None if self.ew is None else self._certified(i)
         if pick is None:
-            pick = _pick(self.weights(n), self.u[i])
-        if pick == self.filled:
-            return None
-        return self.store.join(self.lo + pick)
+            pick = _pick(self.weights(n, orphan), self.u[i])
+        if pick < self.filled:
+            return self.store.join(self.lo + pick)
+        return self.store.open(self._new(i, pick - self.filled, orphan))
 
     def _certified(self, i):
         """The index _pick would draw for table row i from its weights
@@ -579,18 +583,19 @@ class _ClusterTable(_PassTable):
         k = types.rows(state.d[items])
         self.R, self.k, self.const = state.X[items], k, loglik_const(types.vecs)[k]
         self.tvecs = types.vecs  # replaced, not written, when a type opens or goes
+        self.base = base = state.pub_base
+        self.news = None
         if state.variant != "m3":
-            var, head = new_publication_terms(types.vecs[k], state.pub_base)
-            new = np.log(state.alpha_p) + new_publication_loglik_rows(
-                self.R, var, head, state.pub_base
-            )
+            var, head = new_publication_terms(types.vecs[k], base)
+            new = np.log(state.alpha_p) + new_publication_loglik_rows(self.R, var, head, base)
         else:
-            base, m = state.pub_base, state.config.aux_samples
+            m = state.config.aux_samples
             z = state.rng.standard_normal((len(k), m, state.F))
             self.news = base.mean + math.sqrt(base.variance) * z
+            self.aux_w = math.log(state.alpha_p / m)
             D = self.R[:, None, :] - self.news
             D *= D
-            new = math.log(state.alpha_p / m) + self.const[:, None] - 0.5 * (
+            new = self.aux_w + self.const[:, None] - 0.5 * (
                 D * self.tvecs[k][:, None, :]
             ).sum(axis=2)
         super().__init__(state.pubs, state.first_candidate, items, new, state.c, state.rng,
@@ -614,6 +619,28 @@ class _ClusterTable(_PassTable):
             dots[same] = (D[same].reshape(-1, P.shape[1]) @ self.tvecs[t]).reshape(-1, len(P))
         return self.const[i:, None] - 0.5 * dots
 
+    def weights(self, n, orphan=None):
+        """_PassTable.weights; under m3, a singleton's orphaned center takes
+        the last auxiliary candidate's place, weighted alpha_p / aux_samples
+        times its likelihood (Neal 2000, Algorithm 8)."""
+        logw = super().weights(n)
+        if orphan is not None and self.news is not None:
+            i = self.pos[n]
+            own = data_loglik_rows(self.R[i], orphan[None], self.tvecs[self.k[i]])
+            logw[-1] = self.aux_w + own[0]
+        return logw
+
+    def _new(self, i, j, orphan):
+        """The center of a cluster that table row i's item opens from
+        new-row column j: m1/m2's exact conjugate draw given the item alone,
+        or m3's j-th auxiliary candidate, a singleton's orphan the last."""
+        if self.news is None:
+            t = self.tvecs[self.k[i:i + 1]]
+            return posterior_sample_publication(self.R[i:i + 1], t, self.base, self.rng)
+        if orphan is not None and j == self.m - 1:
+            return orphan
+        return self.news[i, j]
+
 
 class _TypeTable(_PassTable):
     """The d-update log-likelihoods of some items, and in column 0 their log
@@ -626,7 +653,9 @@ class _TypeTable(_PassTable):
 
     def __init__(self, state, items):
         pubs = state.pubs
-        D = state.X[items] - pubs.vecs[pubs.rows(state.c[items])]
+        self.R, self.P = state.X[items], pubs.vecs[pubs.rows(state.c[items])]
+        self.base = state.type_base
+        D = self.R - self.P
         self.D2 = D * D
         new = math.log(state.alpha_t) + new_type_loglik(self.D2, state._new_type_terms)
         super().__init__(state.types, 0, items, new, state.d, state.rng, exponentiate=False)
@@ -636,6 +665,11 @@ class _TypeTable(_PassTable):
         ``row`` on, from one product."""
         T = self.store.vecs[row:]
         return loglik_const(T) - 0.5 * (self.D2[i:] @ T.T)
+
+    def _new(self, i, j, orphan):
+        """A new type's vector: the exact conjugate draw given table row i's
+        item and its center alone."""
+        return posterior_sample_type(self.R[i:i + 1], self.P[i:i + 1], self.base, self.rng)
 
 
 class ChainState:
@@ -755,59 +789,15 @@ class ChainState:
     # ------------------------------------------------------------------
     # indicator updates
 
-    def _c_candidates(self, n, orphan):
-        """Existing-cluster ids plus log weights for resampling c_n; the
-        trailing entries belong to new-cluster candidates.  The existing
-        candidates are the trailing rows of the center store, weighted by
-        their log counts plus the pass table's log-likelihoods.  m1/m2 take
-        the table's new-cluster weight, m3 its auxiliary candidates, of which
-        a singleton's orphaned center takes the last one's place (Neal 2000,
-        Algorithm 8)."""
-        table = self._table
-        cand, logw = self.pubs.ids[self.first_candidate:], table.weights(n)
-        if self.variant != "m3":
-            return cand, logw, None
-        news = table.news[table.pos[n]]
-        if orphan is not None:
-            news = np.vstack([news[:-1], orphan])
-            own = data_loglik_rows(self.X[n], orphan[None], self.types[int(self.d[n])])
-            logw[-1] = math.log(self.alpha_p / len(news)) + own[0]
-        return cand, logw, news
-
     def sample_c(self, n):
-        """Reassign test item n to an existing cluster or a fresh one, by the
-        uniform the pass table holds for it.  m1/m2 go through the table's
-        move: in a pass with no scan it picks from the weights exponentiated
-        against the item's largest log weight, where the rounding bound of
-        _PassTable._certified vouches for the index, and by _pick on the
-        log weights elsewhere and in a pass that scans.  m3 picks by _pick
-        of _c_candidates' weights."""
-        table, pubs = self._table, self.pubs
-        if self.variant != "m3":
-            key = table.move(n, int(self.c[n]))
-            if key is None:
-                r, t = self.X[n], self.types[int(self.d[n])]
-                pub = posterior_sample_publication(r[None, :], t[None, :], self.pub_base, self.rng)
-                key = pubs.open(pub)
-            self.c[n] = key
-            return
-        orphan = pubs.detach(int(self.c[n]))
-        cand, logw, news = self._c_candidates(n, orphan)
-        sel = _pick(logw, table.uniform(n))
-        if sel < len(cand):
-            self.c[n] = pubs.join(self.first_candidate + sel)
-        else:
-            self.c[n] = pubs.open(news[sel - len(cand)])
+        """Reassign test item n to an existing cluster or a new one: the pass
+        table's move, by the uniform it holds for the item."""
+        self.c[n] = self._table.move(n, int(self.c[n]))
 
     def sample_d(self, n):
-        """Reassign item n's reference type (training items included), by
-        the table's move with the uniform it holds for the item."""
-        key = self._table.move(n, int(self.d[n]))
-        if key is None:
-            r, p = self.X[n], self.pubs[int(self.c[n])]
-            t = posterior_sample_type(r[None, :], p[None, :], self.type_base, self.rng)
-            key = self.types.open(t)
-        self.d[n] = key
+        """Reassign item n's reference type (training items included): the
+        pass table's move, by the uniform it holds for the item."""
+        self.d[n] = self._table.move(n, int(self.d[n]))
 
     def _c_pass(self):
         """sample_c of every test item in turn, from a pass table for each

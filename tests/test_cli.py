@@ -288,6 +288,13 @@ def test_run_non_finite_feature_exit_2(tmp_path, capsys, name, bad):
     (1, "item 1"),
     ({"id": "b", "split": "test", "features": 5}, "'b'"),
     ({"id": "b", "split": "test", "features": ["q"]}, "'b'"),
+    ({"id": "b", "split": "test", "features": ["0.5"]}, "'b'"),
+    ({"id": "b", "split": "test", "features": [True]}, "'b'"),
+    ({"id": "b", "split": "test", "label": True, "features": [0.5]}, "'b'"),
+    ({"id": None, "split": "test", "features": [0.5]}, "item 1"),
+    ({"id": [1, 2], "split": "test", "features": [0.5]}, "item 1"),
+    ({"id": {"k": 1}, "split": "test", "features": [0.5]}, "item 1"),
+    ({"id": False, "split": "test", "features": [0.5]}, "item 1"),
 ])
 def test_run_malformed_json_item_exit_2(tmp_path, capsys, bad, named):
     good = {"id": "a", "split": "train", "label": "x", "features": [0.5]}

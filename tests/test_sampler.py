@@ -339,44 +339,42 @@ def test_certified_pick_bound_keeps_a_chain_bytes(rounding, tmp_path, monkeypatc
         assert fallbacks < 0.01 * len(picks)
 
 
-class _CheckedTable(ChainState):
-    """Compares every c update's log weights with per-item formulas: the
-    existing clusters' always, the closed-form new cluster's for m1/m2 (m3
-    draws its new-cluster candidates, so they are not recomputed).  m3
-    reads them through _c_candidates; m1/m2 pick from the exponentiated
-    weights and read them only on the log-space fallback, so their table
-    (_CheckedPassTable) reads them for the check on every move."""
-
-    compared = 0
-
-    def _c_candidates(self, n, orphan):
-        cand, logw, news = super()._c_candidates(n, orphan)
-        assert self._table is not None
-        r, t = self.X[n], self.types[int(self.d[n])]
-        rows = self.pubs.rows(cand)
-        with np.errstate(divide="ignore"):  # an emptied row: weight 0
-            want = np.log(self.pubs.counts[rows]) + data_loglik_rows(r, self.pubs.vecs[rows], t)
-        if news is None:
-            want = np.append(
-                want, math.log(self.alpha_p) + marginal_loglik_new_publication(r, t, self.pub_base)
-            )
-        # Batched products may round the last bit differently.
-        np.testing.assert_allclose(logw[:len(want)], want, rtol=1e-14, atol=0.0)
-        type(self).compared += 1
-        return cand, logw, news
-
-
 class _CheckedPassTable(sampler._ClusterTable):
+    """Compares every c update's log weights with per-item formulas: the
+    existing clusters' always, the closed-form new cluster's for m1/m2, and
+    for m3 each auxiliary candidate's, a singleton's orphaned center in the
+    last one's place.  m1/m2 pick from the exponentiated weights and read
+    the log weights only on the fallback, so ``move`` reads them for the
+    check on every update."""
+
+    compared = orphans = 0
+
     def __init__(self, state, items, exponentiate=False):
         self.state = state
         super().__init__(state, items, exponentiate)
 
     def move(self, n, key):
-        # The weights the fallback would read, checked on a copy of the state
-        # with n detached (the move detaches it only if it leaves its row).
+        # The weights the move reads, checked on a copy of the state (and of
+        # this table) with n detached.
         probe = copy.deepcopy(self.state)
-        probe.pubs.detach(key)
-        probe._c_candidates(n, None)
+        orphan = probe.pubs.detach(key)
+        logw = probe._table.weights(n, orphan)
+        pubs, lo, alpha_p = probe.pubs, probe.first_candidate, probe.alpha_p
+        r, t = probe.X[n], probe.types.vecs[probe.types.row(int(probe.d[n]))]
+        with np.errstate(divide="ignore"):  # an emptied row: weight 0
+            want = np.log(pubs.counts[lo:]) + data_loglik_rows(r, pubs.vecs[lo:], t)
+        if self.news is None:
+            want = np.append(want, math.log(alpha_p) + marginal_loglik_new_publication(r, t, self.base))
+        else:
+            m = probe.config.aux_samples
+            news = [data_loglik(r, phi, t) for phi in self.news[self.pos[n]]]
+            if orphan is not None:
+                news[-1] = data_loglik(r, orphan, t)
+                type(self).orphans += 1
+            want = np.append(want, [math.log(alpha_p / m) + w for w in news])
+        # Batched products may round the last bit differently.
+        np.testing.assert_allclose(logw, want, rtol=1e-14, atol=0.0)
+        type(self).compared += 1
         return super().move(n, key)
 
 
@@ -391,17 +389,19 @@ def test_indicator_pass_table_matches_per_item_weights(variant, share, monkeypat
     )
     ds, _ = standardize(ds)
     cfg = SamplerConfig(variant=variant, iterations=6, seed=2, share_train_test=share)
-    _CheckedTable.compared = 0
-    state = _CheckedTable(ds, cfg, chain_rng(cfg, 0))
+    _CheckedPassTable.compared = _CheckedPassTable.orphans = 0
+    state = ChainState(ds, cfg, chain_rng(cfg, 0))
     first_unused = state.pubs.next_id
     for _ in range(6):
         state.sweep()
         state.check()
     # Every c update checked, over more than one block, with centers
-    # deleted (all test items start alone) and opened mid-pass.
+    # deleted (all test items start alone) and opened mid-pass, and m3's
+    # singletons weighing their orphaned centers.
     n_test = len(ds.indices("test"))
-    assert _CheckedTable.compared == 6 * n_test and n_test > sampler.TABLE_BLOCK
+    assert _CheckedPassTable.compared == 6 * n_test and n_test > sampler.TABLE_BLOCK
     assert state.pubs.next_id > first_unused
+    assert (_CheckedPassTable.orphans > 0) == (variant == "m3")
 
 
 def test_indicator_pass_table_is_scoped_to_the_pass():
@@ -446,16 +446,17 @@ def test_indicator_pass_table_is_scoped_to_the_pass():
     # Direct calls read current values: alpha_p changed after the pass.
     state.alpha_p *= 7.0
     n = int(ds.indices("test")[0])
-    state.pubs.detach(int(state.c[n]))
-    state._table = sampler._ClusterTable(state, [n])
-    cand, logw, news = state._c_candidates(n, None)
-    r, t = state.X[n], state.types[int(state.d[n])]
+    pubs = state.pubs
+    pubs.detach(int(state.c[n]))
+    table = sampler._ClusterTable(state, [n])
+    logw = table.weights(n, None)
+    r, t = state.X[n], state.types.vecs[state.types.row(int(state.d[n]))]
     want = [
-        math.log(state.pubs.counts[state.pubs.row(int(cid))]) + data_loglik(r, state.pubs[int(cid)], t)
-        for cid in cand
+        math.log(k) + data_loglik(r, p, t)
+        for k, p in zip(pubs.counts[state.first_candidate:], pubs.vecs[state.first_candidate:])
     ]
     want.append(math.log(state.alpha_p) + marginal_loglik_new_publication(r, t, state.pub_base))
-    assert news is None
+    assert table.news is None
     assert np.asarray(logw) == pytest.approx(want, rel=1e-12)
 
 
@@ -472,7 +473,7 @@ def _sequential_d_pass(state):
     for n in range(state.N):
         types.detach(int(state.d[n]))
         types.compact()
-        r, p = state.X[n], state.pubs[int(state.c[n])]
+        r, p = state.X[n], state.pubs.vecs[state.pubs.row(int(state.c[n]))]
         logw = [math.log(k) + data_loglik(r, p, t) for k, t in zip(types.counts, types.vecs)]
         logw.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, base))
         acc = np.cumsum(np.exp(np.array(logw) - max(logw)))
@@ -555,7 +556,7 @@ def _sequential_c_pass(state):
     for i, n in enumerate(test.tolist()):
         orphan = pubs.detach(int(state.c[n]))
         pubs.compact()
-        r, t = state.X[n], state.types[int(state.d[n])]
+        r, t = state.X[n], state.types.vecs[state.types.row(int(state.d[n]))]
         logw = [math.log(k) + data_loglik(r, p, t) for k, p in zip(pubs.counts[lo:], pubs.vecs[lo:])]
         if state.variant != "m3":
             logw.append(math.log(state.alpha_p) + marginal_loglik_new_publication(r, t, base))
@@ -637,11 +638,11 @@ def test_scalar_d_update_matches_per_item_formula():
     for n in (0, int(ds.indices("test")[-1])):
         state.types.detach(int(state.d[n]))
         tids, logw = state.types.ids, sampler._TypeTable(state, [n]).weights(n)
-        r, p = state.X[n], state.pubs[int(state.c[n])]
+        r, p = state.X[n], state.pubs.vecs[state.pubs.row(int(state.c[n]))]
         rest = np.delete(state.d, n)  # every item's type but the detached n's
         want = [
-            math.log(np.count_nonzero(rest == k)) + data_loglik(r, p, state.types[int(k)])
-            for k in tids
+            math.log(np.count_nonzero(rest == k)) + data_loglik(r, p, t)
+            for k, t in zip(tids, state.types.vecs)
         ]
         want.append(math.log(state.alpha_t) + marginal_loglik_new_type(r, p, state.type_base))
         assert len(tids) >= 1
@@ -795,17 +796,21 @@ def test_aux_candidate_counts_follow_singleton_rule():
     state._install_clusters([0, 1, 1, 1], [[0.0], [1.0]])
     orphan = state.pubs.detach(int(state.c[0]))
     assert orphan is not None
-    state._table = sampler._ClusterTable(state, [0])
-    cand, logw, news = state._c_candidates(0, orphan)
-    assert len(news) == 8
-    assert len(logw) == len(cand) + 8
-    assert news[-1] == pytest.approx(orphan)
+    table = sampler._ClusterTable(state, [0])
+    logw = table.weights(0, orphan)
+    assert table.news.shape == (1, 8, 1)
+    assert len(logw) == len(state.pubs) + 8
+    own = math.log(state.alpha_p / 8) + data_loglik(state.X[0], orphan, state.types.vecs[0])
+    assert logw[-1] == pytest.approx(own, rel=1e-12)
+    news = [table._new(0, j, orphan) for j in range(8)]
+    assert np.array_equal(news[:-1], table.news[0, :-1]) and np.array_equal(news[-1], orphan)
     # Item 1 shares its cluster: all candidates are fresh.
     orphan = state.pubs.detach(int(state.c[1]))
     assert orphan is None
-    state._table = sampler._ClusterTable(state, [1])
-    cand, logw, news = state._c_candidates(1, None)
-    assert len(news) == 8
+    table = sampler._ClusterTable(state, [1])
+    logw = table.weights(1, orphan)
+    assert table.news.shape == (1, 8, 1) and len(logw) == len(state.pubs) + 8
+    assert np.array_equal([table._new(0, j, orphan) for j in range(8)], table.news[0])
 
 
 @pytest.mark.parametrize("variant", ["m1", "m3"])
@@ -849,13 +854,13 @@ def test_aux_total_new_mass_converges_to_marginal():
     n = 0
     orphan = state.pubs.detach(int(state.c[n]))
     closed = state.alpha_p * math.exp(
-        marginal_loglik_new_publication(state.X[n], state.types[0], state.pub_base)
+        marginal_loglik_new_publication(state.X[n], state.types.vecs[0], state.pub_base)
     )
     masses = []
     for _ in range(600):
-        state._table = sampler._ClusterTable(state, [n])
-        _, logw, news = state._c_candidates(n, None)
-        masses.append(np.exp(logw[-len(news):]).sum())
+        table = sampler._ClusterTable(state, [n])
+        logw = table.weights(n, None)
+        masses.append(np.exp(logw[-table.news.shape[1]:]).sum())
     assert np.mean(masses) == pytest.approx(closed, rel=0.02)
 
 
@@ -873,7 +878,7 @@ def test_m1_new_type_weight_matches_closed_form_marginal():
     state.types.detach(int(state.d[n]))
     logw = sampler._TypeTable(state, [n]).weights(n)
     expected = math.log(state.alpha_t) + marginal_loglik_new_type(
-        state.X[n], state.pubs[int(state.c[n])], state.type_base
+        state.X[n], state.pubs.vecs[state.pubs.row(int(state.c[n]))], state.type_base
     )
     assert logw[-1] == pytest.approx(expected, abs=1e-9)
 
@@ -1119,4 +1124,4 @@ def test_cdp_runs_on_test_items_with_one_frozen_type():
         state.sweep()
     assert state.alpha_p == 1.0
     assert state.types.ids.tolist() == [0]
-    assert state.types[0] == pytest.approx(np.ones(2))
+    assert state.types.vecs[0] == pytest.approx(np.ones(2))
